@@ -4,60 +4,23 @@ Classical grid-based estimators (SRP, SRP-PHAT, MUSIC, MVDR) are expressed
 as minimizations of a single power-mean objective over the unit sphere, and
 coarse grid estimates are polished by majorization-minimization updates that
 stay on the sphere by construction.
+
+One pipeline turns frames into directions: ``estimator_covariance`` gives the
+band-selected covariance and ``locate_sources`` builds the cost spec, searches
+the grid and refines. Solver internals live in their modules
+(``doakit.estimators``, ``doakit.refine``, ...).
 """
 
-from .estimators import (
-    CostSpec,
-    band_powers,
-    gershgorin_shift,
-    grid_search,
-    music_cost_spec,
-    mvdr_cost_spec,
-    objective,
-    power_mean,
-    srp_cost_spec,
-)
-from .manifold import (
-    ArrayGeometry,
-    SphericalGrid,
-    angles_from_doa,
-    doa_from_angles,
-    fibonacci_grid,
-    fibonacci_points,
-    great_circle_distance,
-    random_geometry,
-    steering_vector,
-)
-from .refine import (
-    PairCoefficients,
-    RefinementTrace,
-    SurrogateSystem,
-    cosine_surrogate_coeffs,
-    linear_update,
-    majorization_constant,
-    refine,
-    solve_gtrs,
-    surrogate_system,
-    wrap_phase,
-)
+from .manifold import ArrayGeometry, fibonacci_grid, random_geometry
 from .simulate import (
-    EvalResult,
     MonteCarloConfig,
     Scene,
-    build_cost_spec,
+    estimator_covariance,
     evaluate,
     locate_sources,
     monte_carlo,
-    synth_stft_scene,
     synth_time_scene,
 )
-from .spectral import (
-    CovarianceSet,
-    SpectralFrames,
-    apply_weighting,
-    band_select,
-    sample_covariance,
-    stft,
-)
+from .spectral import stft
 
 __version__ = "0.1.0"

@@ -12,19 +12,17 @@ import sys
 import numpy as np
 from scipy.io import wavfile
 
-from .estimators import grid_search
 from .manifold import ArrayGeometry, angles_from_doa, fibonacci_grid, fibonacci_points
 from .simulate import (
-    EvalResult,
     MonteCarloConfig,
     Scene,
-    _random_sources,
-    build_cost_spec,
+    estimator_covariance,
     locate_sources,
     monte_carlo,
+    random_sources,
     synth_time_scene,
 )
-from .spectral import apply_weighting, band_select, sample_covariance, stft
+from .spectral import stft
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -52,8 +50,18 @@ DEFAULTS = {
 }
 
 
+# file paths a config may name besides the DEFAULTS keys
+PATH_KEYS = ("geometry", "input", "output")
+
+
 class UsageError(Exception):
     pass
+
+
+def _reject_unknown(keys, known, what):
+    unknown = set(keys) - set(known)
+    if unknown:
+        raise UsageError(f"unknown {what}: {sorted(unknown)}")
 
 
 def _load_config(args):
@@ -63,9 +71,11 @@ def _load_config(args):
     if path:
         try:
             with open(path) as f:
-                config.update(json.load(f))
+                loaded = json.load(f)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config {path}: {exc}")
+        _reject_unknown(loaded, [*DEFAULTS, *PATH_KEYS], "config keys")
+        config.update(loaded)
     for key, value in vars(args).items():
         if key in ("command", "config"):
             continue
@@ -127,27 +137,19 @@ def cmd_locate(args):
         window=config["window"],
         sample_rate=rate,
     )
-    if config["estimator"] == "srp-phat":
-        frames = apply_weighting(frames, "phat")
-    cov = band_select(sample_covariance(frames), config["f_min"], config["f_max"])
-    spec = build_cost_spec(
-        cov,
-        config["estimator"],
-        float(config["s"]),
-        int(config["sources"]),
-        geometry.speed_of_sound,
-        float(config["loading"]),
-    )
-    grid = fibonacci_grid(int(config["grid"]))
+    cov = estimator_covariance(frames, config["estimator"], config["f_min"], config["f_max"])
     directions, values, traces = locate_sources(
-        spec,
+        cov,
         geometry,
-        grid,
-        int(config["sources"]),
-        config["variant"],
-        int(config["iters"]),
-        np.radians(float(config["min_separation_deg"])),
-        float(config["tolerance"]),
+        fibonacci_grid(int(config["grid"])),
+        estimator=config["estimator"],
+        s=float(config["s"]),
+        num_sources=int(config["sources"]),
+        variant=config["variant"],
+        max_iters=int(config["iters"]),
+        min_separation_rad=np.radians(float(config["min_separation_deg"])),
+        rel_tol=float(config["tolerance"]),
+        mvdr_loading=float(config["loading"]),
     )
     report = {"sources": []}
     for q, value, trace in zip(directions, values, traces):
@@ -173,7 +175,7 @@ def cmd_simulate(args):
         raise UsageError("an output WAV path is required (--output)")
     seed = int(config["seed"])
     rng = np.random.default_rng(seed)
-    sources = _random_sources(rng, int(config["sources"]), np.radians(15.0))
+    sources = random_sources(rng, int(config["sources"]), np.radians(15.0))
     scene = Scene(
         geometry=geometry,
         sources=sources,
@@ -183,7 +185,9 @@ def cmd_simulate(args):
         duration=float(config["duration"]),
     )
     signal = synth_time_scene(scene)
-    signal = signal / (8.0 * np.std(signal))  # headroom for float WAV
+    std = np.std(signal)
+    if std > 0.0:  # a silent scene stays silent
+        signal = signal / (8.0 * std)  # headroom for float WAV
     wavfile.write(output, int(scene.sample_rate), signal.astype(np.float32))
     truth = {
         "sources": [{"doa": [float(x) for x in q]} for q in sources],
@@ -223,10 +227,7 @@ def cmd_bench(args):
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read geometry: {exc}")
     output = sweep.pop("output", args.output) or "bench"
-    known = {f.name for f in MonteCarloConfig.__dataclass_fields__.values()}  # noqa: B009
-    unknown = set(sweep) - known
-    if unknown:
-        raise UsageError(f"unknown sweep keys: {sorted(unknown)}")
+    _reject_unknown(sweep, MonteCarloConfig.__dataclass_fields__, "sweep keys")
     for key in ("estimators", "s_values", "grid_sizes", "variants",
                 "iteration_counts", "snr_values"):
         if key in sweep:
@@ -264,7 +265,6 @@ def build_parser():
     locate.add_argument("--variant", choices=["quadratic", "linear", "none"])
     locate.add_argument("--iters", type=int, help="max refinement iterations")
     locate.add_argument("--sources", type=int, help="number of sources")
-    locate.add_argument("--seed", type=int)
     locate.add_argument("--sample-rate", dest="sample_rate", type=float,
                         help="sample rate for raw input")
     locate.add_argument("--output", help="write the JSON report here")

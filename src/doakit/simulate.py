@@ -7,11 +7,13 @@ import json
 import time
 import warnings
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import product
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .estimators import (
+    DEFAULT_MVDR_LOADING,
     grid_search,
     music_cost_spec,
     mvdr_cost_spec,
@@ -21,7 +23,8 @@ from .manifold import ArrayGeometry, fibonacci_grid, great_circle_distance
 from .refine import refine
 from .spectral import SpectralFrames, apply_weighting, band_select, sample_covariance
 
-MAX_EVAL_SOURCES = 6  # permutation matching is brute force
+# the sweep axes of a Monte Carlo cell, in key order
+CELL_FIELDS = ("estimator", "s", "grid_size", "variant", "iters", "snr_db")
 
 
 @dataclass
@@ -167,24 +170,17 @@ def synth_time_scene(scene):
 
 
 def evaluate(estimates, truth):
-    """Per-source great-circle errors in degrees under the permutation of the
-    estimates that minimizes the average error."""
+    """Per-source great-circle errors in degrees, indexed like ``truth``, under
+    the assignment of estimates to sources that minimizes the average error."""
     estimates = np.atleast_2d(np.asarray(estimates, dtype=float))
     truth = np.atleast_2d(np.asarray(truth, dtype=float))
     if estimates.shape != truth.shape:
         raise ValueError("estimates and truth must have the same shape")
-    num = truth.shape[0]
-    if num > MAX_EVAL_SOURCES:
-        raise ValueError(f"at most {MAX_EVAL_SOURCES} sources supported")
     # pairwise error matrix, truth index i vs estimate index j
     err = np.degrees(great_circle_distance(truth[:, None, :], estimates[None, :, :]))
     err = np.atleast_2d(err)
-    best = None
-    for perm in permutations(range(num)):
-        cand = err[np.arange(num), list(perm)]
-        if best is None or cand.mean() < best.mean():
-            best = cand
-    return best
+    rows, cols = linear_sum_assignment(err)
+    return err[rows, cols]
 
 
 @dataclass
@@ -225,38 +221,20 @@ class EvalResult:
     def write_csv(self, path):
         with open(path, "w", newline="") as f:
             writer = csv.DictWriter(
-                f,
-                fieldnames=[
-                    "estimator",
-                    "s",
-                    "grid_size",
-                    "variant",
-                    "iters",
-                    "snr_db",
-                    "trial",
-                    "src_index",
-                    "error_deg",
-                ],
+                f, fieldnames=[*CELL_FIELDS, "trial", "src_index", "error_deg"]
             )
             writer.writeheader()
             writer.writerows(self.rows)
 
     def summary(self):
-        cells = []
-        for key, median in sorted(self.medians.items()):
-            estimator, s, grid_size, variant, iters, snr_db = key
-            cells.append(
-                {
-                    "estimator": estimator,
-                    "s": s,
-                    "grid_size": grid_size,
-                    "variant": variant,
-                    "iters": iters,
-                    "snr_db": snr_db,
-                    "median_error_deg": median,
-                    "median_seconds": self.cell_seconds.get(key),
-                }
+        cells = [
+            dict(
+                zip(CELL_FIELDS, key),
+                median_error_deg=median,
+                median_seconds=self.cell_seconds.get(key),
             )
+            for key, median in sorted(self.medians.items())
+        ]
         return {"cells": cells}
 
     def write_summary(self, path):
@@ -264,7 +242,9 @@ class EvalResult:
             json.dump(self.summary(), f, indent=2)
 
 
-def _random_sources(rng, num_sources, min_separation_rad):
+def random_sources(rng, num_sources, min_separation_rad):
+    """Uniformly random unit directions, redrawn until every pair is at least
+    ``min_separation_rad`` apart."""
     while True:
         q = rng.standard_normal((num_sources, 3))
         q /= np.linalg.norm(q, axis=1, keepdims=True)
@@ -277,7 +257,16 @@ def _random_sources(rng, num_sources, min_separation_rad):
             return q
 
 
-def build_cost_spec(cov, estimator, s, num_sources, speed_of_sound, mvdr_loading=1e-3):
+def estimator_covariance(frames, estimator, f_min, f_max):
+    """Band-selected sample covariance an estimator works on: SRP-PHAT sees
+    PHAT-weighted frames, every other estimator the frames as they are."""
+    if estimator == "srp-phat":
+        frames = apply_weighting(frames, "phat")
+    return band_select(sample_covariance(frames), f_min, f_max)
+
+
+def build_cost_spec(cov, estimator, s, num_sources, speed_of_sound,
+                    mvdr_loading=DEFAULT_MVDR_LOADING):
     if estimator in ("srp", "srp-phat"):
         return srp_cost_spec(cov, s=s, speed_of_sound=speed_of_sound)
     if estimator == "music":
@@ -287,10 +276,15 @@ def build_cost_spec(cov, estimator, s, num_sources, speed_of_sound, mvdr_loading
     raise ValueError(f"unknown estimator {estimator!r}")
 
 
-def locate_sources(spec, geometry, grid, num_sources, variant, max_iters,
-                   min_separation_rad, rel_tol=1e-10):
-    """Grid search followed by per-source refinement; returns (directions,
-    objective values, traces)."""
+def locate_sources(cov, geometry, grid, *, estimator, s, num_sources, variant,
+                   max_iters, min_separation_rad, rel_tol=1e-10,
+                   mvdr_loading=DEFAULT_MVDR_LOADING):
+    """Cost spec, grid search, then per-source refinement of the covariance
+    from ``estimator_covariance``; returns (directions, objective values,
+    traces)."""
+    spec = build_cost_spec(
+        cov, estimator, s, num_sources, geometry.speed_of_sound, mvdr_loading
+    )
     peaks = grid_search(
         spec, geometry, grid, num_sources=num_sources, min_separation=min_separation_rad
     )
@@ -310,11 +304,13 @@ def locate_sources(spec, geometry, grid, num_sources, variant, max_iters,
 
 
 def run_trial(config, cell_key, cell_index, trial, grid):
-    """One Monte Carlo trial; returns (per-source errors, localization time)."""
+    """One Monte Carlo trial; returns (per-source errors, localization time).
+
+    The time covers cost-spec build, grid search and refinement only."""
     estimator, s, grid_size, variant, iters, snr_db = cell_key
     seed_seq = np.random.SeedSequence([config.master_seed, *cell_index, trial])
     rng = np.random.default_rng(seed_seq)
-    sources = _random_sources(
+    sources = random_sources(
         rng, config.num_sources, np.radians(config.min_source_separation_deg)
     )
     scene = Scene(
@@ -332,24 +328,21 @@ def run_trial(config, cell_key, cell_index, trial, grid):
         f_min=config.f_min,
         f_max=config.f_max,
     )
-    if estimator == "srp-phat":
-        frames = apply_weighting(frames, "phat")
-    cov = band_select(sample_covariance(frames), config.f_min, config.f_max)
+    cov = estimator_covariance(frames, estimator, config.f_min, config.f_max)
 
     start = time.perf_counter()
-    spec = build_cost_spec(
-        cov, estimator, s, config.num_sources,
-        config.geometry.speed_of_sound, config.mvdr_loading,
-    )
     directions, _, _ = locate_sources(
-        spec,
+        cov,
         config.geometry,
         grid,
-        config.num_sources,
-        variant,
-        iters,
-        np.radians(config.min_separation_deg),
-        config.rel_tol,
+        estimator=estimator,
+        s=s,
+        num_sources=config.num_sources,
+        variant=variant,
+        max_iters=iters,
+        min_separation_rad=np.radians(config.min_separation_deg),
+        rel_tol=config.rel_tol,
+        mvdr_loading=config.mvdr_loading,
     )
     elapsed = time.perf_counter() - start
     return evaluate(directions, sources), elapsed
@@ -358,36 +351,23 @@ def run_trial(config, cell_key, cell_index, trial, grid):
 def monte_carlo(config):
     """Run the full sweep; deterministic given config.master_seed."""
     grids = {g: fibonacci_grid(g) for g in set(config.grid_sizes)}
+    axes = (config.estimators, config.s_values, config.grid_sizes,
+            config.variants, config.iteration_counts, config.snr_values)
     result = EvalResult()
-    for i_est, estimator in enumerate(config.estimators):
-        for i_s, s in enumerate(config.s_values):
-            for i_grid, grid_size in enumerate(config.grid_sizes):
-                for i_var, variant in enumerate(config.variants):
-                    for i_iter, iters in enumerate(config.iteration_counts):
-                        for i_snr, snr_db in enumerate(config.snr_values):
-                            cell_key = (estimator, s, grid_size, variant, iters, snr_db)
-                            cell_index = (i_est, i_s, i_grid, i_var, i_iter, i_snr)
-                            errors, times = [], []
-                            for trial in range(config.num_trials):
-                                err, elapsed = run_trial(
-                                    config, cell_key, cell_index, trial, grids[grid_size]
-                                )
-                                times.append(elapsed)
-                                for src_index, e in enumerate(err):
-                                    errors.append(e)
-                                    result.rows.append(
-                                        {
-                                            "estimator": estimator,
-                                            "s": s,
-                                            "grid_size": grid_size,
-                                            "variant": variant,
-                                            "iters": iters,
-                                            "snr_db": snr_db,
-                                            "trial": trial,
-                                            "src_index": src_index,
-                                            "error_deg": float(e),
-                                        }
-                                    )
-                            result.medians[cell_key] = float(np.median(errors))
-                            result.cell_seconds[cell_key] = float(np.median(times))
+    for cell in product(*(enumerate(axis) for axis in axes)):
+        cell_index, cell_key = zip(*cell)
+        errors, times = [], []
+        for trial in range(config.num_trials):
+            err, elapsed = run_trial(
+                config, cell_key, cell_index, trial, grids[cell_key[2]]
+            )
+            times.append(elapsed)
+            errors.extend(err)
+            result.rows.extend(
+                dict(zip(CELL_FIELDS, cell_key), trial=trial, src_index=i,
+                     error_deg=float(e))
+                for i, e in enumerate(err)
+            )
+        result.medians[cell_key] = float(np.median(errors))
+        result.cell_seconds[cell_key] = float(np.median(times))
     return result

@@ -3,8 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from doakit.cli import main
-from doakit.manifold import fibonacci_points, great_circle_distance, random_geometry
+from doakit.cli import DEFAULTS, main
+from doakit.manifold import (
+    ArrayGeometry,
+    fibonacci_grid,
+    fibonacci_points,
+    great_circle_distance,
+    random_geometry,
+)
+from doakit.simulate import estimator_covariance, locate_sources
+from doakit.spectral import stft
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::scipy.io.wavfile.WavFileWarning"
@@ -104,6 +112,62 @@ def test_locate_config_file_with_flag_override(tmp_path, geometry_file):
     b = json.loads((tmp_path / "r2.json").read_text())
     assert len(a["sources"][0]["objective_trace"]) == 1
     assert len(b["sources"][0]["objective_trace"]) > 1
+
+
+def test_locate_config_rejects_unknown_keys(tmp_path, geometry_file, capsys):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"grid_size": 7, "estimatr": "music"}))
+    rc = main(["locate", "--config", str(config), "--geometry", geometry_file,
+               "--input", "nope.wav"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "estimatr" in err and "grid_size" in err
+
+
+def test_locate_has_no_seed_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["locate", "--seed", "5"])
+    assert exc.value.code == 2
+
+
+def test_simulate_silent_scene_writes_finite_wav(tmp_path, geometry_file):
+    from scipy.io import wavfile
+
+    wav = str(tmp_path / "silent.wav")
+    rc = main(["simulate", "--geometry", geometry_file, "--sources", "0",
+               "--snr-db", "inf", "--duration", "0.1", "--output", wav])
+    assert rc == 0
+    _, data = wavfile.read(wav)
+    assert data.shape == (1600, 8)
+    assert np.all(np.isfinite(data))
+
+
+@pytest.mark.parametrize("estimator", ["srp-phat", "music"])
+def test_locate_matches_library_pipeline(tmp_path, geometry_file, estimator):
+    from scipy.io import wavfile
+
+    wav = str(tmp_path / "scene.wav")
+    main(["simulate", "--geometry", geometry_file, "--sources", "2",
+          "--seed", "4", "--duration", "0.5", "--output", wav])
+    out = str(tmp_path / "report.json")
+    rc = main(["locate", "--geometry", geometry_file, "--input", wav,
+               "--estimator", estimator, "--sources", "2", "--grid", "200",
+               "--iters", "10", "--output", out])
+    assert rc == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+
+    rate, signal = wavfile.read(wav)
+    frames = stft(signal.astype(float), frame_size=DEFAULTS["frame_size"],
+                  hop=DEFAULTS["hop"], window=DEFAULTS["window"], sample_rate=float(rate))
+    cov = estimator_covariance(frames, estimator, DEFAULTS["f_min"], DEFAULTS["f_max"])
+    directions, values, _ = locate_sources(
+        cov, ArrayGeometry.from_json(geometry_file), fibonacci_grid(200),
+        estimator=estimator, s=DEFAULTS["s"], num_sources=2, variant="quadratic",
+        max_iters=10, min_separation_rad=np.radians(DEFAULTS["min_separation_deg"]),
+        rel_tol=DEFAULTS["tolerance"], mvdr_loading=DEFAULTS["loading"],
+    )
+    assert [s["doa"] for s in report["sources"]] == [list(q) for q in directions]
+    assert [s["objective"] for s in report["sources"]] == values
 
 
 def test_locate_channel_mismatch(tmp_path, geometry_file, capsys):

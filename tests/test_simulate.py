@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,9 @@ from doakit.manifold import great_circle_distance, random_geometry
 from doakit.simulate import (
     MonteCarloConfig,
     Scene,
-    _random_sources,
     evaluate,
     monte_carlo,
+    random_sources,
     synth_stft_scene,
     synth_time_scene,
 )
@@ -29,7 +31,7 @@ def test_scene_validation():
     with pytest.raises(ValueError):
         Scene(GEOM, np.array([[1.0, 0.0, 0.0]]), snr_db=np.nan)
     with pytest.warns(UserWarning):
-        Scene(GEOM, _random_sources(rng, 6, 0.1))
+        Scene(GEOM, random_sources(rng, 6, 0.1))
     # a source-free scene is a valid noise-only recording
     scene = Scene(GEOM, np.zeros((0, 3)))
     assert scene.num_sources == 0
@@ -82,7 +84,7 @@ def test_stft_scene_noise_only_covariance():
 
 def test_stft_scene_snr_calibration():
     target = 10.0
-    scene = Scene(GEOM, _random_sources(rng, 2, 0.3), snr_db=target, seed=8)
+    scene = Scene(GEOM, random_sources(rng, 2, 0.3), snr_db=target, seed=8)
     signal = synth_stft_scene(
         Scene(GEOM, scene.sources, snr_db=np.inf, seed=8),
         frame_size=256,
@@ -169,13 +171,38 @@ def test_evaluate_known_errors():
 def test_evaluate_rejects_bad_input():
     with pytest.raises(ValueError):
         evaluate(np.zeros((2, 3)), np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        evaluate(np.eye(3).repeat(3, 0)[:7, :], np.eye(3).repeat(3, 0)[:7, :])
+    # there is no cap on the source count: seven permuted sources match exactly
+    local = np.random.default_rng(7)
+    truth = random_sources(local, 7, np.radians(10.0))
+    np.testing.assert_allclose(evaluate(truth[local.permutation(7)], truth), 0.0, atol=1e-5)
+
+
+def _evaluate_oracle(estimates, truth):
+    """Brute-force search over every permutation for the minimum mean error."""
+    err = np.degrees(great_circle_distance(truth[:, None, :], estimates[None, :, :]))
+    num = truth.shape[0]
+    best = None
+    for perm in permutations(range(num)):
+        cand = err[np.arange(num), list(perm)]
+        if best is None or cand.mean() < best.mean():
+            best = cand
+    return best
+
+
+@pytest.mark.parametrize("num", range(1, 7))
+def test_evaluate_matches_permutation_oracle(num):
+    local = np.random.default_rng(num)
+    for _ in range(10):
+        truth = random_sources(local, num, 0.0)
+        estimates = random_sources(local, num, 0.0)
+        np.testing.assert_allclose(
+            evaluate(estimates, truth), _evaluate_oracle(estimates, truth), atol=1e-9
+        )
 
 
 def test_random_sources_separation():
     for _ in range(20):
-        q = _random_sources(rng, 3, np.radians(25.0))
+        q = random_sources(rng, 3, np.radians(25.0))
         assert q.shape == (3, 3)
         np.testing.assert_allclose(np.linalg.norm(q, axis=1), 1.0, atol=1e-12)
         for i in range(3):
