@@ -50,10 +50,6 @@ DEFAULTS = {
 }
 
 
-# file paths a config may name besides the DEFAULTS keys
-PATH_KEYS = ("geometry", "input", "output")
-
-
 class UsageError(Exception):
     pass
 
@@ -74,7 +70,7 @@ def _load_config(args):
                 loaded = json.load(f)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config {path}: {exc}")
-        _reject_unknown(loaded, [*DEFAULTS, *PATH_KEYS], "config keys")
+        _reject_unknown(loaded, [*DEFAULTS, "geometry", "input", "output"], "config keys")
         config.update(loaded)
     for key, value in vars(args).items():
         if key in ("command", "config"):

@@ -116,12 +116,16 @@ def power_mean(values, s, axis=0):
     """Generalized power mean ((1/K) sum y^s)^(1/s) along the given axis.
 
     For s < 0 the values are floored at EPS_POWER before exponentiation so
-    exact zeros (e.g. MUSIC on noiseless data) stay finite.
+    exact zeros (e.g. MUSIC on noiseless data) stay finite. Evaluated as
+    c * M_s(y / c) with c the smallest value for s < 0 and the largest for
+    s > 0, so every (y / c)^s lies in [0, 1] and cannot overflow.
     """
     values = np.asarray(values, dtype=float)
     # quadratic forms can round to tiny negatives; clamp into the domain
     values = np.maximum(values, EPS_POWER if s < 0 else 0.0)
-    out = np.mean(values**s, axis=axis) ** (1.0 / s)
+    c = (np.min if s < 0 else np.max)(values, axis=axis, keepdims=True)
+    c = np.where(c > 0.0, c, 1.0)  # all-zero values for s > 0
+    out = np.squeeze(c, axis=axis) * np.mean((values / c) ** s, axis=axis) ** (1.0 / s)
     return float(out) if np.ndim(out) == 0 else out
 
 

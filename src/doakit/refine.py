@@ -117,11 +117,10 @@ def pair_band_powers(coeffs, omega, q):
 
 
 def _band_weights(powers, s):
-    """Tangent-plane weights of the power mean at the given band powers."""
+    """Tangent-plane weights of the power mean at the given band powers,
+    beta_k = (1/K) (y_k / M_s(y))^(s-1), which stays finite at large |s|."""
     y = np.maximum(powers, EPS_POWER)
-    k = y.shape[0]
-    mean_pow = np.mean(y**s)
-    return y ** (s - 1.0) / (k * mean_pow ** (1.0 - 1.0 / s))
+    return (y / power_mean(y, s)) ** (s - 1.0) / y.shape[0]
 
 
 def surrogate_system(spec, coeffs, q_hat, with_constant=False, geometry=None):

@@ -153,6 +153,14 @@ def test_power_mean_values(values, s, expected):
     assert abs(power_mean(np.array(values), s) - expected) < 1e-12
 
 
+@pytest.mark.parametrize("tiny", [1e-30, 1e-12])
+def test_power_mean_large_negative_s_does_not_underflow(tiny):
+    # (1/2)^(-1/30) * tiny ~ 1.0234 * tiny: the large value's term vanishes
+    expected = 2.0 ** (1.0 / 30.0) * tiny
+    got = power_mean(np.array([tiny, 1.0]), -30.0)
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 def test_power_mean_monotone_in_s():
     s_sweep = [-10.0, -3.0, -1.0, -0.5, 0.2, 0.5, 0.8, 1.0]
     for _ in range(200):

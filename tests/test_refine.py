@@ -140,6 +140,41 @@ def test_surrogate_single_band_weight_is_one():
         assert abs(w[0] - 1.0) < 1e-12
 
 
+def test_band_weights_finite_at_large_negative_s():
+    from doakit.refine import _band_weights
+
+    w = _band_weights(np.array([1e-30, 1.0]), -30.0)
+    assert np.all(np.isfinite(w))
+    # beta_k = (1/K) (y_k / M_s)^(s-1) with M_s = 2^(1/30) * 1e-30
+    np.testing.assert_allclose(w, [0.5 * 2.0 ** (31.0 / 30.0), 0.0], rtol=1e-12)
+
+
+@pytest.mark.parametrize("offset_deg", [0.0, 3.0])
+def test_refine_noise_free_music_large_negative_s(offset_deg):
+    # noise-free MUSIC has exactly null bands at the source; s = -10 used to
+    # overflow the band weights and break the GTRS eigendecomposition
+    from doakit.estimators import music_cost_spec
+    from doakit.simulate import Scene, synth_stft_scene
+    from doakit.spectral import band_select, sample_covariance
+
+    geom = random_geometry(num_sensors=8, seed=3)
+    truth = np.array([0.3, -0.4, 0.866])
+    truth /= np.linalg.norm(truth)
+    frames = synth_stft_scene(Scene(geom, truth[None], snr_db=np.inf, seed=2),
+                              frame_size=256, num_frames=40)
+    cov = band_select(sample_covariance(frames), 300.0, 3500.0)
+    spec = music_cost_spec(cov, 1, s=-10.0)
+    axis = np.cross(truth, [0.0, 0.0, 1.0])
+    axis /= np.linalg.norm(axis)
+    t = np.radians(offset_deg)
+    q0 = np.cos(t) * truth + np.sin(t) * axis
+    for variant in ("quadratic", "linear"):
+        trace = refine(spec, geom, q0, variant=variant, max_iters=30)
+        assert np.all(np.isfinite(trace.objectives))
+        assert np.all(np.diff(trace.objectives) <= 1e-9 * np.abs(trace.objectives[:-1]))
+        assert np.degrees(great_circle_distance(trace.iterates[-1], truth)) < 0.01
+
+
 def test_surrogate_zero_phase_single_pair():
     # two sensors, one band, real positive off-diagonal entry, expanding at
     # the bottom of the cosine term (pair phase argument = pi): D and v have
