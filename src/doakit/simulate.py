@@ -279,9 +279,9 @@ def build_cost_spec(cov, estimator, s, num_sources, speed_of_sound,
 def locate_sources(cov, geometry, grid, *, estimator, s, num_sources, variant,
                    max_iters, min_separation_rad, rel_tol=1e-10,
                    mvdr_loading=DEFAULT_MVDR_LOADING):
-    """Cost spec, grid search, then per-source refinement of the covariance
-    from ``estimator_covariance``; returns (directions, objective values,
-    traces)."""
+    """Localize sources in a covariance from ``estimator_covariance``: build
+    the estimator's cost spec, search the grid, then refine each peak.
+    Returns (directions, objective values, traces)."""
     spec = build_cost_spec(
         cov, estimator, s, num_sources, geometry.speed_of_sound, mvdr_loading
     )
