@@ -60,16 +60,23 @@ def _reject_unknown(keys, known, what):
         raise UsageError(f"unknown {what}: {sorted(unknown)}")
 
 
+def _load_json_object(path, what):
+    try:
+        with open(path) as f:
+            loaded = json.load(f)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read {what} {path}: {exc}")
+    if not isinstance(loaded, dict):
+        raise UsageError(f"{what} {path} must hold a JSON object")
+    return loaded
+
+
 def _load_config(args):
     """Merge defaults, config file values and explicit flags (flags win)."""
     config = dict(DEFAULTS)
     path = getattr(args, "config", None)
     if path:
-        try:
-            with open(path) as f:
-                loaded = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config {path}: {exc}")
+        loaded = _load_json_object(path, "config")
         _reject_unknown(loaded, [*DEFAULTS, "geometry", "input", "output"], "config keys")
         config.update(loaded)
     for key, value in vars(args).items():
@@ -211,11 +218,7 @@ def cmd_grid(args):
 
 
 def cmd_bench(args):
-    try:
-        with open(args.sweep) as f:
-            sweep = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read sweep file {args.sweep}: {exc}")
+    sweep = _load_json_object(args.sweep, "sweep file")
     try:
         geometry = ArrayGeometry.from_json(sweep.pop("geometry"))
     except KeyError:

@@ -165,9 +165,8 @@ def grid_search(spec, geometry, grid, num_sources=1, min_separation=np.deg2rad(1
         raise ValueError("num_sources must be at least 1")
     values = power_mean(band_powers(spec, geometry, grid.points), spec.s, axis=0)
 
-    is_local_min = np.array(
-        [values[i] <= values[grid.neighbors[i]].min() for i in range(grid.size)]
-    )
+    nbrs = grid.neighbors
+    is_local_min = values <= np.minimum.reduceat(values[nbrs.indices], nbrs.indptr[:-1])
     candidates = np.flatnonzero(is_local_min)
     candidates = candidates[np.argsort(values[candidates], kind="stable")]
     fallback = np.argsort(values, kind="stable")

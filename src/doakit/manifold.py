@@ -6,6 +6,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.spatial import cKDTree
 
 SPEED_OF_SOUND = 343.0  # m/s, dry air at 20 C
@@ -48,9 +49,13 @@ def angles_from_doa(q):
 
 
 def great_circle_distance(q1, q2):
-    """Angular distance in radians between unit vectors (broadcasts)."""
-    dot = np.sum(np.asarray(q1, float) * np.asarray(q2, float), axis=-1)
-    d = np.arccos(np.clip(dot, -1.0, 1.0))
+    """Angular distance in radians between unit vectors (broadcasts).
+
+    The arctan2 form stays accurate near 0 and pi, where arccos of the dot
+    product loses about half the digits."""
+    q1, q2 = np.asarray(q1, float), np.asarray(q2, float)
+    cross = np.linalg.norm(np.cross(q1, q2), axis=-1)
+    d = np.arctan2(cross, np.sum(q1 * q2, axis=-1))
     return float(d) if np.ndim(d) == 0 else d
 
 
@@ -154,7 +159,7 @@ class SphericalGrid:
     """Point set on the sphere with a symmetric nearest-neighbor graph."""
 
     points: np.ndarray  # (G, 3) unit vectors
-    neighbors: list  # per-point arrays of neighbor indices
+    neighbors: sparse.csr_array  # (G, G) symmetric adjacency, no self loops
 
     @property
     def size(self):
@@ -165,15 +170,13 @@ def fibonacci_grid(count, num_neighbors=8):
     """Fibonacci lattice grid with a symmetrized k-nearest-neighbor graph."""
     points = fibonacci_points(count)
     k = min(num_neighbors, count - 1)
-    tree = cKDTree(points)
     # Euclidean nearest neighbors on the sphere are also angular nearest
-    _, idx = tree.query(points, k=k + 1)
-    idx = np.atleast_2d(idx)
-    adjacency = [set() for _ in range(count)]
-    for i in range(count):
-        for j in idx[i]:
-            if j != i:
-                adjacency[i].add(int(j))
-                adjacency[j].add(int(i))
-    neighbors = [np.fromiter(sorted(a), dtype=int) for a in adjacency]
-    return SphericalGrid(points=points, neighbors=neighbors)
+    _, idx = cKDTree(points).query(points, k=k + 1)
+    rows = np.repeat(np.arange(count), k + 1)
+    cols = np.ravel(idx)
+    keep = rows != cols
+    knn = sparse.csr_array(
+        (np.ones(keep.sum(), dtype=np.int8), (rows[keep], cols[keep])),
+        shape=(count, count),
+    )
+    return SphericalGrid(points=points, neighbors=knn + knn.T)

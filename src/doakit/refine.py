@@ -169,10 +169,11 @@ def solve_gtrs(D, v, return_info=False):
     """Global minimizer of q^T D q - 2 v^T q over the unit sphere.
 
     Works in the eigenbasis of D: q(mu) = (D + mu*I)^-1 v with mu the unique
-    root of ||q(mu)||^2 - 1 on (-lambda_min, inf), found by bisection with
-    Newton acceleration. In the hard case (v orthogonal to the bottom
-    eigenspace with leftover norm) the missing norm is added along a bottom
-    eigenvector oriented to have a positive first nonzero component.
+    root of 1/||q(mu)|| = 1 on (-lambda_min, inf), found by Newton's method
+    (More & Sorensen 1983) from a start left of the root. In the hard case
+    (v orthogonal to the bottom eigenspace with leftover norm) mu =
+    -lambda_min and the missing norm is added along a bottom eigenvector
+    oriented to have a positive first nonzero component.
     """
     D = np.asarray(D, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -181,77 +182,47 @@ def solve_gtrs(D, v, return_info=False):
 
     scale = max(np.max(np.abs(lam)), np.linalg.norm(v), 1.0)
     tiny = _HARD_CASE_RTOL * scale
-    degenerate = lam - lam[0] <= tiny
-    free = ~degenerate
+    # work in t = mu + lambda_min >= 0: gap + t keeps its digits near the pole
+    gap = lam - lam[0]
+    degenerate = gap <= tiny
 
-    def norm_sq(mu):
-        return float(np.sum((w[free] / (lam[free] + mu)) ** 2))
+    def newton_step(c, denom):
+        # Newton step on 1/||c|| = 1 for c = w/denom; d||c||^2/dt = -2 sum c^2/denom
+        n2 = float(c @ c)
+        return (np.sqrt(n2) - 1.0) * n2 / float(np.sum(c**2 / denom))
 
-    hard = bool(np.all(np.abs(w[degenerate]) <= tiny))
-    if hard and (not np.any(free) or norm_sq(-lam[0]) <= 1.0):
-        # hard case: mu = -lambda_min, fill the norm in the bottom eigenspace
-        mu = -lam[0]
-        coeff = np.zeros_like(w)
-        coeff[free] = w[free] / (lam[free] + mu)
-        q = basis @ coeff
-        e = basis[:, 0]
-        nz = np.flatnonzero(np.abs(e) > 1e-14)
-        if nz.size and e[nz[0]] < 0:
-            e = -e
-        q = q + np.sqrt(max(1.0 - float(q @ q), 0.0)) * e
-        q = normalized(q)
-        return (q, mu, True) if return_info else q
+    if np.all(np.abs(w[degenerate]) <= tiny):
+        # v (nearly) misses the bottom eigenspace: look at the rest at t = 0
+        c = w[~degenerate] / gap[~degenerate]
+        if np.linalg.norm(c) <= 1.0:
+            # hard case: fill the missing norm along a bottom eigenvector
+            coeff = np.zeros_like(w)
+            coeff[~degenerate] = c
+            q = basis @ coeff
+            e = basis[:, 0]
+            nz = np.flatnonzero(np.abs(e) > 1e-14)
+            if nz.size and e[nz[0]] < 0:
+                e = -e
+            q = normalized(q + np.sqrt(max(1.0 - float(q @ q), 0.0)) * e)
+            return (q, -lam[0], True) if return_info else q
+        # one Newton step on the rest from t = 0 is positive and stays left of
+        # its root, and the bottom terms only raise ||q(t)||, so ||q(t)|| >= 1
+        t = newton_step(c, gap[~degenerate])
+    else:
+        # every bottom term has gap + t <= ||w_B||, so ||q(t)|| >= 1 here
+        t = np.linalg.norm(w[degenerate]) - gap[degenerate][-1]
 
-    # generic case: f(mu) = ||q(mu)||^2 - 1 is convex and decreasing;
-    # probing the pole at mu = -lam[0] overflows to +inf, which the
-    # bracketing logic treats correctly
-    def f(mu):
-        with np.errstate(divide="ignore"):
-            return float(np.sum((w / (lam + mu)) ** 2)) - 1.0
-
-    lo = -lam[0]
-    hi = max(np.linalg.norm(w) - lam[0], lo + tiny)
-    # expand until the upper end brackets the root
-    while f(hi) > 0.0:
-        hi = lo + 2.0 * (hi - lo) + 1.0
-    # shrink the lower end until f(lo) > 0 strictly
-    step = max(hi - lo, 1.0)
-    while True:
-        cand = lo + np.finfo(float).eps * step
-        if cand >= hi or f(cand) > 0.0:
-            lo = cand
+    # 1/||q(t)|| is concave and increasing on (0, inf), so each Newton step
+    # from the left of the root raises t and never passes the root
+    c = w / (gap + t)
+    while abs(np.linalg.norm(c) - 1.0) > GTRS_NORM_TOL:
+        t_next = t + newton_step(c, gap + t)
+        if not t_next > t:
             break
-        step *= 0.5
-        if step < np.finfo(float).tiny:
-            break
-
-    mu = 0.5 * (lo + hi)
-    best_mu, best_val = mu, abs(f(mu))
-    for _ in range(200):
-        fv = f(mu)
-        if abs(fv) < best_val:
-            best_mu, best_val = mu, abs(fv)
-        if abs(fv) <= GTRS_NORM_TOL:
-            break
-        if fv > 0.0:
-            lo = mu
-        else:
-            hi = mu
-        # Newton step on 1 - 1/||q(mu)|| (More-Sorensen), safeguarded
-        n2 = fv + 1.0
-        n = np.sqrt(n2)
-        dn2 = -2.0 * float(np.sum(w**2 / (lam + mu) ** 3))
-        if dn2 < 0.0:
-            newton = mu - (1.0 - 1.0 / n) * (2.0 * n2) / dn2 * n
-        else:
-            newton = mu
-        mu = newton if lo < newton < hi else 0.5 * (lo + hi)
-        if hi - lo <= np.finfo(float).eps * max(abs(lo), abs(hi)):
-            break
-    mu = best_mu
-    q = basis @ (w / (lam + mu))
-    q = normalized(q)
-    return (q, mu, False) if return_info else q
+        t = t_next
+        c = w / (gap + t)
+    q = normalized(basis @ c)
+    return (q, t - lam[0], False) if return_info else q
 
 
 def linear_update(system, q_hat):

@@ -124,6 +124,16 @@ def test_locate_config_rejects_unknown_keys(tmp_path, geometry_file, capsys):
     assert "estimatr" in err and "grid_size" in err
 
 
+@pytest.mark.parametrize("content", ["5", '["grid"]', "null", '"text"'])
+def test_locate_config_must_be_object(tmp_path, geometry_file, capsys, content):
+    config = tmp_path / "conf.json"
+    config.write_text(content)
+    rc = main(["locate", "--config", str(config), "--geometry", geometry_file,
+               "--input", "nope.wav"])
+    assert rc == 2
+    assert "must hold a JSON object" in capsys.readouterr().err
+
+
 def test_locate_has_no_seed_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["locate", "--seed", "5"])
@@ -246,3 +256,11 @@ def test_bench_rejects_unknown_keys(tmp_path, geometry_file, capsys):
 
 def test_bench_missing_sweep(capsys):
     assert main(["bench", "--sweep", "no-such-file.json"]) == 2
+
+
+@pytest.mark.parametrize("content", ["[1]", "5", "null"])
+def test_bench_sweep_must_be_object(tmp_path, capsys, content):
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(content)
+    assert main(["bench", "--sweep", str(sweep)]) == 2
+    assert "must hold a JSON object" in capsys.readouterr().err

@@ -266,6 +266,26 @@ def test_grid_search_flat_landscape():
             assert great_circle_distance(peaks[i][0], peaks[j][0]) >= np.radians(20)
 
 
+def test_grid_search_local_minima_match_loop():
+    # reference: the per-point loop over neighbor lists; with no separation
+    # limit, asking for every local minimum returns exactly them, by value
+    geom = random_geometry(num_sensors=6, seed=8)
+    mats = np.stack([random_psd(6) for _ in range(3)])
+    spec = CostSpec(mats, np.array([20.0, 35.0, 50.0]), s=-1.0)
+    grid = fibonacci_grid(2000)
+    values = power_mean(band_powers(spec, geom, grid.points), spec.s, axis=0)
+    nbrs = grid.neighbors
+    minima = [
+        i for i in range(grid.size)
+        if values[i] <= values[nbrs.indices[nbrs.indptr[i]:nbrs.indptr[i + 1]]].min()
+    ]
+    assert len(minima) > 1
+    peaks = grid_search(spec, geom, grid, num_sources=len(minima), min_separation=0.0)
+    expected = sorted(minima, key=lambda i: values[i])
+    np.testing.assert_array_equal([p[0] for p in peaks], grid.points[expected])
+    np.testing.assert_array_equal([p[1] for p in peaks], values[expected])
+
+
 def test_grid_search_two_sources():
     geom = random_geometry(num_sensors=8, seed=13)
     q1 = np.array([1.0, 0.0, 0.0])

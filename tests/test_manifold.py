@@ -109,6 +109,20 @@ def test_great_circle_distance_basic():
     assert abs(great_circle_distance(q1, np.array([0.0, 1.0, 0.0])) - np.pi / 2) < 1e-15
 
 
+def test_great_circle_distance_near_zero():
+    # arccos of the dot product reads up to ~1e-6 deg for identical vectors
+    # and 0 for vectors 1e-9 rad apart; the arctan2 form resolves both
+    q = rng.standard_normal((1000, 3))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    assert np.max(great_circle_distance(q, q)) < 1e-15
+    for angle in (1e-9, 1e-12):
+        a = np.array([1.0, 0.0, 0.0])
+        b = np.array([np.cos(angle), np.sin(angle), 0.0])
+        assert abs(great_circle_distance(a, b) - angle) < 1e-6 * angle
+    assert isinstance(great_circle_distance(q[0], q[0]), float)
+    assert great_circle_distance(q[:50, None, :], q[None, :50, :]).shape == (50, 50)
+
+
 def test_great_circle_triangle_inequality():
     for _ in range(500):
         q = rng.standard_normal((3, 3))
@@ -130,10 +144,27 @@ def test_fibonacci_grid_basic():
     np.fill_diagonal(dots, -1.0)
     assert np.arccos(np.clip(dots.max(), -1, 1)) > 0.0
     # symmetric adjacency, no self loops
-    for i, nbrs in enumerate(grid.neighbors):
-        assert i not in nbrs
-        for j in nbrs:
-            assert i in grid.neighbors[j]
+    nbrs = grid.neighbors
+    assert nbrs.shape == (100, 100)
+    assert not np.any(nbrs.diagonal())
+    assert (nbrs != nbrs.T).nnz == 0
+
+
+@pytest.mark.parametrize("count", [4, 100, 1000])
+def test_fibonacci_grid_neighbors_match_knn_sets(count):
+    # oracle: each point's k nearest plus every point that counts it among its own
+    grid = fibonacci_grid(count)
+    k = min(8, count - 1)
+    _, idx = cKDTree(grid.points).query(grid.points, k=k + 1)
+    expected = [set() for _ in range(count)]
+    for i in range(count):
+        for j in idx[i]:
+            if j != i:
+                expected[i].add(int(j))
+                expected[j].add(i)
+    nbrs = grid.neighbors
+    for i in range(count):
+        assert set(nbrs.indices[nbrs.indptr[i]:nbrs.indptr[i + 1]].tolist()) == expected[i]
 
 
 def test_fibonacci_grid_rejects_tiny():

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from doakit.estimators import CostSpec, objective, power_mean, srp_cost_spec
 from doakit.manifold import (
@@ -298,6 +301,49 @@ def test_solve_gtrs_against_dense_grid():
         grad = 2.0 * (d @ q - v)
         tangential = grad - (grad @ q) * q
         assert np.linalg.norm(tangential) <= 1e-8 * max(np.linalg.norm(grad), 1.0)
+
+
+@st.composite
+def gtrs_problems(draw):
+    """D = Q diag(lam) Q^T and v = Q w, with repeated bottom eigenvalues and v
+    (nearly) orthogonal to the bottom eigenvector drawn often."""
+    lam = np.sort(draw(arrays(float, 3, elements=st.floats(0.0, 100.0))))
+    if draw(st.booleans()):
+        lam[1] = lam[0]
+    basis, _ = np.linalg.qr(draw(arrays(float, (3, 3), elements=st.floats(-1.0, 1.0))))
+    w = draw(arrays(float, 3, elements=st.floats(-100.0, 100.0)))
+    w[0] *= draw(st.sampled_from([0.0, 1e-14, 1e-12, 1e-10, 1.0]))
+    return basis @ np.diag(lam) @ basis.T, basis @ w
+
+
+# scale 5, so the hard-case threshold is 5e-12: bottom component at twice it
+_D_EDGE = np.diag([1.0, 2.0, 5.0])
+# two bottom eigenvalues 0.5 threshold apart, bottom components just above it
+_D_SPLIT = np.diag([1.0, 1.0 + 2.5e-12, 5.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(gtrs_problems())
+@example((_D_EDGE, np.array([1e-11, 0.5, 0.5])))
+@example((_D_EDGE, np.array([1e-12, 0.0, 8.0])))
+@example((_D_EDGE, np.array([1e-12, 0.0, 4.0 + 1e-10])))
+@example((_D_SPLIT, np.array([6e-12, 6e-12, 0.5])))
+@example((_D_SPLIT, np.array([-6e-12, 0.0, 2.0])))
+# ||q(-lambda_min)||^2 rounds to 1 + eps while its square root rounds to 1
+@example((np.diag([0.0, 17.0, 17.0]), np.array([0.0, 17.0, 17.0 * 1.1e-8])))
+@example((np.diag([1.0, 2.0, 3.0]), np.zeros(3)))
+@example((2.5 * np.eye(3), np.array([0.3, -1.0, 0.2])))
+@example((2.5 * np.eye(3), np.zeros(3)))
+def test_solve_gtrs_optimality_certificate(problem):
+    # q is a global minimizer on the sphere iff ||q|| = 1, (D + mu I) q = v
+    # and D + mu I is positive semi-definite, i.e. mu >= -lambda_min
+    d, v = problem
+    lam = np.linalg.eigvalsh(d)
+    scale = max(np.abs(lam).max(), np.linalg.norm(v), 1.0)
+    q, mu, _ = solve_gtrs(d, v, return_info=True)
+    assert abs(np.linalg.norm(q) - 1.0) < 1e-12
+    assert mu >= -lam[0] - 1e-12 * scale
+    assert np.linalg.norm((d + mu * np.eye(3)) @ q - v) <= 1e-8 * scale
 
 
 def test_linear_update_explicit():

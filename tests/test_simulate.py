@@ -174,7 +174,7 @@ def test_evaluate_rejects_bad_input():
     # there is no cap on the source count: seven permuted sources match exactly
     local = np.random.default_rng(7)
     truth = random_sources(local, 7, np.radians(10.0))
-    np.testing.assert_allclose(evaluate(truth[local.permutation(7)], truth), 0.0, atol=1e-5)
+    np.testing.assert_allclose(evaluate(truth[local.permutation(7)], truth), 0.0, atol=1e-9)
 
 
 def _evaluate_oracle(estimates, truth):
