@@ -8,7 +8,7 @@ with Hermitian PSD matrices V_k. Estimators that are natively maximizations
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,6 +19,10 @@ EPS_POWER = 1e-30
 
 DEFAULT_MVDR_LOADING = 1e-3
 
+# wavenumbers within this many ulps of an arithmetic progression count as
+# evenly spaced, so the phasor recurrence reproduces exp(j omega_k x)
+_SPACING_ULPS = 8
+
 
 @dataclass
 class CostSpec:
@@ -27,6 +31,8 @@ class CostSpec:
     matrices: np.ndarray  # (K, M, M) Hermitian PSD
     omega: np.ndarray  # (K,) wavenumbers in rad/m
     s: float
+    # common spacing of omega when evenly spaced (STFT bands), else None
+    band_step: float | None = field(init=False, repr=False)
 
     def __post_init__(self):
         self.matrices = np.asarray(self.matrices, dtype=complex)
@@ -39,6 +45,7 @@ class CostSpec:
             raise ValueError("omega must be non-negative and strictly increasing")
         if self.s == 0.0 or self.s > 1.0:
             raise ValueError("exponent s must lie in (-inf, 1], s != 0")
+        self.band_step = _common_step(self.omega)
 
     @property
     def num_bands(self):
@@ -51,11 +58,12 @@ class CostSpec:
 
 def gershgorin_shift(c):
     """Return (P, V) with P the largest absolute row sum of the Hermitian
-    matrix c and V = P*I - c, which is PSD by the Gershgorin circle theorem."""
+    matrix c and V = P*I - c, which is PSD by the Gershgorin circle theorem.
+    A (K, M, M) stack gives P per matrix."""
     c = np.asarray(c, dtype=complex)
-    p = float(np.max(np.sum(np.abs(c), axis=1)))
-    v = p * np.eye(c.shape[0]) - c
-    return p, v
+    p = np.max(np.sum(np.abs(c), axis=-1), axis=-1)
+    v = p[..., None, None] * np.eye(c.shape[-1]) - c
+    return (float(p) if p.ndim == 0 else p), v
 
 
 def _wavenumbers(frequencies, speed_of_sound):
@@ -65,9 +73,8 @@ def _wavenumbers(frequencies, speed_of_sound):
 def srp_cost_spec(cov, s=-3.0, speed_of_sound=SPEED_OF_SOUND):
     """Steered-response-power cost. Apply PHAT weighting to the frames before
     computing the covariance to obtain SRP-PHAT."""
-    shifted = np.stack([gershgorin_shift(c)[1] for c in cov.matrices])
     return CostSpec(
-        matrices=shifted,
+        matrices=gershgorin_shift(cov.matrices)[1],
         omega=_wavenumbers(cov.band_frequencies, speed_of_sound),
         s=s,
     )
@@ -78,13 +85,10 @@ def music_cost_spec(cov, num_sources, s=-1.0, speed_of_sound=SPEED_OF_SOUND):
     m = cov.num_sensors
     if not 1 <= num_sources < m:
         raise ValueError("num_sources must satisfy 1 <= L < M")
-    projectors = np.empty_like(cov.matrices)
-    for k, c in enumerate(cov.matrices):
-        _, vecs = np.linalg.eigh(c)  # ascending eigenvalues
-        noise = vecs[:, : m - num_sources]
-        projectors[k] = noise @ noise.conj().T
+    _, vecs = np.linalg.eigh(cov.matrices)  # ascending eigenvalues, per band
+    noise = vecs[..., : m - num_sources]
     return CostSpec(
-        matrices=projectors,
+        matrices=noise @ np.swapaxes(noise.conj(), 1, 2),
         omega=_wavenumbers(cov.band_frequencies, speed_of_sound),
         s=s,
     )
@@ -95,18 +99,17 @@ def mvdr_cost_spec(cov, loading=DEFAULT_MVDR_LOADING, s=-1.0, speed_of_sound=SPE
     if loading < 0:
         raise ValueError("loading must be non-negative")
     m = cov.num_sensors
-    inv = np.empty_like(cov.matrices)
-    for k, c in enumerate(cov.matrices):
-        loaded = c + loading * (np.trace(c).real / m) * np.eye(m)
-        w = np.linalg.eigvalsh(loaded)
-        if w[0] <= 1e-12 * max(w[-1], 0.0):
-            raise np.linalg.LinAlgError(
-                f"band {k}: covariance singular after loading; increase loading"
-            )
-        vk = np.linalg.inv(loaded)
-        inv[k] = 0.5 * (vk + vk.conj().T)
+    traces = np.trace(cov.matrices, axis1=1, axis2=2).real
+    loaded = cov.matrices + (loading * (traces / m))[:, None, None] * np.eye(m)
+    w = np.linalg.eigvalsh(loaded)
+    singular = np.flatnonzero(w[:, 0] <= 1e-12 * np.maximum(w[:, -1], 0.0))
+    if singular.size:
+        raise np.linalg.LinAlgError(
+            f"band {singular[0]}: covariance singular after loading; increase loading"
+        )
+    inv = np.linalg.inv(loaded)
     return CostSpec(
-        matrices=inv,
+        matrices=0.5 * (inv + np.swapaxes(inv.conj(), 1, 2)),
         omega=_wavenumbers(cov.band_frequencies, speed_of_sound),
         s=s,
     )
@@ -120,29 +123,81 @@ def power_mean(values, s, axis=0):
     c * M_s(y / c) with c the smallest value for s < 0 and the largest for
     s > 0, so every (y / c)^s lies in [0, 1] and cannot overflow.
     """
-    values = np.asarray(values, dtype=float)
     # quadratic forms can round to tiny negatives; clamp into the domain
     values = np.maximum(values, EPS_POWER if s < 0 else 0.0)
-    c = (np.min if s < 0 else np.max)(values, axis=axis, keepdims=True)
-    c = np.where(c > 0.0, c, 1.0)  # all-zero values for s > 0
-    out = np.squeeze(c, axis=axis) * np.mean((values / c) ** s, axis=axis) ** (1.0 / s)
-    return float(out) if np.ndim(out) == 0 else out
+    if s < 0:
+        c = values.min(axis=axis, keepdims=True)
+    else:
+        c = values.max(axis=axis, keepdims=True)
+        c[c <= 0.0] = 1.0  # all-zero values
+    ratios = values / c
+    ratios **= s
+    mean = np.add.reduce(ratios, axis=axis) / values.shape[axis]
+    out = c.squeeze(axis) * mean ** (1.0 / s)
+    return float(out) if out.ndim == 0 else out
+
+
+def _common_step(omega):
+    """Spacing of omega if every omega_k lies within a few ulps of
+    omega_0 + k * step, so the phasor recurrence reproduces exp(j omega_k x)
+    to rounding; None otherwise."""
+    step = (omega[-1] - omega[0]) / max(omega.size - 1, 1)
+    drift = np.max(np.abs(omega - (omega[0] + step * np.arange(omega.size))))
+    return float(step) if drift <= _SPACING_ULPS * np.finfo(float).eps * omega[-1] else None
+
+
+def _band_phasors(omega, x, step):
+    """Yield exp(j omega_k x) for each band k in turn, all with the shape of x.
+
+    With evenly spaced omega (``step`` from :func:`_common_step`) each band
+    is the previous one times exp(j step x): two exp calls in all. The
+    yielded array is updated in place by the next band. Otherwise one exp
+    per band.
+    """
+    if step is None:
+        for w in omega:
+            yield np.exp(1j * w * x)
+        return
+    a = np.exp(1j * omega[0] * x)
+    rotate = np.exp(1j * step * x)
+    yield a
+    for _ in range(omega.size - 1):
+        a *= rotate
+        yield a
+
+
+def phasor_table(omega, x, step):
+    """exp(j omega_k x) for every band at once, shape (K, x.size), by the
+    recurrence of :func:`_band_phasors` run as one cumulative product over
+    the bands; meant for small x, such as the sensor delays of one direction."""
+    omega = np.asarray(omega, dtype=float)
+    if step is None:
+        return np.exp(np.multiply.outer(1j * omega, x))
+    first, rotate = np.exp(np.multiply.outer((1j * omega[0], 1j * step), x))
+    table = np.empty((omega.size, x.size), dtype=complex)
+    table[0] = first
+    table[1:] = rotate
+    return np.multiply.accumulate(table, axis=0, out=table)
 
 
 def band_powers(spec, geometry, points):
     """Quadratic forms a_k(q)^H V_k a_k(q) for one or many directions.
 
     Returns shape (K,) for a single direction or (K, G) for a (G, 3) batch.
+    One band at a time, so memory stays O(G M): the band's (G, M) steering
+    phasors come from the recurrence in :func:`_band_phasors`, then one BLAS
+    product b = a V_k^T and the row sums Re sum_m conj(a_m) b_m. The 1/M of
+    the unit-norm steering vectors is applied once at the end.
     """
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
     tau = pts @ geometry.sensors.T  # (G, M)
-    m = geometry.num_sensors
     out = np.empty((spec.num_bands, pts.shape[0]))
-    for k in range(spec.num_bands):
-        a = np.exp(1j * spec.omega[k] * tau) / np.sqrt(m)
-        out[k] = np.einsum("gm,mr,gr->g", a.conj(), spec.matrices[k], a).real
+    for k, a in enumerate(_band_phasors(spec.omega, tau, spec.band_step)):
+        b = a @ spec.matrices[k].T
+        out[k] = np.einsum("gm,gm->g", a.conj(), b).real
+    out /= geometry.num_sensors
     return out[:, 0] if single else out
 
 

@@ -11,11 +11,13 @@ the objective monotonically and keep every iterate on the sphere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dsyevd
 
-from .estimators import EPS_POWER, power_mean
+from .estimators import EPS_POWER, phasor_table, power_mean
 from .manifold import normalized
 
 _TWO_PI = 2.0 * np.pi
@@ -23,29 +25,49 @@ _TWO_PI = 2.0 * np.pi
 GTRS_NORM_TOL = 1e-12
 # relative threshold below which a component is treated as numerically zero
 _HARD_CASE_RTOL = 1e-12
+_TINY = np.finfo(float).tiny
+# band powers below this share of tr(V_k)/M count as near a null; the two
+# cosine readings in pair_band_powers differ by a few ulps of tr(V_k)/M,
+# about 1e-10 of a power at this level, so switching there cannot break the
+# 1e-9 relative descent guarantee
+_NULL_RTOL = 1e-5
 
 
 @dataclass
 class PairCoefficients:
-    """Magnitude/phase of the off-diagonal cost matrix entries, per band and
-    sensor pair, together with the pair coordinate differences."""
+    """Off-diagonal cost matrix entries per band and sensor pair, with the
+    sensor positions and pair coordinate differences they are steered by."""
 
-    deltas: np.ndarray  # (P, 3) sensor coordinate differences
+    sensors: np.ndarray  # (M, 3) sensor coordinates
+    pairs: np.ndarray  # (2, P) sensor indices (m, r), m < r
+    deltas: np.ndarray  # (P, 3) sensor coordinate differences d_m - d_r
+    delta_outer: np.ndarray  # (P, 9) flattened delta_p delta_p^T
+    neg_entries: np.ndarray  # (K, P) -V_k[m, r]
     magnitudes: np.ndarray  # (K, P) |V_k[m, r]|
-    phases: np.ndarray  # (K, P) arg(V_k[m, r]) in (-pi, pi]
-    traces: np.ndarray  # (K,) real traces of V_k
-    num_sensors: int
+    diagonal: np.ndarray  # (K,) tr(V_k) / M, the diagonal part of each band power
+    band_step: float | None  # the cost spec's band spacing (CostSpec.band_step)
+
+    @property
+    def num_sensors(self):
+        return self.sensors.shape[0]
 
     @classmethod
     def from_cost_spec(cls, spec, geometry):
-        m, r = geometry.pair_indices.T
-        entries = spec.matrices[:, m, r]  # (K, P)
+        pairs = geometry.pair_indices.T
+        deltas = geometry.pair_deltas
+        # fancy indexing leaves the band axis innermost; (K, P) rows keep the
+        # per-step arithmetic on contiguous memory
+        entries = np.ascontiguousarray(spec.matrices[:, pairs[0], pairs[1]])
+        traces = np.trace(spec.matrices, axis1=1, axis2=2).real
         return cls(
-            deltas=geometry.pair_deltas,
+            sensors=geometry.sensors,
+            pairs=pairs,
+            deltas=deltas,
+            delta_outer=(deltas[:, :, None] * deltas[:, None, :]).reshape(-1, 9),
+            neg_entries=-entries,
             magnitudes=np.abs(entries),
-            phases=np.angle(entries),
-            traces=np.trace(spec.matrices, axis1=1, axis2=2).real,
-            num_sensors=geometry.num_sensors,
+            diagonal=traces / geometry.num_sensors,
+            band_step=spec.band_step,
         )
 
 
@@ -107,44 +129,93 @@ def cosine_surrogate_coeffs(psi, b_dot_qhat):
     return psi_hat, unnormalized_sinc(phi0)
 
 
-def pair_band_powers(coeffs, omega, q):
-    """Band powers a_k(q)^H V_k a_k(q) via the pair cosine expansion."""
-    m = coeffs.num_sensors
-    phase = coeffs.phases - np.asarray(omega)[:, None] * (coeffs.deltas @ q)[None, :]
-    return coeffs.traces / m + 2.0 / m * np.sum(
-        coeffs.magnitudes * np.cos(phase), axis=1
-    )
+def pair_band_powers(coeffs, omega, q, return_phasors=False):
+    """Band powers a_k(q)^H V_k a_k(q) via the pair cosine expansion
+    tr(V_k)/M + (2/M) sum_p u_kp cos(psi_kp - b_kp . q), with
+    V_k[m, r] = u exp(j psi) and b_kp = omega_k delta_p.
+
+    Each cosine term is read off the pair phasor
+    f_kp = -V_k[m, r] exp(-j b_kp . q) = u exp(j phi0), phi0 = psi + pi - b.q,
+    as -Re f. The phasors are formed as -V_k[m, r] conj(s_km) s_kr from the
+    K x M steering phasors s_km = exp(j omega_k d_m . q), built by the band
+    recurrence of :func:`phasor_table`; ``omega`` is the cost spec's, whose
+    spacing ``coeffs`` carries. With ``return_phasors=True`` returns
+    (powers, phasors), so a surrogate built at the same q reuses them.
+    """
+    steer = phasor_table(omega, coeffs.sensors @ q, coeffs.band_step)
+    m, r = coeffs.pairs
+    phasors = steer.conj()[:, m]
+    phasors *= steer[:, r]
+    phasors *= coeffs.neg_entries
+    scale = 2.0 / coeffs.num_sensors
+    powers = coeffs.diagonal - scale * np.add.reduce(phasors.real, axis=1)
+    # near an exact null (noise-free MUSIC) the rounding of the products
+    # would move a band power by a few ulps of its terms at every step; there
+    # each cosine is re-read as |u cos| = u - (u sin)^2 / (u + |u cos|),
+    # which is flat in phi0 where the cosine is near +-1, as the cosine is
+    near = np.flatnonzero(powers <= _NULL_RTOL * coeffs.diagonal)
+    if near.size:
+        re, im = phasors.real[near], phasors.imag[near]
+        u = coeffs.magnitudes[near]
+        flat = np.copysign(u - im * im / np.maximum(u + np.abs(re), _TINY), re)
+        powers[near] = coeffs.diagonal[near] - scale * np.add.reduce(flat, axis=1)
+    return (powers, phasors) if return_phasors else powers
 
 
-def _band_weights(powers, s):
+def _band_weights(powers, s, mean=None):
     """Tangent-plane weights of the power mean at the given band powers,
-    beta_k = (1/K) (y_k / M_s(y))^(s-1), which stays finite at large |s|."""
+    beta_k = (1/K) (y_k / M_s(y))^(s-1), which stays finite at large |s|.
+    ``mean`` is M_s(y) when the caller already has it."""
     y = np.maximum(powers, EPS_POWER)
-    return (y / power_mean(y, s)) ** (s - 1.0) / y.shape[0]
+    if mean is None:
+        mean = power_mean(y, s)
+    return (y / mean) ** (s - 1.0) / y.shape[0]
 
 
-def surrogate_system(spec, coeffs, q_hat, with_constant=False, geometry=None):
+def surrogate_system(spec, coeffs, q_hat, with_constant=False, geometry=None,
+                     evaluated=None):
     """Assemble the quadratic surrogate of the objective around q_hat.
 
     With ``with_constant=True`` (requires ``geometry``) the linearization
     constant C for the linear variant is attached, using the cached largest
-    eigenvalue of the pair-difference Gram matrix.
+    eigenvalue of the pair-difference Gram matrix. ``evaluated`` is
+    (powers, phasors, objective) at q_hat when the caller already has them:
+    ``pair_band_powers(..., return_phasors=True)`` and its power mean. The
+    objective serves as M_s in the tangent weights only for s < 0, where it
+    floors the powers at EPS_POWER exactly as the weights do.
+
+    Every cosine term u cos(psi - b.q) is bounded at b.q_hat with the
+    weight sinc(phi0), phi0 = psi + pi - b.q_hat wrapped into (-pi, pi]
+    (:func:`cosine_surrogate_coeffs`). The pair phasor f = u exp(j phi0) of
+    :func:`pair_band_powers` holds all of it: phi0 = arg f, and with
+    u sin(phi0) = Im f the weighted magnitude is u_hat = u sinc(phi0) =
+    Im f / phi0 and u_hat phi0 = Im f, with no further cosine, sine or sinc
+    pass.
     """
     q_hat = np.asarray(q_hat, dtype=float)
     omega = spec.omega
-    powers = pair_band_powers(coeffs, omega, q_hat)
-    beta = _band_weights(powers, spec.s)  # (K,) all >= 0
+    if evaluated is None:
+        powers, phasors = pair_band_powers(coeffs, omega, q_hat, return_phasors=True)
+        value = None
+    else:
+        powers, phasors, value = evaluated
+    beta = _band_weights(powers, spec.s, value if spec.s < 0 else None)  # (K,) >= 0
 
-    b_dot = omega[:, None] * (coeffs.deltas @ q_hat)[None, :]  # (K, P)
-    psi_hat, weight = cosine_surrogate_coeffs(coeffs.phases, b_dot)
-    u_hat = coeffs.magnitudes * weight
+    sin_part = phasors.imag  # u sin(phi0)
+    phi0 = np.arctan2(sin_part, phasors.real)
+    # phi0 = 0 only where u sin(phi0) = 0 too; there sinc(0) = 1 gives u_hat = u
+    with np.errstate(invalid="ignore"):
+        u_hat = sin_part / phi0
+    np.copyto(u_hat, coeffs.magnitudes, where=phi0 == 0.0)
 
-    # the cosine expansion carries 2/M and the cosine bound carries 1/2
-    scale = beta[:, None] / coeffs.num_sensors
-    xi = np.sum(omega[:, None] ** 2 * scale * u_hat, axis=0)  # (P,)
-    gamma = np.sum(omega[:, None] * scale * u_hat * psi_hat, axis=0)
+    # the cosine expansion carries 2/M and the cosine bound carries 1/2; with
+    # scale_k = omega_k beta_k / M and psi_hat = omega_k delta_p.q_hat + phi0,
+    # gamma_p = sum_k scale_k u_hat psi_hat = xi_p delta_p.q_hat + sum_k scale_k Im f
+    scale = omega * beta / coeffs.num_sensors
+    xi = (omega * scale) @ u_hat  # (P,)
+    gamma = xi * (coeffs.deltas @ q_hat) + scale @ sin_part
 
-    d = np.einsum("p,pi,pj->ij", xi, coeffs.deltas, coeffs.deltas)
+    d = (xi @ coeffs.delta_outer).reshape(3, 3)
     v = gamma @ coeffs.deltas
     c = None
     if with_constant:
@@ -177,27 +248,43 @@ def solve_gtrs(D, v, return_info=False):
     """
     D = np.asarray(D, dtype=float)
     v = np.asarray(v, dtype=float)
-    lam, basis = np.linalg.eigh(D)
-    w = basis.T @ v
+    # LAPACK's dsyevd (the routine np.linalg.eigh runs) without numpy's
+    # per-call checks, which cost twice the 3 x 3 solve
+    lam, basis, info = dsyevd(D, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    w = v @ basis  # v in the eigenbasis
 
-    scale = max(np.max(np.abs(lam)), np.linalg.norm(v), 1.0)
+    # past eigh everything runs on plain floats: numpy calls on 3-vectors
+    # cost more than their arithmetic
+    lam_list, w_list = lam.tolist(), w.tolist()
+    scale = max(abs(lam_list[0]), abs(lam_list[-1]), math.hypot(*v.tolist()), 1.0)
     tiny = _HARD_CASE_RTOL * scale
     # work in t = mu + lambda_min >= 0: gap + t keeps its digits near the pole
-    gap = lam - lam[0]
-    degenerate = gap <= tiny
+    gap_list = [x - lam_list[0] for x in lam_list]
+    bottom = [i for i, g in enumerate(gap_list) if g <= tiny]
 
-    def newton_step(c, denom):
-        # Newton step on 1/||c|| = 1 for c = w/denom; d||c||^2/dt = -2 sum c^2/denom
-        n2 = float(c @ c)
-        return (np.sqrt(n2) - 1.0) * n2 / float(np.sum(c**2 / denom))
+    def newton_step(idx, t):
+        # ||c|| for c = w / (gap + t) over components idx, and the Newton step
+        # on 1/||c|| = 1 from there (0 once ||c|| <= 1), using
+        # d||c||^2/dt = -2 sum c^2 / (gap + t)
+        n2 = slope = 0.0
+        for i in idx:
+            den = gap_list[i] + t
+            c2 = (w_list[i] / den) ** 2
+            n2 += c2
+            slope += c2 / den
+        norm = math.sqrt(n2)
+        return norm, ((norm - 1.0) * n2 / slope if norm > 1.0 else 0.0)
 
-    if np.all(np.abs(w[degenerate]) <= tiny):
+    if max(abs(w_list[i]) for i in bottom) <= tiny:
         # v (nearly) misses the bottom eigenspace: look at the rest at t = 0
-        c = w[~degenerate] / gap[~degenerate]
-        if np.linalg.norm(c) <= 1.0:
+        rest = range(len(bottom), len(w_list))
+        norm, step = newton_step(rest, 0.0)
+        if norm <= 1.0:
             # hard case: fill the missing norm along a bottom eigenvector
             coeff = np.zeros_like(w)
-            coeff[~degenerate] = c
+            coeff[rest] = w[rest] / (lam - lam[0])[rest]
             q = basis @ coeff
             e = basis[:, 0]
             nz = np.flatnonzero(np.abs(e) > 1e-14)
@@ -207,22 +294,21 @@ def solve_gtrs(D, v, return_info=False):
             return (q, -lam[0], True) if return_info else q
         # one Newton step on the rest from t = 0 is positive and stays left of
         # its root, and the bottom terms only raise ||q(t)||, so ||q(t)|| >= 1
-        t = newton_step(c, gap[~degenerate])
+        t = step
     else:
         # every bottom term has gap + t <= ||w_B||, so ||q(t)|| >= 1 here
-        t = np.linalg.norm(w[degenerate]) - gap[degenerate][-1]
+        t = math.sqrt(sum(w_list[i] ** 2 for i in bottom)) - gap_list[bottom[-1]]
 
     # 1/||q(t)|| is concave and increasing on (0, inf), so each Newton step
     # from the left of the root raises t and never passes the root
-    c = w / (gap + t)
-    while abs(np.linalg.norm(c) - 1.0) > GTRS_NORM_TOL:
-        t_next = t + newton_step(c, gap + t)
-        if not t_next > t:
-            break
-        t = t_next
-        c = w / (gap + t)
-    q = normalized(basis @ c)
-    return (q, t - lam[0], False) if return_info else q
+    every = range(len(w_list))
+    norm, step = newton_step(every, t)
+    while abs(norm - 1.0) > GTRS_NORM_TOL and t + step > t:
+        t += step
+        norm, step = newton_step(every, t)
+    q = basis @ np.array([wi / (g + t) for wi, g in zip(w_list, gap_list)])
+    q /= math.sqrt(q @ q)
+    return (q, t - lam_list[0], False) if return_info else q
 
 
 def linear_update(system, q_hat):
@@ -250,22 +336,26 @@ def refine(spec, geometry, q0, variant="quadratic", max_iters=30, rel_tol=1e-10)
         raise ValueError("max_iters must be non-negative")
     coeffs = PairCoefficients.from_cost_spec(spec, geometry)
     q = normalized(q0)
-    obj = power_mean(pair_band_powers(coeffs, spec.omega, q), spec.s)
+    # each objective evaluation's phasors build the next surrogate
+    powers, phasors = pair_band_powers(coeffs, spec.omega, q, return_phasors=True)
+    obj = power_mean(powers, spec.s)
     iterates, objectives = [q], [obj]
     converged_at = None
     slow = 0
     for t in range(max_iters):
         system = surrogate_system(
-            spec, coeffs, q, with_constant=(variant == "linear"), geometry=geometry
+            spec, coeffs, q, with_constant=(variant == "linear"), geometry=geometry,
+            evaluated=(powers, phasors, obj),
         )
         if variant == "quadratic":
             q = solve_gtrs(system.D, system.v)
         else:
             q = linear_update(system, q)
-        new_obj = power_mean(pair_band_powers(coeffs, spec.omega, q), spec.s)
+        powers, phasors = pair_band_powers(coeffs, spec.omega, q, return_phasors=True)
+        new_obj = power_mean(powers, spec.s)
         iterates.append(q)
         objectives.append(new_obj)
-        decrease = (obj - new_obj) / max(abs(obj), np.finfo(float).tiny)
+        decrease = (obj - new_obj) / max(abs(obj), _TINY)
         obj = new_obj
         slow = slow + 1 if decrease < rel_tol else 0
         if slow >= 2:

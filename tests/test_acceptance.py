@@ -11,7 +11,7 @@ import pytest
 
 from doakit.estimators import CostSpec, gershgorin_shift, power_mean
 from doakit.manifold import (
-    fibonacci_grid,
+    fibonacci_points,
     great_circle_distance,
     random_geometry,
     steering_vector,
@@ -161,7 +161,7 @@ def test_criterion_3_monotone_descent():
 def test_criterion_4_gtrs_oracle():
     start = time.perf_counter()
     rng = np.random.default_rng(4)
-    grid = fibonacci_grid(1_000_000).points
+    grid = fibonacci_points(1_000_000)
     worst_excess = -np.inf
     worst_resid = 0.0
     for _ in range(1000):

@@ -306,3 +306,40 @@ def test_grid_search_two_sources():
     found = [p[0] for p in peaks]
     for target in (q1, q2):
         assert min(great_circle_distance(f, target) for f in found) < covering
+
+
+# evenly spaced STFT wavenumbers (16 kHz; 256-point frames in 300-3500 Hz and
+# every band of 2048-point frames) take the phasor recurrence; sorted random
+# wavenumbers take the one-exp-per-band fallback
+OMEGA_KINDS = {
+    "stft-52": 2 * np.pi * np.arange(5, 57) * 62.5 / 343.0,
+    "stft-1025": 2 * np.pi * np.arange(1025) * 16000.0 / 2048 / 343.0,
+    "uneven": np.sort(np.random.default_rng(7).uniform(5.0, 70.0, 52)),
+}
+
+
+@pytest.mark.parametrize("kind", OMEGA_KINDS)
+@pytest.mark.parametrize("num_points", [1, 100, 10_000])
+def test_band_powers_matches_steering_loop(kind, num_points):
+    omega = OMEGA_KINDS[kind]
+    local = np.random.default_rng(num_points)
+    geom = random_geometry(num_sensors=12, seed=5)
+    mats = local.standard_normal((omega.size, 12, 4)) + 1j * local.standard_normal(
+        (omega.size, 12, 4)
+    )
+    spec = CostSpec(mats @ np.swapaxes(mats.conj(), 1, 2), omega, s=-1.0)
+    assert (spec.band_step is None) == (kind == "uneven")
+    points = fibonacci_grid(max(num_points, 4)).points[:num_points]
+    got = band_powers(spec, geom, points[0] if num_points == 1 else points)
+    got = got.reshape(omega.size, num_points)
+    # oracle: steering_vector for every band at up to 40 of the directions
+    picks = np.unique(np.linspace(0, num_points - 1, 40).astype(int))
+    for g in picks:
+        expected = np.array([
+            (a.conj() @ v @ a).real
+            for a, v in zip(
+                (steering_vector(geom, w, points[g]) for w in omega), spec.matrices
+            )
+        ])
+        scale = np.trace(spec.matrices, axis1=1, axis2=2).real / 12
+        assert np.max(np.abs(got[:, g] - expected) / scale) <= 1e-12

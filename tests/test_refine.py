@@ -471,3 +471,103 @@ def test_iteration_cost_scales_with_pairs_and_bands():
     large = build_time(12, 32)  # 4.4x pairs, 4x bands -> ~17x work
     # generous slack: only guard against superquadratic blowup
     assert large < 400.0 * small
+
+
+STFT_OMEGA = {
+    "stft-52": 2 * np.pi * np.arange(5, 57) * 62.5 / 343.0,
+    "stft-1025": 2 * np.pi * np.arange(1025) * 16000.0 / 2048 / 343.0,
+    "uneven": np.sort(np.random.default_rng(7).uniform(5.0, 70.0, 52)),
+}
+
+
+def _psd_spec(omega, num_sensors, s, seed):
+    local = np.random.default_rng(seed)
+    a = local.standard_normal((omega.size, num_sensors, 3)) + 1j * local.standard_normal(
+        (omega.size, num_sensors, 3)
+    )
+    return CostSpec(a @ np.swapaxes(a.conj(), 1, 2) / num_sensors, omega, s=s)
+
+
+@pytest.mark.parametrize("kind", STFT_OMEGA)
+def test_pair_band_powers_matches_steering_on_band_grids(kind):
+    # the pair phasors come from the band recurrence on evenly spaced omega
+    spec = _psd_spec(STFT_OMEGA[kind], 8, -1.0, seed=3)
+    geom = random_geometry(num_sensors=8, seed=9)
+    coeffs = PairCoefficients.from_cost_spec(spec, geom)
+    scale = np.trace(spec.matrices, axis1=1, axis2=2).real / 8
+    for _ in range(5):
+        q = random_unit()
+        via_pairs = pair_band_powers(coeffs, spec.omega, q)
+        direct = np.array([
+            (a.conj() @ v @ a).real
+            for a, v in zip(
+                (steering_vector(geom, w, q) for w in spec.omega), spec.matrices
+            )
+        ])
+        assert np.max(np.abs(via_pairs - direct) / scale) <= 1e-12
+
+
+def _surrogate_oracle(spec, geom, q_hat):
+    # the surrogate as wrap_phase and unnormalized_sinc define it: one cosine
+    # pass for the band powers, then the wrapped expansion phases and weights
+    m, r = geom.pair_indices.T
+    entries = spec.matrices[:, m, r]
+    mags, phases = np.abs(entries), np.angle(entries)
+    n = geom.num_sensors
+    b_dot = np.outer(spec.omega, geom.pair_deltas @ q_hat)
+    traces = np.trace(spec.matrices, axis1=1, axis2=2).real
+    powers = traces / n + 2.0 / n * np.sum(mags * np.cos(phases - b_dot), axis=1)
+    y = np.maximum(powers, 1e-30)
+    beta = (y / power_mean(y, spec.s)) ** (spec.s - 1.0) / y.size
+    psi_hat, weight = cosine_surrogate_coeffs(phases, b_dot)
+    scale = beta[:, None] / n
+    u_hat = mags * weight
+    xi = np.sum(spec.omega[:, None] ** 2 * scale * u_hat, axis=0)
+    gamma = np.sum(spec.omega[:, None] * scale * u_hat * psi_hat, axis=0)
+    d = np.einsum("p,pi,pj->ij", xi, geom.pair_deltas, geom.pair_deltas)
+    return d, gamma @ geom.pair_deltas, xi
+
+
+@pytest.mark.parametrize("kind", ["stft-52", "uneven"])
+@pytest.mark.parametrize("s", [-3.0, 0.5])
+def test_surrogate_matches_wrap_sinc_oracle(kind, s):
+    spec = _psd_spec(STFT_OMEGA[kind], 6, s, seed=11)
+    geom = random_geometry(num_sensors=6, seed=12)
+    coeffs = PairCoefficients.from_cost_spec(spec, geom)
+    for _ in range(10):
+        q_hat = random_unit()
+        d_ref, v_ref, xi_ref = _surrogate_oracle(spec, geom, q_hat)
+        system = surrogate_system(spec, coeffs, q_hat, with_constant=True, geometry=geom)
+        np.testing.assert_allclose(system.D, d_ref, rtol=0, atol=1e-12 * np.abs(d_ref).max())
+        np.testing.assert_allclose(system.v, v_ref, rtol=0, atol=1e-12 * np.abs(v_ref).max())
+        np.testing.assert_allclose(system.xi, xi_ref, rtol=0, atol=1e-12 * xi_ref.max())
+        # the phasors of an objective evaluation give the same surrogate
+        powers, phasors = pair_band_powers(coeffs, spec.omega, q_hat, return_phasors=True)
+        reused = surrogate_system(
+            spec, coeffs, q_hat, evaluated=(powers, phasors, power_mean(powers, s))
+        )
+        np.testing.assert_allclose(reused.D, system.D, rtol=0, atol=1e-14 * np.abs(d_ref).max())
+        np.testing.assert_allclose(reused.v, system.v, rtol=0, atol=1e-14 * np.abs(v_ref).max())
+
+
+def test_pair_band_powers_flat_at_exact_null():
+    # noise-free single-source MUSIC: every band power is 0 at the source and
+    # each pair cosine sits at a stationary point, so moving q by far less
+    # than any resolvable angle must leave the powers bit for bit unchanged
+    # (the objective at s < 0 counts the bands that round below EPS_POWER)
+    geom = random_geometry(num_sensors=8, seed=3)
+    qstar = np.array([0.3, -0.4, 0.866])
+    qstar /= np.linalg.norm(qstar)
+    omega = STFT_OMEGA["stft-52"]
+    steer = np.stack([steering_vector(geom, w, qstar) for w in omega])
+    projectors = np.eye(8) - steer[:, :, None] * steer[:, None, :].conj()
+    spec = CostSpec(projectors, omega, s=-10.0)
+    coeffs = PairCoefficients.from_cost_spec(spec, geom)
+    at_null = pair_band_powers(coeffs, spec.omega, qstar)
+    assert np.max(np.abs(at_null)) < 1e-14
+    local = np.random.default_rng(0)
+    for eps in (1e-14, 1e-12, 1e-10):
+        q = qstar + eps * local.standard_normal(3)
+        np.testing.assert_array_equal(
+            pair_band_powers(coeffs, spec.omega, q / np.linalg.norm(q)), at_null
+        )
