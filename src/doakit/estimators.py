@@ -20,7 +20,8 @@ EPS_POWER = 1e-30
 DEFAULT_MVDR_LOADING = 1e-3
 
 # wavenumbers within this many ulps of an arithmetic progression count as
-# evenly spaced, so the phasor recurrence reproduces exp(j omega_k x)
+# evenly spaced, so the phasor recurrence of phasor_table reproduces
+# exp(j omega_k x)
 _SPACING_ULPS = 8
 
 
@@ -146,30 +147,14 @@ def _common_step(omega):
     return float(step) if drift <= _SPACING_ULPS * np.finfo(float).eps * omega[-1] else None
 
 
-def _band_phasors(omega, x, step):
-    """Yield exp(j omega_k x) for each band k in turn, all with the shape of x.
+def phasor_table(omega, x, step):
+    """exp(j omega_k x) for every band, shape (K, x.size); meant for a small
+    x, such as the sensor delays of one direction.
 
     With evenly spaced omega (``step`` from :func:`_common_step`) each band
-    is the previous one times exp(j step x): two exp calls in all. The
-    yielded array is updated in place by the next band. Otherwise one exp
-    per band.
+    is the previous one times exp(j step x): two exp calls and one
+    cumulative product over the bands. Otherwise one exp per entry.
     """
-    if step is None:
-        for w in omega:
-            yield np.exp(1j * w * x)
-        return
-    a = np.exp(1j * omega[0] * x)
-    rotate = np.exp(1j * step * x)
-    yield a
-    for _ in range(omega.size - 1):
-        a *= rotate
-        yield a
-
-
-def phasor_table(omega, x, step):
-    """exp(j omega_k x) for every band at once, shape (K, x.size), by the
-    recurrence of :func:`_band_phasors` run as one cumulative product over
-    the bands; meant for small x, such as the sensor delays of one direction."""
     omega = np.asarray(omega, dtype=float)
     if step is None:
         return np.exp(np.multiply.outer(1j * omega, x))
@@ -185,16 +170,17 @@ def band_powers(spec, geometry, points):
 
     Returns shape (K,) for a single direction or (K, G) for a (G, 3) batch.
     One band at a time, so memory stays O(G M): the band's (G, M) steering
-    phasors come from the recurrence in :func:`_band_phasors`, then one BLAS
-    product b = a V_k^T and the row sums Re sum_m conj(a_m) b_m. The 1/M of
-    the unit-norm steering vectors is applied once at the end.
+    phasors, then one BLAS product b = a V_k^T and the row sums
+    Re sum_m conj(a_m) b_m. The 1/M of the unit-norm steering vectors is
+    applied once at the end.
     """
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
     tau = pts @ geometry.sensors.T  # (G, M)
     out = np.empty((spec.num_bands, pts.shape[0]))
-    for k, a in enumerate(_band_phasors(spec.omega, tau, spec.band_step)):
+    for k in range(spec.num_bands):
+        a = np.exp(1j * spec.omega[k] * tau)
         b = a @ spec.matrices[k].T
         out[k] = np.einsum("gm,gm->g", a.conj(), b).real
     out /= geometry.num_sensors

@@ -45,7 +45,8 @@ class PairCoefficients:
     neg_entries: np.ndarray  # (K, P) -V_k[m, r]
     magnitudes: np.ndarray  # (K, P) |V_k[m, r]|
     diagonal: np.ndarray  # (K,) tr(V_k) / M, the diagonal part of each band power
-    band_step: float | None  # the cost spec's band spacing (CostSpec.band_step)
+    omega: np.ndarray  # (K,) the cost spec's wavenumbers
+    band_step: float | None  # their common spacing (CostSpec.band_step)
 
     @property
     def num_sensors(self):
@@ -67,6 +68,7 @@ class PairCoefficients:
             neg_entries=-entries,
             magnitudes=np.abs(entries),
             diagonal=traces / geometry.num_sensors,
+            omega=spec.omega,
             band_step=spec.band_step,
         )
 
@@ -129,7 +131,7 @@ def cosine_surrogate_coeffs(psi, b_dot_qhat):
     return psi_hat, unnormalized_sinc(phi0)
 
 
-def pair_band_powers(coeffs, omega, q, return_phasors=False):
+def pair_band_powers(coeffs, q, return_phasors=False):
     """Band powers a_k(q)^H V_k a_k(q) via the pair cosine expansion
     tr(V_k)/M + (2/M) sum_p u_kp cos(psi_kp - b_kp . q), with
     V_k[m, r] = u exp(j psi) and b_kp = omega_k delta_p.
@@ -138,11 +140,10 @@ def pair_band_powers(coeffs, omega, q, return_phasors=False):
     f_kp = -V_k[m, r] exp(-j b_kp . q) = u exp(j phi0), phi0 = psi + pi - b.q,
     as -Re f. The phasors are formed as -V_k[m, r] conj(s_km) s_kr from the
     K x M steering phasors s_km = exp(j omega_k d_m . q), built by the band
-    recurrence of :func:`phasor_table`; ``omega`` is the cost spec's, whose
-    spacing ``coeffs`` carries. With ``return_phasors=True`` returns
+    recurrence of :func:`phasor_table`. With ``return_phasors=True`` returns
     (powers, phasors), so a surrogate built at the same q reuses them.
     """
-    steer = phasor_table(omega, coeffs.sensors @ q, coeffs.band_step)
+    steer = phasor_table(coeffs.omega, coeffs.sensors @ q, coeffs.band_step)
     m, r = coeffs.pairs
     phasors = steer.conj()[:, m]
     phasors *= steer[:, r]
@@ -162,14 +163,11 @@ def pair_band_powers(coeffs, omega, q, return_phasors=False):
     return (powers, phasors) if return_phasors else powers
 
 
-def _band_weights(powers, s, mean=None):
+def _band_weights(powers, s):
     """Tangent-plane weights of the power mean at the given band powers,
-    beta_k = (1/K) (y_k / M_s(y))^(s-1), which stays finite at large |s|.
-    ``mean`` is M_s(y) when the caller already has it."""
+    beta_k = (1/K) (y_k / M_s(y))^(s-1), which stays finite at large |s|."""
     y = np.maximum(powers, EPS_POWER)
-    if mean is None:
-        mean = power_mean(y, s)
-    return (y / mean) ** (s - 1.0) / y.shape[0]
+    return (y / power_mean(y, s)) ** (s - 1.0) / y.shape[0]
 
 
 def surrogate_system(spec, coeffs, q_hat, with_constant=False, geometry=None,
@@ -179,10 +177,8 @@ def surrogate_system(spec, coeffs, q_hat, with_constant=False, geometry=None,
     With ``with_constant=True`` (requires ``geometry``) the linearization
     constant C for the linear variant is attached, using the cached largest
     eigenvalue of the pair-difference Gram matrix. ``evaluated`` is
-    (powers, phasors, objective) at q_hat when the caller already has them:
-    ``pair_band_powers(..., return_phasors=True)`` and its power mean. The
-    objective serves as M_s in the tangent weights only for s < 0, where it
-    floors the powers at EPS_POWER exactly as the weights do.
+    ``pair_band_powers(coeffs, q_hat, return_phasors=True)`` when the caller
+    already has it.
 
     Every cosine term u cos(psi - b.q) is bounded at b.q_hat with the
     weight sinc(phi0), phi0 = psi + pi - b.q_hat wrapped into (-pi, pi]
@@ -195,11 +191,9 @@ def surrogate_system(spec, coeffs, q_hat, with_constant=False, geometry=None,
     q_hat = np.asarray(q_hat, dtype=float)
     omega = spec.omega
     if evaluated is None:
-        powers, phasors = pair_band_powers(coeffs, omega, q_hat, return_phasors=True)
-        value = None
-    else:
-        powers, phasors, value = evaluated
-    beta = _band_weights(powers, spec.s, value if spec.s < 0 else None)  # (K,) >= 0
+        evaluated = pair_band_powers(coeffs, q_hat, return_phasors=True)
+    powers, phasors = evaluated
+    beta = _band_weights(powers, spec.s)  # (K,) >= 0
 
     sin_part = phasors.imag  # u sin(phi0)
     phi0 = np.arctan2(sin_part, phasors.real)
@@ -337,22 +331,22 @@ def refine(spec, geometry, q0, variant="quadratic", max_iters=30, rel_tol=1e-10)
     coeffs = PairCoefficients.from_cost_spec(spec, geometry)
     q = normalized(q0)
     # each objective evaluation's phasors build the next surrogate
-    powers, phasors = pair_band_powers(coeffs, spec.omega, q, return_phasors=True)
-    obj = power_mean(powers, spec.s)
+    evaluated = pair_band_powers(coeffs, q, return_phasors=True)
+    obj = power_mean(evaluated[0], spec.s)
     iterates, objectives = [q], [obj]
     converged_at = None
     slow = 0
     for t in range(max_iters):
         system = surrogate_system(
             spec, coeffs, q, with_constant=(variant == "linear"), geometry=geometry,
-            evaluated=(powers, phasors, obj),
+            evaluated=evaluated,
         )
         if variant == "quadratic":
             q = solve_gtrs(system.D, system.v)
         else:
             q = linear_update(system, q)
-        powers, phasors = pair_band_powers(coeffs, spec.omega, q, return_phasors=True)
-        new_obj = power_mean(powers, spec.s)
+        evaluated = pair_band_powers(coeffs, q, return_phasors=True)
+        new_obj = power_mean(evaluated[0], spec.s)
         iterates.append(q)
         objectives.append(new_obj)
         decrease = (obj - new_obj) / max(abs(obj), _TINY)

@@ -100,12 +100,12 @@ def test_criterion_2_majorization_gap():
         q_hat = rng.standard_normal(3)
         q_hat /= np.linalg.norm(q_hat)
         system = surrogate_system(spec, coeffs, q_hat, with_constant=True, geometry=geom)
-        g_hat = power_mean(pair_band_powers(coeffs, spec.omega, q_hat), spec.s)
+        g_hat = power_mean(pair_band_powers(coeffs, q_hat), spec.s)
 
         q = rng.standard_normal((100, 3))
         q /= np.linalg.norm(q, axis=1, keepdims=True)
         g = power_mean(
-            np.stack([pair_band_powers(coeffs, spec.omega, qi) for qi in q], axis=1),
+            np.stack([pair_band_powers(coeffs, qi) for qi in q], axis=1),
             spec.s,
             axis=0,
         )

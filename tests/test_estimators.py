@@ -208,7 +208,7 @@ def test_objective_matches_cosine_expansion():
     for _ in range(20):
         q = random_unit()
         direct = objective(spec, geom, q)
-        expansion = power_mean(pair_band_powers(coeffs, spec.omega, q), spec.s)
+        expansion = power_mean(pair_band_powers(coeffs, q), spec.s)
         assert abs(direct - expansion) < 1e-10
 
 
@@ -309,8 +309,9 @@ def test_grid_search_two_sources():
 
 
 # evenly spaced STFT wavenumbers (16 kHz; 256-point frames in 300-3500 Hz and
-# every band of 2048-point frames) take the phasor recurrence; sorted random
-# wavenumbers take the one-exp-per-band fallback
+# every band of 2048-point frames) and sorted random ones: band_powers takes
+# one exp per band whatever the spacing, the pair expansion's phasor table
+# (test_refine) takes the band recurrence on the evenly spaced ones
 OMEGA_KINDS = {
     "stft-52": 2 * np.pi * np.arange(5, 57) * 62.5 / 343.0,
     "stft-1025": 2 * np.pi * np.arange(1025) * 16000.0 / 2048 / 343.0,

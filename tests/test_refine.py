@@ -127,7 +127,7 @@ def test_pair_band_powers_matches_quadratic_form():
     coeffs = PairCoefficients.from_cost_spec(spec, geom)
     for _ in range(10):
         q = random_unit()
-        via_pairs = pair_band_powers(coeffs, spec.omega, q)
+        via_pairs = pair_band_powers(coeffs, q)
         for k in range(spec.num_bands):
             a = steering_vector(geom, spec.omega[k], q)
             direct = (a.conj() @ spec.matrices[k] @ a).real
@@ -211,14 +211,14 @@ def test_surrogate_majorizes_objective():
         coeffs = PairCoefficients.from_cost_spec(spec, geom)
         q_hat = random_unit()
         system = surrogate_system(spec, coeffs, q_hat, with_constant=True, geometry=geom)
-        g_hat = power_mean(pair_band_powers(coeffs, spec.omega, q_hat), s)
+        g_hat = power_mean(pair_band_powers(coeffs, q_hat), s)
 
         def quad(q):
             return q @ system.D @ q - 2.0 * system.v @ q
 
         for _ in range(20):
             q = random_unit()
-            g = power_mean(pair_band_powers(coeffs, spec.omega, q), s)
+            g = power_mean(pair_band_powers(coeffs, q), s)
             gap = quad(q) - quad(q_hat)
             assert gap >= g - g_hat - 1e-9
             # and the linearized surrogate majorizes the quadratic one
@@ -497,7 +497,7 @@ def test_pair_band_powers_matches_steering_on_band_grids(kind):
     scale = np.trace(spec.matrices, axis1=1, axis2=2).real / 8
     for _ in range(5):
         q = random_unit()
-        via_pairs = pair_band_powers(coeffs, spec.omega, q)
+        via_pairs = pair_band_powers(coeffs, q)
         direct = np.array([
             (a.conj() @ v @ a).real
             for a, v in zip(
@@ -542,9 +542,9 @@ def test_surrogate_matches_wrap_sinc_oracle(kind, s):
         np.testing.assert_allclose(system.v, v_ref, rtol=0, atol=1e-12 * np.abs(v_ref).max())
         np.testing.assert_allclose(system.xi, xi_ref, rtol=0, atol=1e-12 * xi_ref.max())
         # the phasors of an objective evaluation give the same surrogate
-        powers, phasors = pair_band_powers(coeffs, spec.omega, q_hat, return_phasors=True)
         reused = surrogate_system(
-            spec, coeffs, q_hat, evaluated=(powers, phasors, power_mean(powers, s))
+            spec, coeffs, q_hat,
+            evaluated=pair_band_powers(coeffs, q_hat, return_phasors=True),
         )
         np.testing.assert_allclose(reused.D, system.D, rtol=0, atol=1e-14 * np.abs(d_ref).max())
         np.testing.assert_allclose(reused.v, system.v, rtol=0, atol=1e-14 * np.abs(v_ref).max())
@@ -563,11 +563,11 @@ def test_pair_band_powers_flat_at_exact_null():
     projectors = np.eye(8) - steer[:, :, None] * steer[:, None, :].conj()
     spec = CostSpec(projectors, omega, s=-10.0)
     coeffs = PairCoefficients.from_cost_spec(spec, geom)
-    at_null = pair_band_powers(coeffs, spec.omega, qstar)
+    at_null = pair_band_powers(coeffs, qstar)
     assert np.max(np.abs(at_null)) < 1e-14
     local = np.random.default_rng(0)
     for eps in (1e-14, 1e-12, 1e-10):
         q = qstar + eps * local.standard_normal(3)
         np.testing.assert_array_equal(
-            pair_band_powers(coeffs, spec.omega, q / np.linalg.norm(q)), at_null
+            pair_band_powers(coeffs, q / np.linalg.norm(q)), at_null
         )
