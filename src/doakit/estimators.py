@@ -217,10 +217,9 @@ def grid_search(spec, geometry, grid, num_sources=1, min_separation=np.deg2rad(1
         for i in pool:
             if len(selected) >= num_sources:
                 break
-            q = grid.points[i]
-            if all(
-                great_circle_distance(q, grid.points[j]) >= min_separation
-                for j in selected
+            if not selected or np.all(
+                great_circle_distance(grid.points[i], grid.points[selected])
+                >= min_separation
             ):
                 selected.append(int(i))
     return [(grid.points[i].copy(), float(values[i])) for i in selected]

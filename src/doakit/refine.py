@@ -20,8 +20,6 @@ from scipy.linalg.lapack import dsyevd
 from .estimators import EPS_POWER, phasor_table, power_mean
 from .manifold import normalized
 
-_TWO_PI = 2.0 * np.pi
-
 GTRS_NORM_TOL = 1e-12
 # relative threshold below which a component is treated as numerically zero
 _HARD_CASE_RTOL = 1e-12
@@ -35,8 +33,10 @@ _NULL_RTOL = 1e-5
 
 @dataclass
 class PairCoefficients:
-    """Off-diagonal cost matrix entries per band and sensor pair, with the
-    sensor positions and pair coordinate differences they are steered by."""
+    """The pair form of the objective: off-diagonal cost matrix entries per
+    band and sensor pair, the sensor positions and pair coordinate
+    differences they are steered by, the exponent, and the Gram bound of
+    the linearization constant."""
 
     sensors: np.ndarray  # (M, 3) sensor coordinates
     pairs: np.ndarray  # (2, P) sensor indices (m, r), m < r
@@ -47,6 +47,8 @@ class PairCoefficients:
     diagonal: np.ndarray  # (K,) tr(V_k) / M, the diagonal part of each band power
     omega: np.ndarray  # (K,) the cost spec's wavenumbers
     band_step: float | None  # their common spacing (CostSpec.band_step)
+    s: float  # power-mean exponent
+    gram_lmax: float  # lambda_max(sum_p delta_p delta_p^T)
 
     @property
     def num_sensors(self):
@@ -70,68 +72,30 @@ class PairCoefficients:
             diagonal=traces / geometry.num_sensors,
             omega=spec.omega,
             band_step=spec.band_step,
+            s=spec.s,
+            gram_lmax=geometry.pair_gram_lmax,
         )
 
 
 @dataclass
 class SurrogateSystem:
-    """Quadratic surrogate q^T D q - 2 v^T q (+ const); C is the linearization
-    constant, present only when built for the linear variant."""
+    """Quadratic surrogate q^T D q - 2 v^T q (+ const) and the linearization
+    constant C of the linear variant, which makes C*I - D PSD."""
 
     D: np.ndarray  # (3, 3) real symmetric PSD
     v: np.ndarray  # (3,)
     xi: np.ndarray  # (P,) per-pair quadratic weights, all >= 0
-    C: float | None = None
+    C: float
 
 
 @dataclass
 class RefinementTrace:
     iterates: list  # unit 3-vectors q_0 .. q_T
     objectives: list  # objective value at each iterate
-    variant: str
     converged_at: int | None = None
 
 
-def wrap_phase(theta0):
-    """Wrap an angle into (-pi, pi]: returns (z0, phi0) with
-    phi0 = theta0 + 2*pi*z0 and z0 the integer minimizing |phi0|.
-    Ties at |phi0| = pi resolve to +pi."""
-    theta0 = np.asarray(theta0, dtype=float)
-    z0 = -np.floor((theta0 + np.pi) / _TWO_PI)
-    phi0 = theta0 + _TWO_PI * z0
-    # floor puts phi0 in [-pi, pi); fold the -pi edge (and any rounding
-    # escape past +pi) back into (-pi, pi]
-    low = phi0 <= -np.pi
-    z0 = z0 + low
-    phi0 = phi0 + _TWO_PI * low
-    high = phi0 > np.pi
-    z0 = z0 - high
-    phi0 = phi0 - _TWO_PI * high
-    if np.ndim(theta0) == 0:
-        return int(z0), float(phi0)
-    return z0.astype(int), phi0
-
-
-def unnormalized_sinc(x):
-    """sin(x)/x with the removable singularity filled, sinc(0) = 1."""
-    return np.sinc(np.asarray(x, dtype=float) / np.pi)
-
-
-def cosine_surrogate_coeffs(psi, b_dot_qhat):
-    """Expansion-point quantities of the quadratic cosine upper bound.
-
-    For the term u*cos(psi - b.q), expanding at b.q = ``b_dot_qhat`` gives
-    u*cos(psi - b.q) <= (u/2)*w*(psi_hat - b.q)^2 + const with the returned
-    (psi_hat, w). The weight w = sinc(psi_hat - b_dot_qhat) lies in [0, 1].
-    Broadcasts over array inputs.
-    """
-    _, phi0 = wrap_phase(np.asarray(psi, dtype=float) + np.pi - b_dot_qhat)
-    # psi_hat - b_dot_qhat = phi0 exactly, by construction
-    psi_hat = b_dot_qhat + phi0
-    return psi_hat, unnormalized_sinc(phi0)
-
-
-def pair_band_powers(coeffs, q, return_phasors=False):
+def pair_band_powers(coeffs, q):
     """Band powers a_k(q)^H V_k a_k(q) via the pair cosine expansion
     tr(V_k)/M + (2/M) sum_p u_kp cos(psi_kp - b_kp . q), with
     V_k[m, r] = u exp(j psi) and b_kp = omega_k delta_p.
@@ -140,8 +104,8 @@ def pair_band_powers(coeffs, q, return_phasors=False):
     f_kp = -V_k[m, r] exp(-j b_kp . q) = u exp(j phi0), phi0 = psi + pi - b.q,
     as -Re f. The phasors are formed as -V_k[m, r] conj(s_km) s_kr from the
     K x M steering phasors s_km = exp(j omega_k d_m . q), built by the band
-    recurrence of :func:`phasor_table`. With ``return_phasors=True`` returns
-    (powers, phasors), so a surrogate built at the same q reuses them.
+    recurrence of :func:`phasor_table`. Returns (powers, phasors), so the
+    surrogate built at the same q reuses the phasors.
     """
     steer = phasor_table(coeffs.omega, coeffs.sensors @ q, coeffs.band_step)
     m, r = coeffs.pairs
@@ -160,7 +124,7 @@ def pair_band_powers(coeffs, q, return_phasors=False):
         u = coeffs.magnitudes[near]
         flat = np.copysign(u - im * im / np.maximum(u + np.abs(re), _TINY), re)
         powers[near] = coeffs.diagonal[near] - scale * np.add.reduce(flat, axis=1)
-    return (powers, phasors) if return_phasors else powers
+    return powers, phasors
 
 
 def _band_weights(powers, s):
@@ -170,30 +134,21 @@ def _band_weights(powers, s):
     return (y / power_mean(y, s)) ** (s - 1.0) / y.shape[0]
 
 
-def surrogate_system(spec, coeffs, q_hat, with_constant=False, geometry=None,
-                     evaluated=None):
-    """Assemble the quadratic surrogate of the objective around q_hat.
+def surrogate_system(coeffs, q_hat, evaluated):
+    """Assemble the quadratic surrogate of the objective around q_hat from
+    ``evaluated = pair_band_powers(coeffs, q_hat)``.
 
-    With ``with_constant=True`` (requires ``geometry``) the linearization
-    constant C for the linear variant is attached, using the cached largest
-    eigenvalue of the pair-difference Gram matrix. ``evaluated`` is
-    ``pair_band_powers(coeffs, q_hat, return_phasors=True)`` when the caller
-    already has it.
-
-    Every cosine term u cos(psi - b.q) is bounded at b.q_hat with the
-    weight sinc(phi0), phi0 = psi + pi - b.q_hat wrapped into (-pi, pi]
-    (:func:`cosine_surrogate_coeffs`). The pair phasor f = u exp(j phi0) of
-    :func:`pair_band_powers` holds all of it: phi0 = arg f, and with
-    u sin(phi0) = Im f the weighted magnitude is u_hat = u sinc(phi0) =
-    Im f / phi0 and u_hat phi0 = Im f, with no further cosine, sine or sinc
-    pass.
+    Every cosine term u cos(psi - b.q) is bounded by a quadratic in b.q that
+    touches it at b.q_hat, with the curvature weight sinc(phi0) for
+    phi0 = psi + pi - b.q_hat wrapped into (-pi, pi]. The pair phasor
+    f = u exp(j phi0) of :func:`pair_band_powers` holds all of it:
+    phi0 = arg f, and with u sin(phi0) = Im f the weighted magnitude is
+    u_hat = u sinc(phi0) = Im f / phi0 and u_hat phi0 = Im f, with no further
+    cosine, sine or sinc pass. The linearization constant is
+    C = (max_p xi_p) lambda_max(sum_p delta_p delta_p^T).
     """
-    q_hat = np.asarray(q_hat, dtype=float)
-    omega = spec.omega
-    if evaluated is None:
-        evaluated = pair_band_powers(coeffs, q_hat, return_phasors=True)
     powers, phasors = evaluated
-    beta = _band_weights(powers, spec.s)  # (K,) >= 0
+    beta = _band_weights(powers, coeffs.s)  # (K,) >= 0
 
     sin_part = phasors.imag  # u sin(phi0)
     phi0 = np.arctan2(sin_part, phasors.real)
@@ -205,33 +160,20 @@ def surrogate_system(spec, coeffs, q_hat, with_constant=False, geometry=None,
     # the cosine expansion carries 2/M and the cosine bound carries 1/2; with
     # scale_k = omega_k beta_k / M and psi_hat = omega_k delta_p.q_hat + phi0,
     # gamma_p = sum_k scale_k u_hat psi_hat = xi_p delta_p.q_hat + sum_k scale_k Im f
+    omega = coeffs.omega
     scale = omega * beta / coeffs.num_sensors
     xi = (omega * scale) @ u_hat  # (P,)
     gamma = xi * (coeffs.deltas @ q_hat) + scale @ sin_part
 
     d = (xi @ coeffs.delta_outer).reshape(3, 3)
     v = gamma @ coeffs.deltas
-    c = None
-    if with_constant:
-        if geometry is None:
-            raise ValueError("geometry required to build the linear constant")
-        c = majorization_constant(xi, geometry)
-    return SurrogateSystem(D=d, v=v, xi=xi, C=c)
+    return SurrogateSystem(D=d, v=v, xi=xi, C=float(np.max(xi)) * coeffs.gram_lmax)
 
 
-def majorization_constant(xi, geometry):
-    """C = (max_p xi_p) * lambda_max(sum_p delta_p delta_p^T), which makes
-    C*I - D positive semi-definite for D built from the same weights."""
-    xi = np.asarray(xi, dtype=float)
-    if np.any(xi < 0):
-        raise ValueError("pair weights must be non-negative")
-    if xi.size == 0:
-        return 0.0
-    return float(np.max(xi)) * geometry.pair_gram_lmax
-
-
-def solve_gtrs(D, v, return_info=False):
-    """Global minimizer of q^T D q - 2 v^T q over the unit sphere.
+def solve_gtrs(D, v):
+    """Global minimizer of q^T D q - 2 v^T q over the unit sphere, returned
+    as (q, mu, hard) with mu the multiplier of the unit-norm constraint and
+    hard True in the hard case.
 
     Works in the eigenbasis of D: q(mu) = (D + mu*I)^-1 v with mu the unique
     root of 1/||q(mu)|| = 1 on (-lambda_min, inf), found by Newton's method
@@ -285,7 +227,7 @@ def solve_gtrs(D, v, return_info=False):
             if nz.size and e[nz[0]] < 0:
                 e = -e
             q = normalized(q + np.sqrt(max(1.0 - float(q @ q), 0.0)) * e)
-            return (q, -lam[0], True) if return_info else q
+            return q, -lam[0], True
         # one Newton step on the rest from t = 0 is positive and stays left of
         # its root, and the bottom terms only raise ||q(t)||, so ||q(t)|| >= 1
         t = step
@@ -302,13 +244,11 @@ def solve_gtrs(D, v, return_info=False):
         norm, step = newton_step(every, t)
     q = basis @ np.array([wi / (g + t) for wi, g in zip(w_list, gap_list)])
     q /= math.sqrt(q @ q)
-    return (q, t - lam_list[0], False) if return_info else q
+    return q, t - lam_list[0], False
 
 
 def linear_update(system, q_hat):
     """Closed-form minimizer of the linear surrogate on the sphere."""
-    if system.C is None:
-        raise ValueError("linear update needs a system built with a constant")
     g = system.v - system.D @ q_hat + system.C * q_hat
     n = np.linalg.norm(g)
     if n <= np.finfo(float).tiny:
@@ -331,22 +271,19 @@ def refine(spec, geometry, q0, variant="quadratic", max_iters=30, rel_tol=1e-10)
     coeffs = PairCoefficients.from_cost_spec(spec, geometry)
     q = normalized(q0)
     # each objective evaluation's phasors build the next surrogate
-    evaluated = pair_band_powers(coeffs, q, return_phasors=True)
-    obj = power_mean(evaluated[0], spec.s)
+    evaluated = pair_band_powers(coeffs, q)
+    obj = power_mean(evaluated[0], coeffs.s)
     iterates, objectives = [q], [obj]
     converged_at = None
     slow = 0
     for t in range(max_iters):
-        system = surrogate_system(
-            spec, coeffs, q, with_constant=(variant == "linear"), geometry=geometry,
-            evaluated=evaluated,
-        )
+        system = surrogate_system(coeffs, q, evaluated)
         if variant == "quadratic":
-            q = solve_gtrs(system.D, system.v)
+            q = solve_gtrs(system.D, system.v)[0]
         else:
             q = linear_update(system, q)
-        evaluated = pair_band_powers(coeffs, q, return_phasors=True)
-        new_obj = power_mean(evaluated[0], spec.s)
+        evaluated = pair_band_powers(coeffs, q)
+        new_obj = power_mean(evaluated[0], coeffs.s)
         iterates.append(q)
         objectives.append(new_obj)
         decrease = (obj - new_obj) / max(abs(obj), _TINY)
@@ -356,8 +293,5 @@ def refine(spec, geometry, q0, variant="quadratic", max_iters=30, rel_tol=1e-10)
             converged_at = t + 1
             break
     return RefinementTrace(
-        iterates=iterates,
-        objectives=objectives,
-        variant=variant,
-        converged_at=converged_at,
+        iterates=iterates, objectives=objectives, converged_at=converged_at
     )

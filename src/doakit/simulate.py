@@ -248,12 +248,8 @@ def random_sources(rng, num_sources, min_separation_rad):
     while True:
         q = rng.standard_normal((num_sources, 3))
         q /= np.linalg.norm(q, axis=1, keepdims=True)
-        ok = all(
-            great_circle_distance(q[i], q[j]) >= min_separation_rad
-            for i in range(num_sources)
-            for j in range(i + 1, num_sources)
-        )
-        if ok:
+        apart = great_circle_distance(q[:, None], q[None])
+        if np.all(apart[np.triu_indices(num_sources, k=1)] >= min_separation_rad):
             return q
 
 
@@ -281,7 +277,13 @@ def locate_sources(cov, geometry, grid, *, estimator, s, num_sources, variant,
                    mvdr_loading=DEFAULT_MVDR_LOADING):
     """Localize sources in a covariance from ``estimator_covariance``: build
     the estimator's cost spec, search the grid, then refine each peak.
-    Returns (directions, objective values, traces)."""
+    Returns (directions, objective values, traces). Raises LinAlgError when
+    the covariance has a non-finite entry or is zero in every band."""
+    band_power = np.trace(cov.matrices, axis1=1, axis2=2).real
+    if not (np.all(np.isfinite(cov.matrices)) and np.any(band_power)):
+        raise np.linalg.LinAlgError(
+            "no usable signal: the covariance is non-finite or zero in every band"
+        )
     spec = build_cost_spec(
         cov, estimator, s, num_sources, geometry.speed_of_sound, mvdr_loading
     )
@@ -290,7 +292,7 @@ def locate_sources(cov, geometry, grid, *, estimator, s, num_sources, variant,
     )
     directions, values, traces = [], [], []
     for q0, value in peaks:
-        if variant in ("none", None) or max_iters == 0:
+        if variant == "none" or max_iters == 0:
             directions.append(q0)
             values.append(value)
             traces.append([value])

@@ -152,6 +152,28 @@ def test_simulate_silent_scene_writes_finite_wav(tmp_path, geometry_file):
     assert np.all(np.isfinite(data))
 
 
+# PHAT divides the NaN bins by their NaN magnitudes
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("estimator", ["srp", "srp-phat", "music", "mvdr"])
+@pytest.mark.parametrize("kind", ["silent", "nan"])
+def test_locate_without_usable_signal_exits_3(tmp_path, geometry_file, capsys,
+                                              kind, estimator):
+    from scipy.io import wavfile
+
+    data = np.zeros((8000, 8), dtype=np.float32)
+    if kind == "nan":
+        data = np.random.default_rng(0).standard_normal(data.shape).astype(np.float32)
+        data[1234, 3] = np.nan
+    wav = str(tmp_path / f"{kind}.wav")
+    wavfile.write(wav, 16000, data)
+    out = tmp_path / "report.json"
+    rc = main(["locate", "--geometry", geometry_file, "--input", wav,
+               "--estimator", estimator, "--output", str(out)])
+    assert rc == 3
+    assert "no usable signal" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("estimator", ["srp-phat", "music"])
 def test_locate_matches_library_pipeline(tmp_path, geometry_file, estimator):
     from scipy.io import wavfile

@@ -208,7 +208,7 @@ def test_objective_matches_cosine_expansion():
     for _ in range(20):
         q = random_unit()
         direct = objective(spec, geom, q)
-        expansion = power_mean(pair_band_powers(coeffs, q), spec.s)
+        expansion = power_mean(pair_band_powers(coeffs, q)[0], spec.s)
         assert abs(direct - expansion) < 1e-10
 
 
@@ -344,3 +344,43 @@ def test_band_powers_matches_steering_loop(kind, num_points):
         ])
         scale = np.trace(spec.matrices, axis1=1, axis2=2).real / 12
         assert np.max(np.abs(got[:, g] - expected) / scale) <= 1e-12
+
+
+def _select_by_pair_loop(values, grid, num_sources, min_separation):
+    # reference: the selection loop with one distance call per selected pair
+    nbrs = grid.neighbors
+    is_min = values <= np.minimum.reduceat(values[nbrs.indices], nbrs.indptr[:-1])
+    candidates = np.flatnonzero(is_min)
+    candidates = candidates[np.argsort(values[candidates], kind="stable")]
+    selected = []
+    for pool in (candidates, np.argsort(values, kind="stable")):
+        for i in pool:
+            if len(selected) >= num_sources:
+                break
+            if all(
+                great_circle_distance(grid.points[i], grid.points[j]) >= min_separation
+                for j in selected
+            ):
+                selected.append(int(i))
+    return selected
+
+
+@pytest.mark.parametrize("num_sources", [1, 3, 8])
+@pytest.mark.parametrize("separation", ["none", "10deg", "40deg", "tie"])
+def test_grid_search_selection_matches_pair_loop(num_sources, separation):
+    local = np.random.default_rng(5)
+    geom = random_geometry(num_sensors=6, seed=8)
+    a = local.standard_normal((3, 6, 6)) + 1j * local.standard_normal((3, 6, 6))
+    spec = CostSpec(a @ np.swapaxes(a.conj(), 1, 2) / 6, np.array([20.0, 35.0, 50.0]), s=-1.0)
+    grid = fibonacci_grid(500)
+    values = power_mean(band_powers(spec, geom, grid.points), spec.s, axis=0)
+    if separation == "tie":
+        # exactly the distance between the two best local minima
+        best = _select_by_pair_loop(values, grid, 2, 0.0)
+        min_sep = great_circle_distance(grid.points[best[0]], grid.points[best[1]])
+    else:
+        min_sep = {"none": 0.0, "10deg": np.radians(10.0), "40deg": np.radians(40.0)}[separation]
+    expected = _select_by_pair_loop(values, grid, num_sources, min_sep)
+    peaks = grid_search(spec, geom, grid, num_sources=num_sources, min_separation=min_sep)
+    np.testing.assert_array_equal([p[0] for p in peaks], grid.points[expected])
+    np.testing.assert_array_equal([p[1] for p in peaks], values[expected])

@@ -275,3 +275,26 @@ def test_monte_carlo_csv_and_summary(tmp_path):
     assert cell["estimator"] == "srp-phat"
     assert cell["median_error_deg"] >= 0.0
     assert cell["median_seconds"] > 0.0
+
+
+def _random_sources_pair_loop(rng, num_sources, min_separation_rad):
+    # reference: one distance call per pair on every draw
+    while True:
+        q = rng.standard_normal((num_sources, 3))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        if all(
+            great_circle_distance(q[i], q[j]) >= min_separation_rad
+            for i in range(num_sources)
+            for j in range(i + 1, num_sources)
+        ):
+            return q
+
+
+@pytest.mark.parametrize("num_sources", [0, 1, 2, 4, 6])
+def test_random_sources_matches_pair_loop(num_sources):
+    for seed in range(10):
+        got = random_sources(np.random.default_rng(seed), num_sources, np.radians(40.0))
+        want = _random_sources_pair_loop(
+            np.random.default_rng(seed), num_sources, np.radians(40.0)
+        )
+        np.testing.assert_array_equal(got, want)
