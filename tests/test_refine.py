@@ -237,6 +237,23 @@ def test_surrogate_majorizes_objective():
             assert lin >= quad(q) - 1e-9
 
 
+def test_majorization_constant_single_pair():
+    # single pair delta (1, 0, 0): the Gram matrix has eigenvalue 1, so C = xi
+    geom = ArrayGeometry(np.array([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]]))
+    omega = 4.0
+    # omega * delta . q_hat = pi puts the expansion at sinc(0) = 1
+    qx = np.pi / omega
+    q_hat = np.array([qx, 0.0, np.sqrt(1.0 - qx**2)])
+    for u, xi_expected in [(0.25, 2.0), (0.0, 0.0)]:
+        mat = np.array([[1.0, u], [u, 1.0]], dtype=complex)
+        spec = CostSpec(mat[None], np.array([omega]), s=1.0)
+        coeffs = PairCoefficients.from_cost_spec(spec, geom)
+        assert abs(coeffs.gram_lmax - 1.0) < 1e-12
+        system = surrogate_system(coeffs, q_hat, pair_band_powers(coeffs, q_hat))
+        np.testing.assert_allclose(system.xi, [xi_expected], atol=1e-12)
+        assert abs(system.C - xi_expected) < 1e-12
+
+
 def test_majorization_constant_dominates_d():
     for trial in range(20):
         spec, geom = random_spec(s=[-3.0, 0.5][trial % 2], seed=200 + trial)
