@@ -107,7 +107,7 @@ def synth_stft_scene(scene, frame_size=512, num_frames=100, f_min=300.0, f_max=3
         gains /= np.sqrt(np.mean(gains[active] ** 2, axis=0, keepdims=True))
         y = y * gains[:, None, :]
     y[~active] = 0.0
-    x = np.einsum("kml,knl->knm", steering, y)
+    x = y @ np.swapaxes(steering, 1, 2)  # (K, N, L) @ (K, L, M)
 
     sigma2 = _noise_variance(scene.snr_db, scene.num_sources, m)
     if sigma2 > 0.0:
@@ -254,11 +254,19 @@ def random_sources(rng, num_sources, min_separation_rad):
 
 
 def estimator_covariance(frames, estimator, f_min, f_max):
-    """Band-selected sample covariance an estimator works on: SRP-PHAT sees
-    PHAT-weighted frames, every other estimator the frames as they are."""
+    """Sample covariance of the bands in [f_min, f_max] an estimator works
+    on: SRP-PHAT sees PHAT-weighted frames, every other estimator the frames
+    as they are. PHAT comes before the selection because its floor is a mean
+    over every band of a frame. Raises LinAlgError when SRP-PHAT is given a
+    non-finite entry, which PHAT would divide by and spread through its
+    frame's floor."""
     if estimator == "srp-phat":
+        if not np.all(np.isfinite(frames.data)):
+            raise np.linalg.LinAlgError(
+                "no usable signal: the frames hold a non-finite value"
+            )
         frames = apply_weighting(frames, "phat")
-    return band_select(sample_covariance(frames), f_min, f_max)
+    return sample_covariance(band_select(frames, f_min, f_max))
 
 
 def build_cost_spec(cov, estimator, s, num_sources, speed_of_sound,

@@ -136,20 +136,22 @@ def sample_covariance(frames):
     if frames.num_frames < 1:
         raise ValueError("need at least one frame")
     x = frames.data
-    s = np.einsum("knm,knr->kmr", x, x.conj()) / frames.num_frames
+    # one batched BLAS product over bands: (K, M, N) @ (K, N, M)
+    s = np.swapaxes(x, 1, 2) @ x.conj() / frames.num_frames
     # enforce exact Hermitian symmetry against rounding
     s = 0.5 * (s + np.conj(np.transpose(s, (0, 2, 1))))
     return CovarianceSet(matrices=s, band_frequencies=frames.band_frequencies)
 
 
-def band_select(cov, f_min, f_max):
-    """Keep only bands with f_min <= f_k <= f_max."""
+def band_select(frames, f_min, f_max):
+    """Keep only the bands of the frames with f_min <= f_k <= f_max."""
     if not f_min < f_max:
         raise ValueError("f_min must be below f_max")
-    keep = (cov.band_frequencies >= f_min) & (cov.band_frequencies <= f_max)
+    keep = (frames.band_frequencies >= f_min) & (frames.band_frequencies <= f_max)
     if not np.any(keep):
         raise ValueError("band selection is empty")
-    return CovarianceSet(
-        matrices=cov.matrices[keep],
-        band_frequencies=cov.band_frequencies[keep],
+    return SpectralFrames(
+        data=frames.data[keep],
+        band_frequencies=frames.band_frequencies[keep],
+        sample_rate=frames.sample_rate,
     )

@@ -7,6 +7,8 @@ here as an independent oracle.
 
 import numpy as np
 
+from doakit.spectral import apply_weighting
+
 _TWO_PI = 2.0 * np.pi
 
 
@@ -61,3 +63,15 @@ def quadratic_monomials(points):
 def gtrs_coefficients(d, v):
     """Coefficients of q^T D q - 2 v^T q against :func:`quadratic_monomials`."""
     return np.array([d[0, 0], d[1, 1], d[2, 2], d[0, 1], d[0, 2], d[1, 2], *(-2.0 * v)])
+
+
+def covariance_then_select(frames, estimator, f_min, f_max):
+    """Reference for ``estimator_covariance``: PHAT for SRP-PHAT, the sample
+    covariance of every band by ``einsum``, then the bands in [f_min, f_max].
+    Returns (matrices, band frequencies)."""
+    if estimator == "srp-phat":
+        frames = apply_weighting(frames, "phat")
+    x = frames.data
+    s = np.einsum("knm,knr->kmr", x, x.conj()) / frames.num_frames
+    keep = (frames.band_frequencies >= f_min) & (frames.band_frequencies <= f_max)
+    return s[keep], frames.band_frequencies[keep]

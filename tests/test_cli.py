@@ -152,8 +152,6 @@ def test_simulate_silent_scene_writes_finite_wav(tmp_path, geometry_file):
     assert np.all(np.isfinite(data))
 
 
-# PHAT divides the NaN bins by their NaN magnitudes
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("estimator", ["srp", "srp-phat", "music", "mvdr"])
 @pytest.mark.parametrize("kind", ["silent", "nan"])
 def test_locate_without_usable_signal_exits_3(tmp_path, geometry_file, capsys,

@@ -22,15 +22,19 @@ from doakit.manifold import (
 from doakit.refine import PairCoefficients, pair_band_powers
 from doakit.spectral import CovarianceSet
 
-rng = np.random.default_rng(2024)
+
+@pytest.fixture
+def rng():
+    # a generator per test, so its inputs do not depend on which tests ran first
+    return np.random.default_rng(2024)
 
 
-def random_unit(n=None):
+def random_unit(rng, n=None):
     q = rng.standard_normal(3 if n is None else (n, 3))
     return q / np.linalg.norm(q, axis=-1, keepdims=True)
 
 
-def random_psd(m, rank=None):
+def random_psd(rng, m, rank=None):
     a = rng.standard_normal((m, rank or m)) + 1j * rng.standard_normal((m, rank or m))
     return a @ a.conj().T / m
 
@@ -55,9 +59,9 @@ def test_gershgorin_diagonal():
     np.testing.assert_allclose(v, np.diag([1.0, 0.0]), atol=1e-15)
 
 
-def test_gershgorin_random_psd():
+def test_gershgorin_random_psd(rng):
     for _ in range(20):
-        c = random_psd(6)
+        c = random_psd(rng, 6)
         _, v = gershgorin_shift(c)
         trace = np.trace(v).real
         assert np.linalg.eigvalsh(v).min() >= -1e-10 * max(trace, 1.0)
@@ -80,9 +84,9 @@ def test_srp_spec_isotropic_degenerate():
     np.testing.assert_allclose(spec.matrices[0], np.zeros((4, 4)), atol=1e-15)
 
 
-def test_srp_rank_one_grid_argmin():
+def test_srp_rank_one_grid_argmin(rng):
     geom = random_geometry(num_sensors=8, seed=11)
-    qstar = random_unit()
+    qstar = random_unit(rng)
     cov = rank_one_cov(geom, [800.0, 1200.0, 1600.0], qstar)
     spec = srp_cost_spec(cov, s=0.5)
     grid = fibonacci_grid(10_000)
@@ -92,9 +96,9 @@ def test_srp_rank_one_grid_argmin():
     assert great_circle_distance(best, qstar) < covering
 
 
-def test_srp_single_band_argmin_independent_of_s():
+def test_srp_single_band_argmin_independent_of_s(rng):
     geom = random_geometry(num_sensors=6, seed=12)
-    cov = rank_one_cov(geom, [1000.0], random_unit())
+    cov = rank_one_cov(geom, [1000.0], random_unit(rng))
     grid = fibonacci_grid(500)
     argmins = []
     for s in (0.5, -3.0):
@@ -104,9 +108,9 @@ def test_srp_single_band_argmin_independent_of_s():
     assert argmins[0] == argmins[1]
 
 
-def test_music_spec_projector():
+def test_music_spec_projector(rng):
     geom = random_geometry(num_sensors=6, seed=4)
-    qstar = random_unit()
+    qstar = random_unit(rng)
     a = steering_vector(geom, 2 * np.pi * 1000.0 / geom.speed_of_sound, qstar)
     s = np.outer(a, a.conj()) + 0.01 * np.eye(6)
     cov = CovarianceSet(s[None], np.array([1000.0]))
@@ -161,7 +165,7 @@ def test_power_mean_large_negative_s_does_not_underflow(tiny):
     assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
-def test_power_mean_monotone_in_s():
+def test_power_mean_monotone_in_s(rng):
     s_sweep = [-10.0, -3.0, -1.0, -0.5, 0.2, 0.5, 0.8, 1.0]
     for _ in range(200):
         y = rng.uniform(0.05, 5.0, size=6)
@@ -169,7 +173,7 @@ def test_power_mean_monotone_in_s():
         assert np.all(np.diff(means) >= -1e-10)
 
 
-def test_power_mean_concave_tangent():
+def test_power_mean_concave_tangent(rng):
     from doakit.refine import _band_weights
 
     for s in (-3.0, -1.0, 0.5, 1.0):
@@ -181,58 +185,58 @@ def test_power_mean_concave_tangent():
             assert tangent >= power_mean(y, s) - 1e-10
 
 
-def test_objective_identity_matrices():
+def test_objective_identity_matrices(rng):
     geom = random_geometry(num_sensors=5, seed=8)
     mats = np.stack([np.eye(5, dtype=complex)] * 3)
     spec = CostSpec(mats, np.array([10.0, 20.0, 30.0]), s=-1.0)
     for _ in range(5):
-        assert abs(objective(spec, geom, random_unit()) - 1.0) < 1e-12
+        assert abs(objective(spec, geom, random_unit(rng)) - 1.0) < 1e-12
 
 
-def test_objective_rank_one_at_source():
+def test_objective_rank_one_at_source(rng):
     geom = random_geometry(num_sensors=5, seed=8)
-    qstar = random_unit()
+    qstar = random_unit(rng)
     omega = 2 * np.pi * 900.0 / geom.speed_of_sound
     a = steering_vector(geom, omega, qstar)
     spec = CostSpec(np.outer(a, a.conj())[None], np.array([omega]), s=0.5)
     assert abs(objective(spec, geom, qstar) - 1.0) < 1e-12
 
 
-def test_objective_matches_cosine_expansion():
+def test_objective_matches_cosine_expansion(rng):
     # two independent evaluation paths: steering quadratic form vs the
     # trace + pair-cosine expansion
     geom = random_geometry(num_sensors=4, seed=2)
-    mats = np.stack([random_psd(4) for _ in range(6)])
+    mats = np.stack([random_psd(rng, 4) for _ in range(6)])
     spec = CostSpec(mats, np.sort(rng.uniform(5, 60, 6)), s=-1.0)
     coeffs = PairCoefficients.from_cost_spec(spec, geom)
     for _ in range(20):
-        q = random_unit()
+        q = random_unit(rng)
         direct = objective(spec, geom, q)
         expansion = power_mean(pair_band_powers(coeffs, q)[0], spec.s)
         assert abs(direct - expansion) < 1e-10
 
 
-def test_objective_rotation_invariant():
+def test_objective_rotation_invariant(rng):
     geom = random_geometry(num_sensors=4, seed=2)
-    mats = np.stack([random_psd(4) for _ in range(4)])
+    mats = np.stack([random_psd(rng, 4) for _ in range(4)])
     spec = CostSpec(mats, np.sort(rng.uniform(5, 60, 4)), s=0.5)
     rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     rotated = ArrayGeometry(geom.sensors @ rot.T, geom.speed_of_sound)
     for _ in range(10):
-        q = random_unit()
+        q = random_unit(rng)
         a = objective(spec, geom, q)
         b = objective(spec, rotated, rot @ q)
         assert abs(a - b) < 1e-10
 
 
-def test_objective_scale_covariance():
+def test_objective_scale_covariance(rng):
     geom = random_geometry(num_sensors=4, seed=2)
-    mats = np.stack([random_psd(4) for _ in range(4)])
+    mats = np.stack([random_psd(rng, 4) for _ in range(4)])
     omega = np.sort(rng.uniform(5, 60, 4))
     spec = CostSpec(mats, omega, s=-3.0)
     scaled = CostSpec(7.5 * mats, omega, s=-3.0)
     grid = fibonacci_grid(300)
-    q = random_unit()
+    q = random_unit(rng)
     assert abs(objective(scaled, geom, q) - 7.5 * objective(spec, geom, q)) < 1e-9
     a = grid_search(spec, geom, grid, num_sources=2)
     b = grid_search(scaled, geom, grid, num_sources=2)
@@ -240,9 +244,9 @@ def test_objective_scale_covariance():
         np.testing.assert_array_equal(qa, qb)
 
 
-def test_grid_search_single_source():
+def test_grid_search_single_source(rng):
     geom = random_geometry(num_sensors=8, seed=11)
-    qstar = random_unit()
+    qstar = random_unit(rng)
     cov = rank_one_cov(geom, [1000.0], qstar)
     spec = srp_cost_spec(cov, s=0.5)
     grid = fibonacci_grid(10_000)
@@ -266,11 +270,11 @@ def test_grid_search_flat_landscape():
             assert great_circle_distance(peaks[i][0], peaks[j][0]) >= np.radians(20)
 
 
-def test_grid_search_local_minima_match_loop():
+def test_grid_search_local_minima_match_loop(rng):
     # reference: the per-point loop over neighbor lists; with no separation
     # limit, asking for every local minimum returns exactly them, by value
     geom = random_geometry(num_sensors=6, seed=8)
-    mats = np.stack([random_psd(6) for _ in range(3)])
+    mats = np.stack([random_psd(rng, 6) for _ in range(3)])
     spec = CostSpec(mats, np.array([20.0, 35.0, 50.0]), s=-1.0)
     grid = fibonacci_grid(2000)
     values = power_mean(band_powers(spec, geom, grid.points), spec.s, axis=0)

@@ -7,15 +7,22 @@ from doakit.manifold import great_circle_distance, random_geometry
 from doakit.simulate import (
     MonteCarloConfig,
     Scene,
+    estimator_covariance,
     evaluate,
     monte_carlo,
     random_sources,
     synth_stft_scene,
     synth_time_scene,
 )
-from doakit.spectral import sample_covariance
+from doakit.spectral import sample_covariance, stft
+from oracles import covariance_then_select
 
-rng = np.random.default_rng(99)
+
+@pytest.fixture
+def rng():
+    # a generator per test, so its inputs do not depend on which tests ran first
+    return np.random.default_rng(99)
+
 
 GEOM = random_geometry(num_sensors=6, radius=0.08, seed=1)
 
@@ -25,7 +32,7 @@ def unit(v):
     return v / np.linalg.norm(v)
 
 
-def test_scene_validation():
+def test_scene_validation(rng):
     with pytest.raises(ValueError):
         Scene(GEOM, np.array([[2.0, 0.0, 0.0]]))
     with pytest.raises(ValueError):
@@ -82,7 +89,7 @@ def test_stft_scene_noise_only_covariance():
         assert np.max(np.abs(off)) < 0.1 * sigma2
 
 
-def test_stft_scene_snr_calibration():
+def test_stft_scene_snr_calibration(rng):
     target = 10.0
     scene = Scene(GEOM, random_sources(rng, 2, 0.3), snr_db=target, seed=8)
     signal = synth_stft_scene(
@@ -112,6 +119,23 @@ def test_stft_scene_band_gains_preserve_power():
     band_b = np.mean(np.abs(b.data) ** 2, axis=(1, 2))
     active = band_a > 0
     assert np.std(band_b[active]) > 3.0 * np.std(band_a[active])
+
+
+@pytest.mark.parametrize("estimator", ["srp", "srp-phat", "music", "mvdr"])
+def test_estimator_covariance_matches_select_after_oracle(estimator):
+    # selecting the bands before the batched covariance gives the covariance
+    # of every band by einsum, restricted to the selected bands, on both
+    # frame layouts: the transposed view stft returns and synthesized frames
+    sources = np.array([[0.0, 0.6, 0.8], [1.0, 0.0, 0.0]])
+    scene = Scene(GEOM, sources, snr_db=20.0, seed=4, duration=0.25)
+    recorded = stft(synth_time_scene(scene), frame_size=256, hop=128)
+    synthesized = synth_stft_scene(scene, frame_size=256, num_frames=30)
+    for frames in (recorded, synthesized):
+        cov = estimator_covariance(frames, estimator, 300.0, 3500.0)
+        matrices, freqs = covariance_then_select(frames, estimator, 300.0, 3500.0)
+        np.testing.assert_array_equal(cov.band_frequencies, freqs)
+        scale = np.abs(matrices).max()
+        assert np.abs(cov.matrices - matrices).max() <= 1e-14 * scale
 
 
 def test_time_scene_shape_and_determinism():
@@ -200,7 +224,7 @@ def test_evaluate_matches_permutation_oracle(num):
         )
 
 
-def test_random_sources_separation():
+def test_random_sources_separation(rng):
     for _ in range(20):
         q = random_sources(rng, 3, np.radians(25.0))
         assert q.shape == (3, 3)
