@@ -166,7 +166,7 @@ def cmd_locate(args):
                 "objective_trace": [float(x) for x in trace],
             }
         )
-    _emit(report, config.get("output"))
+    _emit(json.dumps(report, indent=2) + "\n", config.get("output"))
     return EXIT_OK
 
 
@@ -208,12 +208,7 @@ def cmd_grid(args):
     points = fibonacci_points(args.size)
     lines = ["x,y,z"]
     lines += [",".join(repr(float(c)) for c in p) for p in points]
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
 
@@ -225,12 +220,10 @@ def cmd_bench(args):
         raise UsageError("sweep file must name a geometry file")
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read geometry: {exc}")
-    output = sweep.pop("output", args.output) or "bench"
+    # the --output flag wins over the sweep file, as flags do for locate
+    file_output = sweep.pop("output", None)
+    output = args.output or file_output or "bench"
     _reject_unknown(sweep, MonteCarloConfig.__dataclass_fields__, "sweep keys")
-    for key in ("estimators", "s_values", "grid_sizes", "variants",
-                "iteration_counts", "snr_values"):
-        if key in sweep:
-            sweep[key] = tuple(sweep[key])
     config = MonteCarloConfig(geometry=geometry, **sweep)
     result = monte_carlo(config)
     result.write_csv(f"{output}.csv")
@@ -239,8 +232,7 @@ def cmd_bench(args):
     return EXIT_OK
 
 
-def _emit(obj, output):
-    text = json.dumps(obj, indent=2) + "\n"
+def _emit(text, output):
     if output:
         with open(output, "w") as f:
             f.write(text)

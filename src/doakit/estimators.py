@@ -44,7 +44,7 @@ class CostSpec:
             raise ValueError("omega length must match the band count")
         if np.any(self.omega < 0) or np.any(np.diff(self.omega) <= 0):
             raise ValueError("omega must be non-negative and strictly increasing")
-        if self.s == 0.0 or self.s > 1.0:
+        if not -np.inf < self.s <= 1.0 or self.s == 0.0:
             raise ValueError("exponent s must lie in (-inf, 1], s != 0")
         self.band_step = _common_step(self.omega)
 
@@ -64,7 +64,7 @@ def gershgorin_shift(c):
     c = np.asarray(c, dtype=complex)
     p = np.max(np.sum(np.abs(c), axis=-1), axis=-1)
     v = p[..., None, None] * np.eye(c.shape[-1]) - c
-    return (float(p) if p.ndim == 0 else p), v
+    return p, v
 
 
 def _wavenumbers(frequencies, speed_of_sound):
@@ -97,8 +97,8 @@ def music_cost_spec(cov, num_sources, s=-1.0, speed_of_sound=SPEED_OF_SOUND):
 
 def mvdr_cost_spec(cov, loading=DEFAULT_MVDR_LOADING, s=-1.0, speed_of_sound=SPEED_OF_SOUND):
     """Inverse-covariance (Capon) cost with relative diagonal loading."""
-    if loading < 0:
-        raise ValueError("loading must be non-negative")
+    if not 0.0 <= loading < np.inf:
+        raise ValueError("loading must be finite and non-negative")
     m = cov.num_sensors
     traces = np.trace(cov.matrices, axis1=1, axis2=2).real
     loaded = cov.matrices + (loading * (traces / m))[:, None, None] * np.eye(m)
@@ -116,8 +116,8 @@ def mvdr_cost_spec(cov, loading=DEFAULT_MVDR_LOADING, s=-1.0, speed_of_sound=SPE
     )
 
 
-def power_mean(values, s, axis=0):
-    """Generalized power mean ((1/K) sum y^s)^(1/s) along the given axis.
+def power_mean(values, s):
+    """Generalized power mean ((1/K) sum y^s)^(1/s) over the bands (axis 0).
 
     For s < 0 the values are floored at EPS_POWER before exponentiation so
     exact zeros (e.g. MUSIC on noiseless data) stay finite. Evaluated as
@@ -127,15 +127,14 @@ def power_mean(values, s, axis=0):
     # quadratic forms can round to tiny negatives; clamp into the domain
     values = np.maximum(values, EPS_POWER if s < 0 else 0.0)
     if s < 0:
-        c = values.min(axis=axis, keepdims=True)
+        c = values.min(axis=0, keepdims=True)
     else:
-        c = values.max(axis=axis, keepdims=True)
+        c = values.max(axis=0, keepdims=True)
         c[c <= 0.0] = 1.0  # all-zero values
     ratios = values / c
     ratios **= s
-    mean = np.add.reduce(ratios, axis=axis) / values.shape[axis]
-    out = c.squeeze(axis) * mean ** (1.0 / s)
-    return float(out) if out.ndim == 0 else out
+    mean = np.add.reduce(ratios, axis=0) / values.shape[0]
+    return c[0] * mean ** (1.0 / s)
 
 
 def _common_step(omega):
@@ -166,45 +165,40 @@ def phasor_table(omega, x, step):
 
 
 def band_powers(spec, geometry, points):
-    """Quadratic forms a_k(q)^H V_k a_k(q) for one or many directions.
+    """Quadratic forms a_k(q)^H V_k a_k(q), shape (K, G), for a (G, 3) batch
+    of directions.
 
-    Returns shape (K,) for a single direction or (K, G) for a (G, 3) batch.
     One band at a time, so memory stays O(G M): the band's (G, M) steering
     phasors, then one BLAS product b = a V_k^T and the row sums
     Re sum_m conj(a_m) b_m. The 1/M of the unit-norm steering vectors is
     applied once at the end.
     """
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    tau = pts @ geometry.sensors.T  # (G, M)
-    out = np.empty((spec.num_bands, pts.shape[0]))
+    tau = points @ geometry.sensors.T  # (G, M)
+    out = np.empty((spec.num_bands, tau.shape[0]))
     for k in range(spec.num_bands):
         a = np.exp(1j * spec.omega[k] * tau)
         b = a @ spec.matrices[k].T
         out[k] = np.einsum("gm,gm->g", a.conj(), b).real
     out /= geometry.num_sensors
-    return out[:, 0] if single else out
-
-
-def objective(spec, geometry, q):
-    """Power-mean objective at a single direction."""
-    return power_mean(band_powers(spec, geometry, q), spec.s)
+    return out
 
 
 def grid_search(spec, geometry, grid, num_sources=1, min_separation=np.deg2rad(10.0)):
-    """Pick up to ``num_sources`` well separated local minima on the grid.
+    """Pick ``num_sources`` well separated local minima on the grid.
 
     Local minima (value <= all graph neighbors) are ranked by objective value
     and greedily filtered so returned directions are pairwise at least
     ``min_separation`` apart. If too few local minima survive, the remaining
     slots are padded from the globally smallest grid values that respect the
     separation. Returns a list of (direction, objective value) pairs sorted
-    ascending by value.
+    ascending by value. Raises ValueError when not even the padding finds
+    ``num_sources`` grid points that far apart.
     """
     if num_sources < 1:
         raise ValueError("num_sources must be at least 1")
-    values = power_mean(band_powers(spec, geometry, grid.points), spec.s, axis=0)
+    if not 0.0 <= min_separation < np.inf:
+        raise ValueError("min_separation must be finite and non-negative")
+    values = power_mean(band_powers(spec, geometry, grid.points), spec.s)
 
     nbrs = grid.neighbors
     is_local_min = values <= np.minimum.reduceat(values[nbrs.indices], nbrs.indptr[:-1])
@@ -222,4 +216,9 @@ def grid_search(spec, geometry, grid, num_sources=1, min_separation=np.deg2rad(1
                 >= min_separation
             ):
                 selected.append(int(i))
+    if len(selected) < num_sources:
+        raise ValueError(
+            f"only {len(selected)} of {num_sources} directions on the {grid.size}-point "
+            f"grid are at least {np.degrees(min_separation):g} deg apart"
+        )
     return [(grid.points[i].copy(), float(values[i])) for i in selected]

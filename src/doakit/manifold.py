@@ -13,6 +13,9 @@ SPEED_OF_SOUND = 343.0  # m/s, dry air at 20 C
 
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
+# neighbors per point in a grid's k-nearest-neighbor graph
+NUM_NEIGHBORS = 8
+
 
 def doa_from_angles(colatitude, azimuth):
     """Unit direction vector(s) from colatitude and azimuth in radians.
@@ -55,8 +58,7 @@ def great_circle_distance(q1, q2):
     product loses about half the digits."""
     q1, q2 = np.asarray(q1, float), np.asarray(q2, float)
     cross = np.linalg.norm(np.cross(q1, q2), axis=-1)
-    d = np.arctan2(cross, np.sum(q1 * q2, axis=-1))
-    return float(d) if np.ndim(d) == 0 else d
+    return np.arctan2(cross, np.sum(q1 * q2, axis=-1))
 
 
 def normalized(q):
@@ -101,10 +103,6 @@ class ArrayGeometry:
     @property
     def num_sensors(self):
         return self.sensors.shape[0]
-
-    @property
-    def num_pairs(self):
-        return self.pair_indices.shape[0]
 
     @classmethod
     def from_json(cls, path):
@@ -166,10 +164,10 @@ class SphericalGrid:
         return self.points.shape[0]
 
 
-def fibonacci_grid(count, num_neighbors=8):
+def fibonacci_grid(count):
     """Fibonacci lattice grid with a symmetrized k-nearest-neighbor graph."""
     points = fibonacci_points(count)
-    k = min(num_neighbors, count - 1)
+    k = min(NUM_NEIGHBORS, count - 1)
     # Euclidean nearest neighbors on the sphere are also angular nearest
     _, idx = cKDTree(points).query(points, k=k + 1)
     rows = np.repeat(np.arange(count), k + 1)

@@ -23,8 +23,11 @@ from .manifold import ArrayGeometry, fibonacci_grid, great_circle_distance
 from .refine import refine
 from .spectral import SpectralFrames, apply_weighting, band_select, sample_covariance
 
-# the sweep axes of a Monte Carlo cell, in key order
+# the sweep axes of a Monte Carlo cell, in key order, and the
+# MonteCarloConfig fields that list each axis's values
 CELL_FIELDS = ("estimator", "s", "grid_size", "variant", "iters", "snr_db")
+SWEEP_AXES = ("estimators", "s_values", "grid_sizes", "variants",
+              "iteration_counts", "snr_values")
 
 
 @dataclass
@@ -47,8 +50,8 @@ class Scene:
         norms = np.linalg.norm(self.sources, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise ValueError("source directions must be unit vectors")
-        if np.isnan(self.snr_db):
-            raise ValueError("snr_db must not be NaN")
+        if not self.snr_db > -np.inf:
+            raise ValueError("snr_db must be a number above -inf")
         if self.num_sources >= self.geometry.num_sensors:
             warnings.warn(
                 "more sources than sensors minus one; estimators may fail",
@@ -178,7 +181,6 @@ def evaluate(estimates, truth):
         raise ValueError("estimates and truth must have the same shape")
     # pairwise error matrix, truth index i vs estimate index j
     err = np.degrees(great_circle_distance(truth[:, None, :], estimates[None, :, :]))
-    err = np.atleast_2d(err)
     rows, cols = linear_sum_assignment(err)
     return err[rows, cols]
 
@@ -208,6 +210,14 @@ class MonteCarloConfig:
     band_gain_spread_db: float = 0.0
     mvdr_loading: float = 1e-3
     rel_tol: float = 1e-10
+
+    def __post_init__(self):
+        for name in SWEEP_AXES:
+            axis = getattr(self, name)
+            if not isinstance(axis, (list, tuple)) or not axis:
+                raise ValueError(f"{name} must be a non-empty list")
+        if not self.num_trials >= 1:
+            raise ValueError("num_trials must be at least 1")
 
 
 @dataclass
@@ -265,7 +275,7 @@ def estimator_covariance(frames, estimator, f_min, f_max):
             raise np.linalg.LinAlgError(
                 "no usable signal: the frames hold a non-finite value"
             )
-        frames = apply_weighting(frames, "phat")
+        frames = apply_weighting(frames)
     return sample_covariance(band_select(frames, f_min, f_max))
 
 
@@ -361,8 +371,7 @@ def run_trial(config, cell_key, cell_index, trial, grid):
 def monte_carlo(config):
     """Run the full sweep; deterministic given config.master_seed."""
     grids = {g: fibonacci_grid(g) for g in set(config.grid_sizes)}
-    axes = (config.estimators, config.s_values, config.grid_sizes,
-            config.variants, config.iteration_counts, config.snr_values)
+    axes = [getattr(config, name) for name in SWEEP_AXES]
     result = EvalResult()
     for cell in product(*(enumerate(axis) for axis in axes)):
         cell_index, cell_key = zip(*cell)

@@ -1,4 +1,4 @@
-"""Time-frequency frontend: STFT, magnitude weighting, sample covariance."""
+"""Time-frequency frontend: STFT, PHAT weighting, sample covariance."""
 
 from __future__ import annotations
 
@@ -85,8 +85,8 @@ def stft(signal, frame_size=512, hop=256, window="hann", sample_rate=16000.0):
     if signal.ndim == 1:
         signal = signal[:, None]
     num_samples = signal.shape[0]
-    if frame_size % 2 != 0:
-        raise ValueError("frame_size must be even")
+    if frame_size < 2 or frame_size % 2 != 0:
+        raise ValueError("frame_size must be a positive even number")
     if hop < 1:
         raise ValueError("hop must be at least 1")
     if num_samples < frame_size:
@@ -109,17 +109,11 @@ def stft(signal, frame_size=512, hop=256, window="hann", sample_rate=16000.0):
     )
 
 
-def apply_weighting(frames, scheme="unit"):
-    """Entrywise magnitude weighting of the time-frequency tensor.
-
-    "unit" is the identity; "phat" divides every entry by its magnitude,
-    floored at PHAT_FLOOR times the mean magnitude of its frame so silent
-    bins map to zero instead of NaN.
+def apply_weighting(frames):
+    """PHAT weighting of the time-frequency tensor: every entry divided by
+    its magnitude, floored at PHAT_FLOOR times the mean magnitude of its
+    frame so silent bins map to zero instead of NaN.
     """
-    if scheme == "unit":
-        return frames
-    if scheme != "phat":
-        raise ValueError(f"unknown weighting scheme {scheme!r}")
     mag = np.abs(frames.data)
     floor = PHAT_FLOOR * np.mean(mag, axis=(0, 2), keepdims=True)
     floor = np.maximum(floor, np.finfo(float).tiny)

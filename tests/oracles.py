@@ -7,6 +7,7 @@ here as an independent oracle.
 
 import numpy as np
 
+from doakit.estimators import band_powers, power_mean
 from doakit.spectral import apply_weighting
 
 _TWO_PI = 2.0 * np.pi
@@ -70,8 +71,15 @@ def covariance_then_select(frames, estimator, f_min, f_max):
     covariance of every band by ``einsum``, then the bands in [f_min, f_max].
     Returns (matrices, band frequencies)."""
     if estimator == "srp-phat":
-        frames = apply_weighting(frames, "phat")
+        frames = apply_weighting(frames)
     x = frames.data
     s = np.einsum("knm,knr->kmr", x, x.conj()) / frames.num_frames
     keep = (frames.band_frequencies >= f_min) & (frames.band_frequencies <= f_max)
     return s[keep], frames.band_frequencies[keep]
+
+
+def objective(spec, geometry, q):
+    """The power-mean objective at one direction in its steering form, the
+    band powers a_k(q)^H V_k a_k(q); the refinement evaluates it from pair
+    phasors instead."""
+    return power_mean(band_powers(spec, geometry, np.reshape(q, (1, 3)))[:, 0], spec.s)

@@ -107,7 +107,6 @@ def test_criterion_2_majorization_gap():
         g = power_mean(
             np.stack([pair_band_powers(coeffs, qi)[0] for qi in q], axis=1),
             spec.s,
-            axis=0,
         )
 
         def quad(x):

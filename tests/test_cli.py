@@ -200,6 +200,76 @@ def test_locate_matches_library_pipeline(tmp_path, geometry_file, estimator):
     assert [s["objective"] for s in report["sources"]] == values
 
 
+@pytest.fixture
+def two_source_wav(tmp_path, geometry_file):
+    wav = str(tmp_path / "two.wav")
+    assert main(["simulate", "--geometry", geometry_file, "--sources", "2",
+                 "--seed", "6", "--duration", "0.5", "--output", wav]) == 0
+    return wav
+
+
+@pytest.mark.parametrize(
+    "flags, config, message",
+    [
+        (["--s", "nan"], {}, "exponent s"),
+        ([], {"loading": float("nan")}, "loading"),
+        ([], {"loading": float("inf")}, "loading"),
+        ([], {"frame_size": 0}, "frame_size"),
+        ([], {"min_separation_deg": float("nan")}, "min_separation"),
+        ([], {"min_separation_deg": 200.0}, "only 1 of 2"),
+    ],
+    ids=["s-nan", "loading-nan", "loading-inf", "frame-size-0", "separation-nan",
+         "separation-200"],
+)
+def test_locate_rejects_out_of_range_numbers(tmp_path, geometry_file, two_source_wav,
+                                             capsys, flags, config, message):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"estimator": "mvdr", **config}))
+    out = tmp_path / "report.json"
+    rc = main(["locate", "--config", str(conf), "--geometry", geometry_file,
+               "--input", two_source_wav, "--sources", "2", *flags,
+               "--output", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_rejects_snr_at_minus_inf(tmp_path, geometry_file, capsys):
+    wav = tmp_path / "scene.wav"
+    rc = main(["simulate", "--geometry", geometry_file, "--snr-db=-inf",
+               "--duration", "0.1", "--output", str(wav)])
+    assert rc == 2
+    assert "snr_db" in capsys.readouterr().err
+    assert not wav.exists()
+
+
+def test_locate_raw_float32_input(tmp_path, geometry_file, capsys):
+    from scipy.io import wavfile
+
+    scene = str(tmp_path / "scene.wav")
+    main(["simulate", "--geometry", geometry_file, "--sources", "1",
+          "--seed", "3", "--duration", "0.5", "--output", scene])
+    _, samples = wavfile.read(scene)  # float32, (T, 8)
+    # the same samples at another rate, so the raw branch must use --sample-rate
+    wav, raw = tmp_path / "8k.wav", tmp_path / "8k.f32"
+    wavfile.write(wav, 8000, samples)
+    samples.tofile(raw)  # row-major, so the channels are interleaved
+    reports = []
+    for path, flags in ((wav, []), (raw, ["--sample-rate", "8000"])):
+        out = tmp_path / f"{path.name}.json"
+        rc = main(["locate", "--geometry", geometry_file, "--input", str(path),
+                   *flags, "--output", str(out)])
+        assert rc == 0
+        reports.append(out.read_text())
+    assert reports[0] == reports[1]
+
+    samples.ravel()[:-1].tofile(raw)
+    rc = main(["locate", "--geometry", geometry_file, "--input", str(raw),
+               "--sample-rate", "8000"])
+    assert rc == 2
+    assert "not divisible by 8 channels" in capsys.readouterr().err
+
+
 def test_locate_channel_mismatch(tmp_path, geometry_file, capsys):
     from scipy.io import wavfile
 
@@ -284,3 +354,42 @@ def test_bench_sweep_must_be_object(tmp_path, capsys, content):
     sweep.write_text(content)
     assert main(["bench", "--sweep", str(sweep)]) == 2
     assert "must hold a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"s_values": -3.0}, "s_values"),
+        ({"estimators": "music"}, "estimators"),
+        ({"snr_values": []}, "snr_values"),
+        ({"num_trials": 0}, "num_trials"),
+    ],
+    ids=["scalar-axis", "string-axis", "empty-axis", "zero-trials"],
+)
+def test_bench_rejects_bad_axes_and_trials(tmp_path, geometry_file, capsys,
+                                           overrides, message):
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"geometry": geometry_file, **overrides}))
+    rc = main(["bench", "--sweep", str(sweep), "--output", str(tmp_path / "bench")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "bench.csv").exists()
+
+
+def test_bench_output_flag_wins_over_sweep_file(tmp_path, geometry_file):
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({
+        "geometry": geometry_file,
+        "output": str(tmp_path / "from-file"),
+        "grid_sizes": [100],
+        "iteration_counts": [0],
+        "num_trials": 1,
+        "num_frames": 10,
+    }))
+    rc = main(["bench", "--sweep", str(sweep), "--output", str(tmp_path / "from-flag")])
+    assert rc == 0
+    assert (tmp_path / "from-flag.csv").exists()
+    assert not (tmp_path / "from-file.csv").exists()
+    # without the flag the sweep file names the output
+    assert main(["bench", "--sweep", str(sweep)]) == 0
+    assert (tmp_path / "from-file.csv").exists()

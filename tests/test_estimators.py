@@ -8,7 +8,6 @@ from doakit.estimators import (
     grid_search,
     music_cost_spec,
     mvdr_cost_spec,
-    objective,
     power_mean,
     srp_cost_spec,
 )
@@ -21,6 +20,7 @@ from doakit.manifold import (
 )
 from doakit.refine import PairCoefficients, pair_band_powers
 from doakit.spectral import CovarianceSet
+from oracles import objective
 
 
 @pytest.fixture
@@ -74,6 +74,9 @@ def test_cost_spec_validation():
         CostSpec(mats, np.array([1.0, 2.0]), s=0.0)
     with pytest.raises(ValueError):
         CostSpec(mats, np.array([1.0, 2.0]), s=1.5)
+    for s in (np.nan, -np.inf):
+        with pytest.raises(ValueError, match="exponent s"):
+            CostSpec(mats, np.array([1.0, 2.0]), s=s)
     with pytest.raises(ValueError):
         CostSpec(mats, np.array([2.0, 1.0]), s=-1.0)
 
@@ -90,7 +93,7 @@ def test_srp_rank_one_grid_argmin(rng):
     cov = rank_one_cov(geom, [800.0, 1200.0, 1600.0], qstar)
     spec = srp_cost_spec(cov, s=0.5)
     grid = fibonacci_grid(10_000)
-    values = power_mean(band_powers(spec, geom, grid.points), spec.s, axis=0)
+    values = power_mean(band_powers(spec, geom, grid.points), spec.s)
     best = grid.points[np.argmin(values)]
     covering = 2.0 * np.sqrt(4.0 * np.pi / grid.size)
     assert great_circle_distance(best, qstar) < covering
@@ -103,7 +106,7 @@ def test_srp_single_band_argmin_independent_of_s(rng):
     argmins = []
     for s in (0.5, -3.0):
         spec = srp_cost_spec(cov, s=s)
-        values = power_mean(band_powers(spec, geom, grid.points), s, axis=0)
+        values = power_mean(band_powers(spec, geom, grid.points), s)
         argmins.append(np.argmin(values))
     assert argmins[0] == argmins[1]
 
@@ -126,6 +129,13 @@ def test_music_rejects_too_many_sources():
     cov = CovarianceSet(np.stack([np.eye(3, dtype=complex)]), np.array([500.0]))
     with pytest.raises(ValueError):
         music_cost_spec(cov, num_sources=3)
+
+
+@pytest.mark.parametrize("loading", [np.nan, np.inf, -1e-3])
+def test_mvdr_rejects_non_finite_or_negative_loading(loading):
+    cov = CovarianceSet(np.stack([np.eye(2, dtype=complex)]), np.array([500.0]))
+    with pytest.raises(ValueError, match="loading"):
+        mvdr_cost_spec(cov, loading=loading)
 
 
 def test_mvdr_spec():
@@ -277,7 +287,7 @@ def test_grid_search_local_minima_match_loop(rng):
     mats = np.stack([random_psd(rng, 6) for _ in range(3)])
     spec = CostSpec(mats, np.array([20.0, 35.0, 50.0]), s=-1.0)
     grid = fibonacci_grid(2000)
-    values = power_mean(band_powers(spec, geom, grid.points), spec.s, axis=0)
+    values = power_mean(band_powers(spec, geom, grid.points), spec.s)
     nbrs = grid.neighbors
     minima = [
         i for i in range(grid.size)
@@ -335,8 +345,7 @@ def test_band_powers_matches_steering_loop(kind, num_points):
     spec = CostSpec(mats @ np.swapaxes(mats.conj(), 1, 2), omega, s=-1.0)
     assert (spec.band_step is None) == (kind == "uneven")
     points = fibonacci_grid(max(num_points, 4)).points[:num_points]
-    got = band_powers(spec, geom, points[0] if num_points == 1 else points)
-    got = got.reshape(omega.size, num_points)
+    got = band_powers(spec, geom, points)
     # oracle: steering_vector for every band at up to 40 of the directions
     picks = np.unique(np.linspace(0, num_points - 1, 40).astype(int))
     for g in picks:
@@ -369,15 +378,20 @@ def _select_by_pair_loop(values, grid, num_sources, min_separation):
     return selected
 
 
+def _three_band_spec():
+    # a random 3-band, 6-sensor spec for the selection tests
+    local = np.random.default_rng(5)
+    a = local.standard_normal((3, 6, 6)) + 1j * local.standard_normal((3, 6, 6))
+    return CostSpec(a @ np.swapaxes(a.conj(), 1, 2) / 6, np.array([20.0, 35.0, 50.0]), s=-1.0)
+
+
 @pytest.mark.parametrize("num_sources", [1, 3, 8])
 @pytest.mark.parametrize("separation", ["none", "10deg", "40deg", "tie"])
 def test_grid_search_selection_matches_pair_loop(num_sources, separation):
-    local = np.random.default_rng(5)
     geom = random_geometry(num_sensors=6, seed=8)
-    a = local.standard_normal((3, 6, 6)) + 1j * local.standard_normal((3, 6, 6))
-    spec = CostSpec(a @ np.swapaxes(a.conj(), 1, 2) / 6, np.array([20.0, 35.0, 50.0]), s=-1.0)
+    spec = _three_band_spec()
     grid = fibonacci_grid(500)
-    values = power_mean(band_powers(spec, geom, grid.points), spec.s, axis=0)
+    values = power_mean(band_powers(spec, geom, grid.points), spec.s)
     if separation == "tie":
         # exactly the distance between the two best local minima
         best = _select_by_pair_loop(values, grid, 2, 0.0)
@@ -388,3 +402,24 @@ def test_grid_search_selection_matches_pair_loop(num_sources, separation):
     peaks = grid_search(spec, geom, grid, num_sources=num_sources, min_separation=min_sep)
     np.testing.assert_array_equal([p[0] for p in peaks], grid.points[expected])
     np.testing.assert_array_equal([p[1] for p in peaks], values[expected])
+
+
+@pytest.mark.parametrize("separation", [np.nan, np.inf, -0.1])
+def test_grid_search_rejects_bad_separation(separation):
+    geom = random_geometry(num_sensors=6, seed=8)
+    with pytest.raises(ValueError, match="min_separation"):
+        grid_search(_three_band_spec(), geom, fibonacci_grid(100), num_sources=2,
+                    min_separation=separation)
+
+
+@pytest.mark.parametrize(
+    "num_sources, separation_deg, found",
+    [(2, 200.0, 1), (8, 100.0, 3)],
+)
+def test_grid_search_raises_when_it_cannot_fill(num_sources, separation_deg, found):
+    # no two points of the sphere are 200 deg apart, and at most four (a
+    # tetrahedron's vertices) are pairwise 100 deg apart
+    geom = random_geometry(num_sensors=6, seed=8)
+    with pytest.raises(ValueError, match=f"only {found} of {num_sources} "):
+        grid_search(_three_band_spec(), geom, fibonacci_grid(100),
+                    num_sources=num_sources, min_separation=np.radians(separation_deg))

@@ -52,7 +52,7 @@ def test_angle_round_trip():
 
 def test_geometry_pairs():
     geom = random_geometry(num_sensors=5, seed=3)
-    assert geom.num_pairs == 10
+    assert geom.pair_indices.shape == (10, 2)
     for (m, r), delta in zip(geom.pair_indices, geom.pair_deltas):
         assert m < r
         np.testing.assert_array_equal(delta, geom.sensors[m] - geom.sensors[r])

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from doakit.estimators import CostSpec, objective, power_mean, srp_cost_spec
+from doakit.estimators import CostSpec, power_mean, srp_cost_spec
 from doakit.manifold import (
     ArrayGeometry,
     fibonacci_points,
@@ -27,6 +27,7 @@ from doakit.spectral import CovarianceSet
 from oracles import (
     cosine_surrogate_coeffs,
     gtrs_coefficients,
+    objective,
     quadratic_monomials,
     unnormalized_sinc,
     wrap_phase,

@@ -37,6 +37,9 @@ def test_scene_validation(rng):
         Scene(GEOM, np.array([[2.0, 0.0, 0.0]]))
     with pytest.raises(ValueError):
         Scene(GEOM, np.array([[1.0, 0.0, 0.0]]), snr_db=np.nan)
+    # -inf dB would mean infinite noise; the renderers drew a noise-free scene
+    with pytest.raises(ValueError, match="snr_db"):
+        Scene(GEOM, np.array([[1.0, 0.0, 0.0]]), snr_db=-np.inf)
     with pytest.warns(UserWarning):
         Scene(GEOM, random_sources(rng, 6, 0.1))
     # a source-free scene is a valid noise-only recording
@@ -263,6 +266,21 @@ def test_monte_carlo_rows_and_determinism():
     assert [r["error_deg"] for r in a.rows] == [r["error_deg"] for r in b.rows]
     c = monte_carlo(_small_config(master_seed=8))
     assert [r["error_deg"] for r in a.rows] != [r["error_deg"] for r in c.rows]
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"s_values": -3.0}, "s_values"),
+        ({"estimators": "music"}, "estimators"),
+        ({"grid_sizes": []}, "grid_sizes"),
+        ({"num_trials": 0}, "num_trials"),
+    ],
+    ids=["scalar-axis", "string-axis", "empty-axis", "zero-trials"],
+)
+def test_monte_carlo_config_rejects_bad_axes_and_trials(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        _small_config(**overrides)
 
 
 def test_monte_carlo_zero_iters_matches_none_variant():

@@ -37,6 +37,12 @@ def test_stft_rejects_unknown_window():
         stft(np.zeros(1024), frame_size=256, hop=128, window="not-a-window")
 
 
+@pytest.mark.parametrize("frame_size", [0, -2])
+def test_stft_rejects_frame_size_below_two(frame_size):
+    with pytest.raises(ValueError, match="frame_size"):
+        stft(np.zeros(1024), frame_size=frame_size, hop=128)
+
+
 def test_stft_sinusoid_bin_concentration():
     # closed-form DFT: an exact-bin sinusoid with a rectangular window fills
     # only its own bin
@@ -79,17 +85,11 @@ def _random_frames(rng, num_bands=5, num_frames=4, num_sensors=3):
     return SpectralFrames(data=data, band_frequencies=freqs, sample_rate=16000.0)
 
 
-def test_unit_weighting_is_identity(rng):
-    frames = _random_frames(rng)
-    out = apply_weighting(frames, "unit")
-    np.testing.assert_array_equal(out.data, frames.data)
-
-
 def test_phat_weighting(rng):
     frames = _random_frames(rng)
     frames.data[0, 0, 0] = 3 + 4j
     frames.data[0, 0, 1] = 0.0
-    out = apply_weighting(frames, "phat")
+    out = apply_weighting(frames)
     assert abs(out.data[0, 0, 0] - (3 + 4j) / 5) < 1e-15
     assert out.data[0, 0, 1] == 0.0
     assert np.all(np.abs(out.data) <= 1.0 + 1e-12)
@@ -97,14 +97,9 @@ def test_phat_weighting(rng):
 
 def test_phat_idempotent(rng):
     frames = _random_frames(rng)
-    once = apply_weighting(frames, "phat")
-    twice = apply_weighting(once, "phat")
+    once = apply_weighting(frames)
+    twice = apply_weighting(once)
     np.testing.assert_allclose(twice.data, once.data, atol=1e-12)
-
-
-def test_phat_rejects_unknown_scheme(rng):
-    with pytest.raises(ValueError):
-        apply_weighting(_random_frames(rng), "scot")
 
 
 def test_sample_covariance_rank_one(rng):
