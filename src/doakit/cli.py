@@ -16,6 +16,7 @@ from .manifold import ArrayGeometry, angles_from_doa, fibonacci_grid, fibonacci_
 from .simulate import (
     MonteCarloConfig,
     Scene,
+    as_integer,
     estimator_covariance,
     locate_sources,
     monte_carlo,
@@ -87,6 +88,12 @@ def _load_config(args):
     return config
 
 
+def _integer(config, key):
+    """An integer setting of the merged config; 100.0 counts as 100, and any
+    other non-integer exits 2 with the key in the message."""
+    return as_integer(config[key], key)
+
+
 def _load_geometry(config):
     path = config.get("geometry")
     if not path:
@@ -135,8 +142,8 @@ def cmd_locate(args):
 
     frames = stft(
         signal,
-        frame_size=int(config["frame_size"]),
-        hop=int(config["hop"]),
+        frame_size=_integer(config, "frame_size"),
+        hop=_integer(config, "hop"),
         window=config["window"],
         sample_rate=rate,
     )
@@ -144,12 +151,12 @@ def cmd_locate(args):
     directions, values, traces = locate_sources(
         cov,
         geometry,
-        fibonacci_grid(int(config["grid"])),
+        fibonacci_grid(_integer(config, "grid")),
         estimator=config["estimator"],
         s=float(config["s"]),
-        num_sources=int(config["sources"]),
+        num_sources=_integer(config, "sources"),
         variant=config["variant"],
-        max_iters=int(config["iters"]),
+        max_iters=_integer(config, "iters"),
         min_separation_rad=np.radians(float(config["min_separation_deg"])),
         rel_tol=float(config["tolerance"]),
         mvdr_loading=float(config["loading"]),
@@ -176,9 +183,9 @@ def cmd_simulate(args):
     output = config.get("output")
     if not output:
         raise UsageError("an output WAV path is required (--output)")
-    seed = int(config["seed"])
+    seed = _integer(config, "seed")
     rng = np.random.default_rng(seed)
-    sources = random_sources(rng, int(config["sources"]), np.radians(15.0))
+    sources = random_sources(rng, _integer(config, "sources"), np.radians(15.0))
     scene = Scene(
         geometry=geometry,
         sources=sources,

@@ -171,12 +171,18 @@ def band_powers(spec, geometry, points):
     One band at a time, so memory stays O(G M): the band's (G, M) steering
     phasors, then one BLAS product b = a V_k^T and the row sums
     Re sum_m conj(a_m) b_m. The 1/M of the unit-norm steering vectors is
-    applied once at the end.
+    applied once at the end. The phasors are cos and sin of omega_k tau
+    written into one reused complex buffer, which is cheaper than the
+    complex exp of a purely imaginary argument.
     """
     tau = points @ geometry.sensors.T  # (G, M)
     out = np.empty((spec.num_bands, tau.shape[0]))
+    phase = np.empty_like(tau)
+    a = np.empty(tau.shape, dtype=complex)
     for k in range(spec.num_bands):
-        a = np.exp(1j * spec.omega[k] * tau)
+        np.multiply(tau, spec.omega[k], out=phase)
+        np.cos(phase, out=a.real)
+        np.sin(phase, out=a.imag)
         b = a @ spec.matrices[k].T
         out[k] = np.einsum("gm,gm->g", a.conj(), b).real
     out /= geometry.num_sensors

@@ -262,12 +262,15 @@ def refine(spec, geometry, q0, variant="quadratic", max_iters=30, rel_tol=1e-10)
     variant "quadratic" solves the trust-region subproblem each step;
     "linear" uses the closed-form normalized-gradient-like update. Stops
     after ``max_iters`` steps or once the relative objective decrease falls
-    below ``rel_tol`` on two consecutive iterations.
+    below ``rel_tol`` on two consecutive iterations; ``rel_tol`` = 0 stops
+    only once the objective no longer decreases.
     """
     if variant not in ("quadratic", "linear"):
         raise ValueError(f"unknown variant {variant!r}")
     if max_iters < 0:
         raise ValueError("max_iters must be non-negative")
+    if not 0.0 <= rel_tol < np.inf:
+        raise ValueError("rel_tol must be finite and non-negative")
     coeffs = PairCoefficients.from_cost_spec(spec, geometry)
     q = normalized(q0)
     # each objective evaluation's phasors build the next surrogate

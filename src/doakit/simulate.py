@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -28,6 +29,19 @@ from .spectral import SpectralFrames, apply_weighting, band_select, sample_covar
 CELL_FIELDS = ("estimator", "s", "grid_size", "variant", "iters", "snr_db")
 SWEEP_AXES = ("estimators", "s_values", "grid_sizes", "variants",
               "iteration_counts", "snr_values")
+# the MonteCarloConfig axes and fields that hold integers
+INTEGER_AXES = ("grid_sizes", "iteration_counts")
+INTEGER_FIELDS = ("num_sources", "num_trials", "master_seed", "frame_size",
+                  "num_frames")
+
+
+def as_integer(value, name):
+    """``value`` as an int when it is an integer-valued number such as 100 or
+    100.0; ValueError naming the setting ``name`` otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -216,6 +230,10 @@ class MonteCarloConfig:
             axis = getattr(self, name)
             if not isinstance(axis, (list, tuple)) or not axis:
                 raise ValueError(f"{name} must be a non-empty list")
+        for name in INTEGER_AXES:
+            setattr(self, name, tuple(as_integer(v, name) for v in getattr(self, name)))
+        for name in INTEGER_FIELDS:
+            setattr(self, name, as_integer(getattr(self, name), name))
         if not self.num_trials >= 1:
             raise ValueError("num_trials must be at least 1")
 

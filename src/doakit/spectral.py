@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import get_window
 
 # relative magnitude floor applied by PHAT weighting on near-silent bins
@@ -96,14 +97,14 @@ def stft(signal, frame_size=512, hop=256, window="hann", sample_rate=16000.0):
     except ValueError as exc:
         raise ValueError(f"unknown window {window!r}") from exc
 
-    num_frames = 1 + (num_samples - frame_size) // hop
-    starts = np.arange(num_frames) * hop
-    # (N, frame, M) windowed segments -> rfft over the frame axis
-    segments = signal[starts[:, None] + np.arange(frame_size)] * win[None, :, None]
-    spectra = np.fft.rfft(segments, axis=1)  # (N, K, M)
+    # (M, N, frame) strided view of the channel-major samples; the window
+    # product is the one copy, and rfft runs along its contiguous last axis
+    channels = np.ascontiguousarray(signal.T)
+    frames = sliding_window_view(channels, frame_size, axis=1)[:, ::hop]
+    spectra = np.fft.rfft(frames * win, axis=-1)  # (M, N, K)
     freqs = np.arange(frame_size // 2 + 1) * sample_rate / frame_size
     return SpectralFrames(
-        data=np.transpose(spectra, (1, 0, 2)),
+        data=np.transpose(spectra, (2, 1, 0)),
         band_frequencies=freqs,
         sample_rate=sample_rate,
     )

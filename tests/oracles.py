@@ -6,6 +6,7 @@ here as an independent oracle.
 """
 
 import numpy as np
+from scipy.signal import get_window
 
 from doakit.estimators import band_powers, power_mean
 from doakit.spectral import apply_weighting
@@ -64,6 +65,20 @@ def quadratic_monomials(points):
 def gtrs_coefficients(d, v):
     """Coefficients of q^T D q - 2 v^T q against :func:`quadratic_monomials`."""
     return np.array([d[0, 0], d[1, 1], d[2, 2], d[0, 1], d[0, 2], d[1, 2], *(-2.0 * v)])
+
+
+def gather_stft(signal, frame_size, hop, window="hann"):
+    """Reference for ``stft``'s framing: a fancy index gathers every window
+    into an (N, frame, M) copy, then rfft runs over the frame axis. Returns
+    the (K, N, M) spectra."""
+    signal = np.asarray(signal, dtype=float)
+    if signal.ndim == 1:
+        signal = signal[:, None]
+    num_frames = 1 + (signal.shape[0] - frame_size) // hop
+    starts = np.arange(num_frames) * hop
+    win = get_window(window, frame_size, fftbins=True)
+    segments = signal[starts[:, None] + np.arange(frame_size)] * win[None, :, None]
+    return np.transpose(np.fft.rfft(segments, axis=1), (1, 0, 2))
 
 
 def covariance_then_select(frames, estimator, f_min, f_max):

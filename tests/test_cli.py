@@ -217,9 +217,11 @@ def two_source_wav(tmp_path, geometry_file):
         ([], {"frame_size": 0}, "frame_size"),
         ([], {"min_separation_deg": float("nan")}, "min_separation"),
         ([], {"min_separation_deg": 200.0}, "only 1 of 2"),
+        ([], {"tolerance": float("nan")}, "rel_tol"),
+        ([], {"tolerance": -1.0}, "rel_tol"),
     ],
     ids=["s-nan", "loading-nan", "loading-inf", "frame-size-0", "separation-nan",
-         "separation-200"],
+         "separation-200", "tolerance-nan", "tolerance-negative"],
 )
 def test_locate_rejects_out_of_range_numbers(tmp_path, geometry_file, two_source_wav,
                                              capsys, flags, config, message):
@@ -232,6 +234,39 @@ def test_locate_rejects_out_of_range_numbers(tmp_path, geometry_file, two_source
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("iters", 2.5), ("hop", 100.5), ("grid", 100.7), ("frame_size", 256.5),
+     ("sources", 1.5), ("grid", "100"), ("iters", True)],
+    ids=["iters", "hop", "grid", "frame-size", "sources", "grid-string", "iters-bool"],
+)
+def test_locate_rejects_non_integer_settings(tmp_path, geometry_file, two_source_wav,
+                                             capsys, key, value):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({key: value}))
+    out = tmp_path / "report.json"
+    rc = main(["locate", "--config", str(conf), "--geometry", geometry_file,
+               "--input", two_source_wav, "--output", str(out)])
+    assert rc == 2
+    assert f"{key} must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_locate_accepts_integer_valued_floats(tmp_path, geometry_file, two_source_wav):
+    settings = {"iters": 5, "hop": 128, "grid": 150, "frame_size": 256, "sources": 2}
+    reports = []
+    for name, values in (("int", settings),
+                         ("float", {k: float(v) for k, v in settings.items()})):
+        conf = tmp_path / f"{name}.json"
+        conf.write_text(json.dumps(values))
+        out = tmp_path / f"{name}-report.json"
+        rc = main(["locate", "--config", str(conf), "--geometry", geometry_file,
+                   "--input", two_source_wav, "--output", str(out)])
+        assert rc == 0
+        reports.append(out.read_text())
+    assert reports[0] == reports[1]
 
 
 def test_simulate_rejects_snr_at_minus_inf(tmp_path, geometry_file, capsys):
@@ -363,8 +398,13 @@ def test_bench_sweep_must_be_object(tmp_path, capsys, content):
         ({"estimators": "music"}, "estimators"),
         ({"snr_values": []}, "snr_values"),
         ({"num_trials": 0}, "num_trials"),
+        ({"iteration_counts": [2.5]}, "iteration_counts must be an integer"),
+        ({"grid_sizes": [100.5]}, "grid_sizes must be an integer"),
+        ({"num_trials": 1.5}, "num_trials must be an integer"),
+        ({"rel_tol": float("nan")}, "rel_tol"),
     ],
-    ids=["scalar-axis", "string-axis", "empty-axis", "zero-trials"],
+    ids=["scalar-axis", "string-axis", "empty-axis", "zero-trials",
+         "fractional-iterations", "fractional-grid", "fractional-trials", "rel-tol-nan"],
 )
 def test_bench_rejects_bad_axes_and_trials(tmp_path, geometry_file, capsys,
                                            overrides, message):

@@ -393,6 +393,14 @@ def test_refine_rejects_bad_args():
         refine(spec, geom, np.array([1.0, 0, 0]), max_iters=-1)
 
 
+@pytest.mark.parametrize("rel_tol", [float("nan"), -1.0, float("inf")],
+                         ids=["nan", "negative", "inf"])
+def test_refine_rejects_bad_rel_tol(rel_tol):
+    spec, geom = random_spec(seed=7)
+    with pytest.raises(ValueError, match="rel_tol"):
+        refine(spec, geom, np.array([1.0, 0, 0]), rel_tol=rel_tol)
+
+
 @pytest.mark.parametrize("variant", ["quadratic", "linear"])
 @pytest.mark.parametrize("s", [-3.0, -1.0, 0.5, 1.0])
 def test_refine_monotone_descent(variant, s, rng):

@@ -283,6 +283,37 @@ def test_monte_carlo_config_rejects_bad_axes_and_trials(overrides, message):
         _small_config(**overrides)
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"grid_sizes": (100.5,)}, "grid_sizes"),
+        ({"iteration_counts": (2.5,)}, "iteration_counts"),
+        ({"iteration_counts": ("5",)}, "iteration_counts"),
+        ({"num_trials": 1.5}, "num_trials"),
+        ({"num_sources": True}, "num_sources"),
+        ({"master_seed": float("nan")}, "master_seed"),
+        ({"frame_size": 256.5}, "frame_size"),
+        ({"num_frames": float("inf")}, "num_frames"),
+    ],
+    ids=["grid-size", "iteration-count", "iteration-count-string", "trials",
+         "sources-bool", "seed-nan", "frame-size", "frames-inf"],
+)
+def test_monte_carlo_config_rejects_non_integer_counts(overrides, message):
+    with pytest.raises(ValueError, match=f"{message} must be an integer"):
+        _small_config(**overrides)
+
+
+def test_monte_carlo_config_accepts_integer_valued_floats():
+    config = _small_config(grid_sizes=[400.0], iteration_counts=(10.0,),
+                           num_trials=3.0, num_frames=np.float64(50.0))
+    assert config.grid_sizes == (400,) and type(config.grid_sizes[0]) is int
+    assert config.iteration_counts == (10,) and type(config.iteration_counts[0]) is int
+    assert type(config.num_trials) is int and type(config.num_frames) is int
+    a = monte_carlo(config)
+    b = monte_carlo(_small_config())
+    assert a.rows == b.rows
+
+
 def test_monte_carlo_zero_iters_matches_none_variant():
     a = monte_carlo(_small_config(variants=("quadratic",), iteration_counts=(0,)))
     b = monte_carlo(_small_config(variants=("none",), iteration_counts=(0,)))

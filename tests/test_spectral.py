@@ -8,6 +8,7 @@ from doakit.spectral import (
     sample_covariance,
     stft,
 )
+from oracles import gather_stft
 
 
 @pytest.fixture
@@ -25,6 +26,27 @@ def test_stft_shapes_and_frequencies(rng):
     np.testing.assert_allclose(
         frames.band_frequencies, np.arange(257) * 16000.0 / 512
     )
+
+
+@pytest.mark.parametrize(
+    "num_samples, num_sensors, frame_size, hop",
+    [
+        (1000, None, 64, 32),  # 1-D input
+        (256, 3, 256, 128),  # T equal to the frame size: one frame
+        (1000, 2, 64, 100),  # hop larger than the frame
+        (1001, 4, 128, 37),  # hop does not divide T - F
+        (2000, 1, 256, 128),  # M = 1
+        (4000, 12, 512, 256),  # M = 12
+    ],
+    ids=["1-d", "one-frame", "hop-above-frame", "ragged-hop", "m-1", "m-12"],
+)
+def test_stft_matches_gather_oracle(rng, num_samples, num_sensors, frame_size, hop):
+    shape = num_samples if num_sensors is None else (num_samples, num_sensors)
+    signal = rng.standard_normal(shape)
+    frames = stft(signal, frame_size=frame_size, hop=hop)
+    assert frames.num_frames == 1 + (num_samples - frame_size) // hop
+    assert frames.num_sensors == (num_sensors or 1)
+    np.testing.assert_array_equal(frames.data, gather_stft(signal, frame_size, hop))
 
 
 def test_stft_zero_input():
