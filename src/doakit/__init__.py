@@ -7,7 +7,8 @@ stay on the sphere by construction.
 
 One pipeline turns frames into directions: ``estimator_covariance`` gives the
 band-selected covariance and ``locate_sources`` builds the cost spec, searches
-the grid and refines. Solver internals live in their modules
+the grid and refines, returning one ``RefinementTrace`` per source whose last
+iterate is the direction. Solver internals live in their modules
 (``doakit.estimators``, ``doakit.refine``, ...).
 """
 

@@ -148,7 +148,7 @@ def cmd_locate(args):
         sample_rate=rate,
     )
     cov = estimator_covariance(frames, config["estimator"], config["f_min"], config["f_max"])
-    directions, values, traces = locate_sources(
+    traces = locate_sources(
         cov,
         geometry,
         fibonacci_grid(_integer(config, "grid")),
@@ -162,15 +162,18 @@ def cmd_locate(args):
         mvdr_loading=float(config["loading"]),
     )
     report = {"sources": []}
-    for q, value, trace in zip(directions, values, traces):
+    for trace in traces:
+        q = trace.iterates[-1]
         colat, azim = angles_from_doa(q)
         report["sources"].append(
             {
                 "doa": [float(x) for x in q],
                 "colatitude_deg": float(np.degrees(colat)),
                 "azimuth_deg": float(np.degrees(azim)),
-                "objective": float(value),
-                "objective_trace": [float(x) for x in trace],
+                "objective": float(trace.objectives[-1]),
+                "objective_trace": [float(x) for x in trace.objectives],
+                "steps": len(trace.objectives) - 1,
+                "converged_at": trace.converged_at,
             }
         )
     _emit(json.dumps(report, indent=2) + "\n", config.get("output"))

@@ -92,6 +92,7 @@ class SurrogateSystem:
 class RefinementTrace:
     iterates: list  # unit 3-vectors q_0 .. q_T
     objectives: list  # objective value at each iterate
+    # the step at which the tolerance test stopped; None at the step cap
     converged_at: int | None = None
 
 
@@ -104,8 +105,9 @@ def pair_band_powers(coeffs, q):
     f_kp = -V_k[m, r] exp(-j b_kp . q) = u exp(j phi0), phi0 = psi + pi - b.q,
     as -Re f. The phasors are formed as -V_k[m, r] conj(s_km) s_kr from the
     K x M steering phasors s_km = exp(j omega_k d_m . q), built by the band
-    recurrence of :func:`phasor_table`. Returns (powers, phasors), so the
-    surrogate built at the same q reuses the phasors.
+    recurrence of :func:`phasor_table`. Returns (powers, phasors, objective)
+    with objective the power mean of the powers, so the surrogate built at
+    the same q reuses the phasors and the mean.
     """
     steer = phasor_table(coeffs.omega, coeffs.sensors @ q, coeffs.band_step)
     m, r = coeffs.pairs
@@ -124,14 +126,15 @@ def pair_band_powers(coeffs, q):
         u = coeffs.magnitudes[near]
         flat = np.copysign(u - im * im / np.maximum(u + np.abs(re), _TINY), re)
         powers[near] = coeffs.diagonal[near] - scale * np.add.reduce(flat, axis=1)
-    return powers, phasors
+    return powers, phasors, power_mean(powers, coeffs.s)
 
 
-def _band_weights(powers, s):
+def _band_weights(powers, s, mean):
     """Tangent-plane weights of the power mean at the given band powers,
-    beta_k = (1/K) (y_k / M_s(y))^(s-1), which stays finite at large |s|."""
+    beta_k = (1/K) (y_k / M_s(y))^(s-1) with ``mean`` = M_s(y), which stays
+    finite at large |s|."""
     y = np.maximum(powers, EPS_POWER)
-    return (y / power_mean(y, s)) ** (s - 1.0) / y.shape[0]
+    return (y / mean) ** (s - 1.0) / y.shape[0]
 
 
 def surrogate_system(coeffs, q_hat, evaluated):
@@ -147,8 +150,8 @@ def surrogate_system(coeffs, q_hat, evaluated):
     cosine, sine or sinc pass. The linearization constant is
     C = (max_p xi_p) lambda_max(sum_p delta_p delta_p^T).
     """
-    powers, phasors = evaluated
-    beta = _band_weights(powers, coeffs.s)  # (K,) >= 0
+    powers, phasors, mean = evaluated
+    beta = _band_weights(powers, coeffs.s, mean)  # (K,) >= 0
 
     sin_part = phasors.imag  # u sin(phi0)
     phi0 = np.arctan2(sin_part, phasors.real)
@@ -273,10 +276,9 @@ def refine(spec, geometry, q0, variant="quadratic", max_iters=30, rel_tol=1e-10)
         raise ValueError("rel_tol must be finite and non-negative")
     coeffs = PairCoefficients.from_cost_spec(spec, geometry)
     q = normalized(q0)
-    # each objective evaluation's phasors build the next surrogate
+    # each objective evaluation's phasors and mean build the next surrogate
     evaluated = pair_band_powers(coeffs, q)
-    obj = power_mean(evaluated[0], coeffs.s)
-    iterates, objectives = [q], [obj]
+    iterates, objectives = [q], [evaluated[2]]
     converged_at = None
     slow = 0
     for t in range(max_iters):
@@ -286,11 +288,10 @@ def refine(spec, geometry, q0, variant="quadratic", max_iters=30, rel_tol=1e-10)
         else:
             q = linear_update(system, q)
         evaluated = pair_band_powers(coeffs, q)
-        new_obj = power_mean(evaluated[0], coeffs.s)
+        obj, new_obj = objectives[-1], evaluated[2]
         iterates.append(q)
         objectives.append(new_obj)
         decrease = (obj - new_obj) / max(abs(obj), _TINY)
-        obj = new_obj
         slow = slow + 1 if decrease < rel_tol else 0
         if slow >= 2:
             converged_at = t + 1

@@ -21,7 +21,7 @@ from .estimators import (
     srp_cost_spec,
 )
 from .manifold import ArrayGeometry, fibonacci_grid, great_circle_distance
-from .refine import refine
+from .refine import RefinementTrace, refine
 from .spectral import SpectralFrames, apply_weighting, band_select, sample_covariance
 
 # the sweep axes of a Monte Carlo cell, in key order, and the
@@ -77,14 +77,14 @@ class Scene:
         return self.sources.shape[0]
 
 
-def _noise_variance(snr_db, num_sources, num_sensors):
-    # per-sensor complex noise variance making the per-band ratio of total
-    # signal power (num_sources, unit-power sources through unit-norm
-    # steering vectors) to total noise power equal to the requested SNR;
-    # a source-free scene keeps the unit reference power
+def _noise_variance(snr_db, num_sources):
+    # per-sensor noise variance, in units of one source's power at a sensor,
+    # making the ratio of total signal power (num_sources unit-power
+    # sources) to total noise power equal to the requested SNR; a
+    # source-free scene keeps the unit reference power
     if np.isinf(snr_db):
         return 0.0
-    return max(num_sources, 1) * 10.0 ** (-snr_db / 10.0) / num_sensors
+    return max(num_sources, 1) * 10.0 ** (-snr_db / 10.0)
 
 
 def synth_stft_scene(scene, frame_size=512, num_frames=100, f_min=300.0, f_max=3500.0):
@@ -126,13 +126,14 @@ def synth_stft_scene(scene, frame_size=512, num_frames=100, f_min=300.0, f_max=3
     y[~active] = 0.0
     x = y @ np.swapaxes(steering, 1, 2)  # (K, N, L) @ (K, L, M)
 
-    sigma2 = _noise_variance(scene.snr_db, scene.num_sources, m)
+    # unit-norm steering vectors give each source power 1/M at a sensor
+    sigma2 = _noise_variance(scene.snr_db, scene.num_sources) / m
     if sigma2 > 0.0:
         bshape = (num_bands, num_frames, m)
         x = x + np.sqrt(sigma2 / 2.0) * (
             noise_rng.standard_normal(bshape) + 1j * noise_rng.standard_normal(bshape)
         )
-    return SpectralFrames(data=x, band_frequencies=freqs, sample_rate=scene.sample_rate)
+    return SpectralFrames(data=x, band_frequencies=freqs)
 
 
 def _fractional_delay(signal, delay_samples, half_width=32):
@@ -179,10 +180,10 @@ def synth_time_scene(scene):
             idx = np.arange(num_samples) + margin + offset
             out[:, m] += conv[idx]
 
-    if not np.isinf(scene.snr_db):
+    sigma2 = _noise_variance(scene.snr_db, scene.num_sources)
+    if sigma2 > 0.0:
         noise_rng = np.random.default_rng(ss[-1])
-        sigma = np.sqrt(max(scene.num_sources, 1) * 10.0 ** (-scene.snr_db / 10.0))
-        out = out + sigma * noise_rng.standard_normal(out.shape)
+        out = out + np.sqrt(sigma2) * noise_rng.standard_normal(out.shape)
     return out
 
 
@@ -313,8 +314,19 @@ def locate_sources(cov, geometry, grid, *, estimator, s, num_sources, variant,
                    mvdr_loading=DEFAULT_MVDR_LOADING):
     """Localize sources in a covariance from ``estimator_covariance``: build
     the estimator's cost spec, search the grid, then refine each peak.
-    Returns (directions, objective values, traces). Raises LinAlgError when
-    the covariance has a non-finite entry or is zero in every band."""
+    Returns one RefinementTrace per source in peak order, whose last iterate
+    is the direction; an unrefined peak (variant "none" or max_iters 0) gets
+    the one-point trace of its grid point. Raises ValueError naming the
+    setting for an unknown variant, a negative max_iters, or a rel_tol or
+    mvdr_loading outside [0, inf), whatever the estimator and variant, and
+    LinAlgError when the covariance is non-finite or zero in every band."""
+    if variant not in ("quadratic", "linear", "none"):
+        raise ValueError(f"unknown variant {variant!r}")
+    if max_iters < 0:
+        raise ValueError("max_iters must be non-negative")
+    for name, value in (("rel_tol", rel_tol), ("mvdr_loading", mvdr_loading)):
+        if not (isinstance(value, numbers.Real) and 0.0 <= value < np.inf):
+            raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
     band_power = np.trace(cov.matrices, axis1=1, axis2=2).real
     if not (np.all(np.isfinite(cov.matrices)) and np.any(band_power)):
         raise np.linalg.LinAlgError(
@@ -326,19 +338,10 @@ def locate_sources(cov, geometry, grid, *, estimator, s, num_sources, variant,
     peaks = grid_search(
         spec, geometry, grid, num_sources=num_sources, min_separation=min_separation_rad
     )
-    directions, values, traces = [], [], []
-    for q0, value in peaks:
-        if variant == "none" or max_iters == 0:
-            directions.append(q0)
-            values.append(value)
-            traces.append([value])
-        else:
-            trace = refine(spec, geometry, q0, variant=variant,
-                           max_iters=max_iters, rel_tol=rel_tol)
-            directions.append(trace.iterates[-1])
-            values.append(trace.objectives[-1])
-            traces.append(list(trace.objectives))
-    return directions, values, traces
+    if variant == "none" or max_iters == 0:
+        return [RefinementTrace(iterates=[q0], objectives=[value]) for q0, value in peaks]
+    return [refine(spec, geometry, q0, variant=variant, max_iters=max_iters, rel_tol=rel_tol)
+            for q0, _ in peaks]
 
 
 def run_trial(config, cell_key, cell_index, trial, grid):
@@ -369,7 +372,7 @@ def run_trial(config, cell_key, cell_index, trial, grid):
     cov = estimator_covariance(frames, estimator, config.f_min, config.f_max)
 
     start = time.perf_counter()
-    directions, _, _ = locate_sources(
+    traces = locate_sources(
         cov,
         config.geometry,
         grid,
@@ -383,7 +386,7 @@ def run_trial(config, cell_key, cell_index, trial, grid):
         mvdr_loading=config.mvdr_loading,
     )
     elapsed = time.perf_counter() - start
-    return evaluate(directions, sources), elapsed
+    return evaluate([t.iterates[-1] for t in traces], sources), elapsed
 
 
 def monte_carlo(config):

@@ -18,7 +18,6 @@ class SpectralFrames:
 
     data: np.ndarray  # (K, N, M) complex
     band_frequencies: np.ndarray  # (K,) Hz
-    sample_rate: float
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=complex)
@@ -103,11 +102,7 @@ def stft(signal, frame_size=512, hop=256, window="hann", sample_rate=16000.0):
     frames = sliding_window_view(channels, frame_size, axis=1)[:, ::hop]
     spectra = np.fft.rfft(frames * win, axis=-1)  # (M, N, K)
     freqs = np.arange(frame_size // 2 + 1) * sample_rate / frame_size
-    return SpectralFrames(
-        data=np.transpose(spectra, (2, 1, 0)),
-        band_frequencies=freqs,
-        sample_rate=sample_rate,
-    )
+    return SpectralFrames(data=np.transpose(spectra, (2, 1, 0)), band_frequencies=freqs)
 
 
 def apply_weighting(frames):
@@ -119,11 +114,7 @@ def apply_weighting(frames):
     floor = PHAT_FLOOR * np.mean(mag, axis=(0, 2), keepdims=True)
     floor = np.maximum(floor, np.finfo(float).tiny)
     data = frames.data / np.maximum(mag, floor)
-    return SpectralFrames(
-        data=data,
-        band_frequencies=frames.band_frequencies,
-        sample_rate=frames.sample_rate,
-    )
+    return SpectralFrames(data=data, band_frequencies=frames.band_frequencies)
 
 
 def sample_covariance(frames):
@@ -146,7 +137,5 @@ def band_select(frames, f_min, f_max):
     if not np.any(keep):
         raise ValueError("band selection is empty")
     return SpectralFrames(
-        data=frames.data[keep],
-        band_frequencies=frames.band_frequencies[keep],
-        sample_rate=frames.sample_rate,
+        data=frames.data[keep], band_frequencies=frames.band_frequencies[keep]
     )

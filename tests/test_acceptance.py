@@ -301,7 +301,8 @@ def test_criterion_8_power_mean_and_shift():
         worst_mono = min(worst_mono, np.diff(means).min())
         s = s_sweep[rng.integers(len(s_sweep))]
         y_hat = rng.uniform(0.01, 10.0, 6)
-        tangent = power_mean(y_hat, s) + _band_weights(y_hat, s) @ (y - y_hat)
+        mean = power_mean(y_hat, s)
+        tangent = mean + _band_weights(y_hat, s, mean) @ (y - y_hat)
         worst_tangent = min(worst_tangent, tangent - power_mean(y, s))
     worst_eig = np.inf
     for _ in range(1000):

@@ -84,6 +84,8 @@ def test_locate_variant_none_matches_grid_point(tmp_path, geometry_file):
     assert report["sources"][0]["objective_trace"] == [
         report["sources"][0]["objective"]
     ]
+    assert report["sources"][0]["steps"] == 0
+    assert report["sources"][0]["converged_at"] is None
 
 
 def test_locate_config_file_with_flag_override(tmp_path, geometry_file):
@@ -190,14 +192,17 @@ def test_locate_matches_library_pipeline(tmp_path, geometry_file, estimator):
     frames = stft(signal.astype(float), frame_size=DEFAULTS["frame_size"],
                   hop=DEFAULTS["hop"], window=DEFAULTS["window"], sample_rate=float(rate))
     cov = estimator_covariance(frames, estimator, DEFAULTS["f_min"], DEFAULTS["f_max"])
-    directions, values, _ = locate_sources(
+    traces = locate_sources(
         cov, ArrayGeometry.from_json(geometry_file), fibonacci_grid(200),
         estimator=estimator, s=DEFAULTS["s"], num_sources=2, variant="quadratic",
         max_iters=10, min_separation_rad=np.radians(DEFAULTS["min_separation_deg"]),
         rel_tol=DEFAULTS["tolerance"], mvdr_loading=DEFAULTS["loading"],
     )
-    assert [s["doa"] for s in report["sources"]] == [list(q) for q in directions]
-    assert [s["objective"] for s in report["sources"]] == values
+    sources = report["sources"]
+    assert [s["doa"] for s in sources] == [list(t.iterates[-1]) for t in traces]
+    assert [s["objective"] for s in sources] == [t.objectives[-1] for t in traces]
+    assert [s["objective_trace"] for s in sources] == [t.objectives for t in traces]
+    assert [s["converged_at"] for s in sources] == [t.converged_at for t in traces]
 
 
 @pytest.fixture
@@ -219,9 +224,19 @@ def two_source_wav(tmp_path, geometry_file):
         ([], {"min_separation_deg": 200.0}, "only 1 of 2"),
         ([], {"tolerance": float("nan")}, "rel_tol"),
         ([], {"tolerance": -1.0}, "rel_tol"),
+        (["--variant", "none"], {"tolerance": float("nan")}, "rel_tol"),
+        (["--variant", "none"], {"iters": -5}, "max_iters"),
+        ([], {"variant": "bogus", "iters": 0}, "variant"),
+        ([], {"estimator": "srp-phat", "loading": float("nan")}, "mvdr_loading"),
+        ([], {"estimator": "srp-phat", "loading": float("inf")}, "mvdr_loading"),
+        ([], {"estimator": "music", "loading": float("nan")}, "mvdr_loading"),
+        ([], {"estimator": "music", "loading": float("inf")}, "mvdr_loading"),
     ],
     ids=["s-nan", "loading-nan", "loading-inf", "frame-size-0", "separation-nan",
-         "separation-200", "tolerance-nan", "tolerance-negative"],
+         "separation-200", "tolerance-nan", "tolerance-negative",
+         "unrefined-tolerance-nan", "unrefined-iters-negative", "variant-bogus",
+         "srp-phat-loading-nan", "srp-phat-loading-inf", "music-loading-nan",
+         "music-loading-inf"],
 )
 def test_locate_rejects_out_of_range_numbers(tmp_path, geometry_file, two_source_wav,
                                              capsys, flags, config, message):
@@ -234,6 +249,25 @@ def test_locate_rejects_out_of_range_numbers(tmp_path, geometry_file, two_source
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_locate_reports_steps_and_convergence(tmp_path, geometry_file, two_source_wav):
+    reports = {}
+    for iters in ("1", "30"):
+        out = tmp_path / f"report-{iters}.json"
+        rc = main(["locate", "--geometry", geometry_file, "--input", two_source_wav,
+                   "--sources", "2", "--iters", iters, "--output", str(out)])
+        assert rc == 0
+        reports[iters] = json.loads(out.read_text())["sources"]
+    for source in reports["1"]:
+        assert source["steps"] == 1
+        assert source["converged_at"] is None
+    converged = [s for s in reports["30"] if s["converged_at"] is not None]
+    assert converged
+    for source in reports["30"]:
+        assert source["steps"] == len(source["objective_trace"]) - 1
+    for source in converged:
+        assert source["converged_at"] == source["steps"]
 
 
 @pytest.mark.parametrize(
@@ -402,9 +436,15 @@ def test_bench_sweep_must_be_object(tmp_path, capsys, content):
         ({"grid_sizes": [100.5]}, "grid_sizes must be an integer"),
         ({"num_trials": 1.5}, "num_trials must be an integer"),
         ({"rel_tol": float("nan")}, "rel_tol"),
+        ({"iteration_counts": [0], "rel_tol": float("nan")}, "rel_tol"),
+        ({"variants": ["bogus"], "iteration_counts": [0]}, "variant"),
+        ({"iteration_counts": [0], "mvdr_loading": float("nan")}, "mvdr_loading"),
+        ({"mvdr_loading": "x"}, "mvdr_loading"),
     ],
     ids=["scalar-axis", "string-axis", "empty-axis", "zero-trials",
-         "fractional-iterations", "fractional-grid", "fractional-trials", "rel-tol-nan"],
+         "fractional-iterations", "fractional-grid", "fractional-trials", "rel-tol-nan",
+         "unrefined-rel-tol-nan", "variant-bogus", "unrefined-loading-nan",
+         "loading-string"],
 )
 def test_bench_rejects_bad_axes_and_trials(tmp_path, geometry_file, capsys,
                                            overrides, message):

@@ -1,3 +1,4 @@
+import sys
 import zlib
 
 import numpy as np
@@ -145,14 +146,15 @@ def test_surrogate_single_band_weight_is_one(rng):
 
     y = np.array([rng.uniform(0.1, 5.0)])
     for s in (-3.0, -1.0, 0.5, 1.0):
-        w = _band_weights(y, s)
+        w = _band_weights(y, s, power_mean(y, s))
         assert abs(w[0] - 1.0) < 1e-12
 
 
 def test_band_weights_finite_at_large_negative_s():
     from doakit.refine import _band_weights
 
-    w = _band_weights(np.array([1e-30, 1.0]), -30.0)
+    y = np.array([1e-30, 1.0])
+    w = _band_weights(y, -30.0, power_mean(y, -30.0))
     assert np.all(np.isfinite(w))
     # beta_k = (1/K) (y_k / M_s)^(s-1) with M_s = 2^(1/30) * 1e-30
     np.testing.assert_allclose(w, [0.5 * 2.0 ** (31.0 / 30.0), 0.0], rtol=1e-12)
@@ -470,6 +472,22 @@ def test_refine_convergence_flag(rng):
     assert trace.converged_at is not None
     assert trace.converged_at < 200
     assert len(trace.iterates) == trace.converged_at + 1
+
+
+@pytest.mark.parametrize("variant", ["quadratic", "linear"])
+def test_refine_evaluates_one_power_mean_per_iterate(monkeypatch, rng, variant):
+    # the surrogate at an iterate reuses the mean its evaluation produced
+    calls = []
+
+    def counting_power_mean(values, s):
+        calls.append(s)
+        return power_mean(values, s)
+
+    monkeypatch.setattr(sys.modules[refine.__module__], "power_mean", counting_power_mean)
+    spec, geom = random_spec(num_sensors=6, num_bands=4, s=-1.0, seed=13)
+    trace = refine(spec, geom, random_unit(rng), variant=variant, max_iters=20)
+    assert len(trace.objectives) > 2
+    assert len(calls) == len(trace.objectives)
 
 
 def test_iteration_cost_scales_with_pairs_and_bands(rng):

@@ -3,12 +3,16 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from doakit.manifold import great_circle_distance, random_geometry
+from doakit.estimators import grid_search
+from doakit.manifold import fibonacci_grid, great_circle_distance, random_geometry
+from doakit.refine import refine
 from doakit.simulate import (
     MonteCarloConfig,
     Scene,
+    build_cost_spec,
     estimator_covariance,
     evaluate,
+    locate_sources,
     monte_carlo,
     random_sources,
     synth_stft_scene,
@@ -173,6 +177,33 @@ def test_time_scene_noise_only():
     x = synth_time_scene(scene)
     assert x.shape == (8000, 6)
     np.testing.assert_allclose(np.std(x, axis=0), 1.0, rtol=0.1)
+
+
+def test_locate_sources_returns_refine_traces_of_grid_peaks():
+    sources = np.array([unit([1.0, 0.2, 0.3]), unit([-0.3, 1.0, -0.2])])
+    frames = synth_stft_scene(Scene(GEOM, sources, snr_db=20.0, seed=3),
+                              frame_size=256, num_frames=50)
+    cov = estimator_covariance(frames, "music", 300.0, 3500.0)
+    grid = fibonacci_grid(100)
+    separation = np.radians(10.0)
+    spec = build_cost_spec(cov, "music", -3.0, 2, GEOM.speed_of_sound)
+    peaks = grid_search(spec, GEOM, grid, num_sources=2, min_separation=separation)
+    settings = dict(estimator="music", s=-3.0, num_sources=2, max_iters=15,
+                    min_separation_rad=separation)
+    for variant in ("quadratic", "linear"):
+        traces = locate_sources(cov, GEOM, grid, variant=variant, **settings)
+        assert len(traces) == 2
+        for trace, (q0, _) in zip(traces, peaks):
+            expected = refine(spec, GEOM, q0, variant=variant, max_iters=15)
+            np.testing.assert_array_equal(trace.iterates, expected.iterates)
+            np.testing.assert_array_equal(trace.objectives, expected.objectives)
+            assert trace.converged_at == expected.converged_at
+    unrefined = locate_sources(cov, GEOM, grid, variant="none", **settings)
+    assert len(unrefined) == 2
+    for trace, (q0, value) in zip(unrefined, peaks):
+        np.testing.assert_array_equal(trace.iterates, [q0])
+        np.testing.assert_array_equal(trace.objectives, [value])
+        assert trace.converged_at is None
 
 
 def test_evaluate_identity_and_permutation():

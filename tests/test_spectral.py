@@ -104,7 +104,7 @@ def _random_frames(rng, num_bands=5, num_frames=4, num_sensors=3):
         (num_bands, num_frames, num_sensors)
     )
     freqs = np.linspace(100.0, 1000.0, num_bands)
-    return SpectralFrames(data=data, band_frequencies=freqs, sample_rate=16000.0)
+    return SpectralFrames(data=data, band_frequencies=freqs)
 
 
 def test_phat_weighting(rng):
@@ -135,7 +135,7 @@ def test_sample_covariance_rank_one(rng):
 def test_sample_covariance_basis_vector():
     data = np.zeros((2, 5, 3), dtype=complex)
     data[:, :, 0] = 1.0
-    frames = SpectralFrames(data, np.array([100.0, 200.0]), 16000.0)
+    frames = SpectralFrames(data, np.array([100.0, 200.0]))
     cov = sample_covariance(frames)
     expected = np.zeros((3, 3))
     expected[0, 0] = 1.0
@@ -170,7 +170,6 @@ def test_band_select(rng):
     full = band_select(frames, 0.0, 20000.0)
     assert full.num_bands == 8
     np.testing.assert_array_equal(full.data, frames.data)
-    assert full.sample_rate == frames.sample_rate
     f3 = frames.band_frequencies[3]
     single = band_select(frames, f3 - 1, f3 + 1)
     assert single.num_bands == 1
@@ -185,8 +184,7 @@ def test_band_select_speech_range():
     # 16 kHz / 512-point STFT: 300..3500 Hz covers bins 10 through 112
     freqs = np.arange(257) * 16000.0 / 512
     data = np.zeros((257, 1, 2), dtype=complex)
-    sel = band_select(SpectralFrames(data, freqs, 16000.0), 300.0, 3500.0)
+    sel = band_select(SpectralFrames(data, freqs), 300.0, 3500.0)
     assert sel.num_bands == 103
     assert sel.band_frequencies[0] == freqs[10]
     assert sel.band_frequencies[-1] == freqs[112]
-    assert sel.sample_rate == 16000.0
