@@ -8,10 +8,10 @@ from __future__ import annotations
 import argparse
 import json
 import numbers
+import struct
 import sys
 
 import numpy as np
-from scipy.io import wavfile
 
 from .manifold import ArrayGeometry, angles_from_doa, fibonacci_grid, fibonacci_points
 from .simulate import (
@@ -116,14 +116,129 @@ def _load_geometry(config):
         raise UsageError(f"cannot read geometry {path}: {exc}")
 
 
+# WAVE format tags; WAVE_FORMAT_EXTENSIBLE names the real one in the first
+# bytes of a sub-format GUID whose remaining bytes are fixed
+_PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
+_GUID_TAIL = b"\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def _parse_fmt(body, end):
+    """(tag, channels, rate, bytes per sample, bits per sample) of a fmt
+    chunk, with ``end`` the struct byte order of the file."""
+    if len(body) < 16:
+        raise ValueError("fmt chunk is shorter than 16 bytes")
+    tag, channels, rate, byte_rate, align, bits = struct.unpack(end + "HHIIHH", body[:16])
+    if tag == _EXTENSIBLE and len(body) >= 18:
+        if struct.unpack(end + "H", body[16:18])[0] < 22 or len(body) < 40:
+            raise ValueError("WAVE_FORMAT_EXTENSIBLE fmt chunk is too short")
+        guid = body[24:40]
+        if guid[4:] == struct.pack(end + "HH", 0, 0x10) + _GUID_TAIL:
+            tag = struct.unpack(end + "I", guid[:4])[0]
+    if tag not in (_PCM, _IEEE_FLOAT):
+        raise ValueError(f"unsupported WAV format tag {tag:#06x}")
+    if tag == _PCM and byte_rate != rate * align:
+        raise ValueError("WAV header byte rate is not sample rate x block align")
+    if not 0 < channels <= align:
+        raise ValueError(f"WAV header has {channels} channels in {align}-byte blocks")
+    return tag, channels, rate, align // channels, bits
+
+
+def _read_samples(f, size, fmt, end):
+    """The ``size``-byte data chunk at the file position as (frames,
+    channels) samples in the dtype scipy.io.wavfile.read gives them."""
+    tag, channels, _, width, bits = fmt
+    if tag == _IEEE_FLOAT:
+        if bits not in (32, 64) or width not in (4, 8):
+            raise ValueError(f"unsupported {bits}-bit float samples")
+        dtype = f"{end}f{width}"
+    elif 1 <= bits <= 8:
+        dtype = "u1"  # PCM of 8 bits or fewer is unsigned
+    elif width in (3, 5, 6, 7):
+        # no dtype that wide: each sample goes into the high bytes of the
+        # next wider signed integer
+        wide = 4 if width == 3 else 8
+        raw = np.fromfile(f, dtype=np.uint8, count=size).reshape(-1, width)
+        padded = np.zeros((raw.shape[0], wide), dtype=np.uint8)
+        if end == ">":
+            padded[:, :width] = raw
+        else:
+            padded[:, wide - width:] = raw
+        return padded.view(f"{end}i{wide}").reshape(-1, channels)
+    elif bits <= 64 and width in (1, 2, 4, 8):
+        dtype = f"{end}i{width}"
+    else:
+        raise ValueError(f"unsupported {bits}-bit PCM samples in {width}-byte containers")
+    return np.fromfile(f, dtype=dtype, count=size // width).reshape(-1, channels)
+
+
+def _read_wav(path):
+    """(sample rate, (frames, channels) samples) of a WAV file, the samples
+    as scipy.io.wavfile.read returns them: RIFF, RIFX or RF64; PCM, unsigned
+    up to 8 bits and signed up to 64, or IEEE float of 32 or 64 bits; plain
+    or WAVE_FORMAT_EXTENSIBLE."""
+    with open(path, "rb") as f:
+        riff = f.read(12)
+        if len(riff) < 12 or riff[:4] not in (b"RIFF", b"RIFX", b"RF64") or riff[8:] != b"WAVE":
+            raise ValueError("not a RIFF WAVE file")
+        end = ">" if riff[:4] == b"RIFX" else "<"
+        stop = struct.unpack(end + "I", riff[4:8])[0] + 8
+        data_size = None
+        if riff[:4] == b"RF64":
+            # its 32-bit sizes read 0xFFFFFFFF; a ds64 chunk holds the real ones
+            chunk, size, riff_size, data_size = struct.unpack("<4sIQQ", f.read(24))
+            if chunk != b"ds64":
+                raise ValueError("RF64 file without a ds64 chunk")
+            stop = riff_size + 8
+            f.seek(size - 16, 1)
+        fmt = samples = None
+        while f.tell() < stop:
+            head = f.read(8)
+            if len(head) < 8:
+                if samples is not None:
+                    break  # cut short after its data, which scipy reads too
+                raise ValueError("file ends before its data chunk")
+            chunk, size = struct.unpack(end + "4sI", head)
+            start = f.tell()
+            if chunk == b"fmt ":
+                fmt = _parse_fmt(f.read(size), end)
+            elif chunk == b"data":
+                if fmt is None:
+                    raise ValueError("data chunk before the fmt chunk")
+                size = size if data_size is None else data_size
+                samples = _read_samples(f, size, fmt, end)
+            f.seek(start + size + size % 2)  # chunks are padded to even sizes
+        if samples is None:
+            raise ValueError("no data chunk")
+    return fmt[2], samples
+
+
+def _write_wav(path, rate, samples):
+    """Write (frames, channels) samples as float32, byte for byte as
+    scipy.io.wavfile.write does: RIFF, an 18-byte fmt chunk, a fact chunk
+    with the frame count, then the data."""
+    frames, channels = samples.shape
+    fmt = struct.pack("<HHIIHHH", _IEEE_FLOAT, channels, rate, 4 * channels * rate,
+                      4 * channels, 32, 0)
+    riff_size = 50 + 4 * samples.size
+    if riff_size > 0xFFFFFFFF:
+        raise ValueError("the recording is too long for a RIFF WAV file")
+    with open(path, "wb") as f:
+        f.write(struct.pack("<4sI4s4sI", b"RIFF", riff_size, b"WAVE", b"fmt ", len(fmt)))
+        f.write(fmt)
+        f.write(struct.pack("<4sII4sI", b"fact", 4, frames, b"data", 4 * samples.size))
+        np.asarray(samples, dtype="<f4").tofile(f)
+
+
 def _read_input(config, num_sensors):
     path = config.get("input")
     if not path:
         raise UsageError("an input file is required (--input)")
     try:
         if str(path).endswith(".wav"):
-            rate, data = wavfile.read(path)
-            if np.issubdtype(data.dtype, np.integer):
+            rate, data = _read_wav(path)
+            if data.dtype == np.uint8:
+                data = (data - 128.0) / 128.0  # unsigned, silence at 128
+            elif np.issubdtype(data.dtype, np.integer):
                 data = data / float(np.iinfo(data.dtype).max)
             else:
                 data = data.astype(float)
@@ -136,10 +251,8 @@ def _read_input(config, num_sensors):
                     f"raw input length not divisible by {num_sensors} channels"
                 )
             data = flat.reshape(-1, num_sensors).astype(float)
-    except OSError as exc:
+    except (OSError, ValueError, struct.error) as exc:
         raise UsageError(f"cannot read input {path}: {exc}")
-    if data.ndim == 1:
-        data = data[:, None]
     if data.shape[1] != num_sensors:
         raise UsageError(
             f"input has {data.shape[1]} channels but geometry has {num_sensors} sensors"
@@ -215,7 +328,7 @@ def cmd_simulate(args):
     std = np.std(signal)
     if std > 0.0:  # a silent scene stays silent
         signal = signal / (8.0 * std)  # headroom for float WAV
-    wavfile.write(output, int(scene.sample_rate), signal.astype(np.float32))
+    _write_wav(output, int(scene.sample_rate), signal.astype(np.float32))
     truth = {
         "sources": [{"doa": [float(x) for x in q]} for q in sources],
         "snr_db": scene.snr_db,

@@ -206,8 +206,7 @@ def grid_search(spec, geometry, grid, num_sources=1, min_separation=np.deg2rad(1
         raise ValueError("min_separation must be finite and non-negative")
     values = power_mean(band_powers(spec, geometry, grid.points), spec.s)
 
-    nbrs = grid.neighbors
-    is_local_min = values <= np.minimum.reduceat(values[nbrs.indices], nbrs.indptr[:-1])
+    is_local_min = values <= np.minimum.reduceat(values[grid.indices], grid.indptr[:-1])
     candidates = np.flatnonzero(is_local_min)
     candidates = candidates[np.argsort(values[candidates], kind="stable")]
     fallback = np.argsort(values, kind="stable")

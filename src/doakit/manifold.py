@@ -6,8 +6,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.spatial import cKDTree
 
 SPEED_OF_SOUND = 343.0  # m/s, dry air at 20 C
 
@@ -15,6 +13,20 @@ _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
 # neighbors per point in a grid's k-nearest-neighbor graph
 NUM_NEIGHBORS = 8
+
+# The lattice is irregular near its poles, up to about 105 rows in. The
+# rows there take their neighbors by brute force over the rows up to
+# _POLAR_REACH index steps away, which hold them all (the farthest is 55
+# steps away). The lattice's shape there depends on the row index, not on
+# the grid size, so both counts hold for every size.
+_POLAR_ROWS = 128
+_POLAR_REACH = 64
+# Elsewhere row i's nearest neighbors sit at index offsets +-F_m, Fibonacci
+# numbers (F_0 = 1, F_1 = 2) with m within about 2.2 of log_phi(rho_i
+# sqrt(G)), rho_i the point's distance to the z axis; the six F_m from
+# m = ceil(log - 2.5) on hold them all.
+_LATTICE_OFFSETS = 6
+_LOG_PHI_SQUARED = 2.0 * np.log((1.0 + np.sqrt(5.0)) / 2.0)
 
 
 def doa_from_angles(colatitude, azimuth):
@@ -157,24 +169,66 @@ class SphericalGrid:
     """Point set on the sphere with a symmetric nearest-neighbor graph."""
 
     points: np.ndarray  # (G, 3) unit vectors
-    neighbors: sparse.csr_array  # (G, G) symmetric adjacency, no self loops
+    # row i's neighbors are indices[indptr[i]:indptr[i + 1]], ascending; the
+    # graph is symmetric and has no self loops
+    indptr: np.ndarray  # (G + 1,)
+    indices: np.ndarray  # (indptr[-1],)
 
     @property
     def size(self):
         return self.points.shape[0]
 
 
+def _nearest(points, rows, offsets, k):
+    """For each row, the k points nearest its point among the rows at index
+    offsets +-``offsets`` from it ((n,) for every row, or (R, n) per row).
+    Chord order is angular order on the sphere. Squared chords are summed
+    coordinate by coordinate, as a k-d tree sums them, so they round as its
+    distances do."""
+    candidates = rows[:, None] + np.concatenate([offsets, -offsets], axis=-1)
+    outside = (candidates < 0) | (candidates >= points.shape[0])
+    candidates[outside] = 0  # a stand-in; its distance is discarded
+    dist = 0.0
+    for coord in points.T:
+        diff = coord.take(candidates)
+        diff -= coord[rows, None]
+        diff *= diff
+        dist += diff
+    dist[outside] = np.inf
+    nearest = np.argpartition(dist, k - 1, axis=1)[:, :k]
+    return np.take_along_axis(candidates, nearest, axis=1)
+
+
 def fibonacci_grid(count):
-    """Fibonacci lattice grid with a symmetrized k-nearest-neighbor graph."""
+    """Fibonacci lattice grid with a symmetrized k-nearest-neighbor graph:
+    each point is joined to its k nearest and to every point that counts it
+    among its own k nearest.
+
+    The candidates come from the lattice itself: rows near a pole are
+    searched by brute force over the rows around them, every other row over
+    its Fibonacci index offsets (see ``_LATTICE_OFFSETS``). On a small grid
+    every row is a polar row.
+    """
     points = fibonacci_points(count)
     k = min(NUM_NEIGHBORS, count - 1)
-    # Euclidean nearest neighbors on the sphere are also angular nearest
-    _, idx = cKDTree(points).query(points, k=k + 1)
-    rows = np.repeat(np.arange(count), k + 1)
-    cols = np.ravel(idx)
-    keep = rows != cols
-    knn = sparse.csr_array(
-        (np.ones(keep.sum(), dtype=np.int8), (rows[keep], cols[keep])),
-        shape=(count, count),
-    )
-    return SphericalGrid(points=points, neighbors=knn + knn.T)
+    index = np.arange(count)
+    polar = np.minimum(index, count - 1 - index) < _POLAR_ROWS
+    knn = np.empty((count, k), dtype=np.intp)
+    knn[polar] = _nearest(points, index[polar], np.arange(1, _POLAR_REACH + 1), k)
+    rows = index[~polar]
+    if rows.size:
+        z = points[rows, 2]
+        low = np.ceil(np.log((1.0 - z * z) * count) / _LOG_PHI_SQUARED - 2.5)
+        order = low.astype(np.intp)[:, None] + np.arange(_LATTICE_OFFSETS)
+        fib = [1, 2]
+        while len(fib) <= order[:, -1].max():
+            fib.append(fib[-1] + fib[-2])
+        knn[rows] = _nearest(points, rows, np.asarray(fib)[order], k)
+
+    # both directions of every edge, once each, ordered by (row, column)
+    head, tail = np.repeat(index, k), knn.ravel()
+    edges = np.concatenate([head * count + tail, tail * count + head])
+    edges.sort()
+    edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
+    indptr = np.searchsorted(edges, np.arange(count + 1) * count)
+    return SphericalGrid(points=points, indptr=indptr, indices=edges % count)

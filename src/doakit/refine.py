@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dsyevd
 
 from .estimators import EPS_POWER, phasor_table, power_mean
 from .manifold import normalized
@@ -187,11 +186,10 @@ def solve_gtrs(D, v):
     """
     D = np.asarray(D, dtype=float)
     v = np.asarray(v, dtype=float)
-    # LAPACK's dsyevd (the routine np.linalg.eigh runs) without numpy's
-    # per-call checks, which cost twice the 3 x 3 solve
-    lam, basis, info = dsyevd(D, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    lam, basis = np.linalg.eigh(D)  # LAPACK dsyevd on the lower triangle
+    # numpy hands the eigenvectors back C-ordered; in the Fortran order
+    # LAPACK wrote them, the 3 x 3 products below round as they always have
+    basis = np.asfortranarray(basis)
     w = v @ basis  # v in the eigenbasis
 
     # past eigh everything runs on plain floats: numpy calls on 3-vectors

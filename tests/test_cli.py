@@ -19,11 +19,6 @@ from doakit.manifold import (
 from doakit.simulate import estimator_covariance, locate_sources
 from doakit.spectral import stft
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::scipy.io.wavfile.WavFileWarning"
-)
-
-
 @pytest.fixture
 def geometry_file(tmp_path):
     geom = random_geometry(num_sensors=8, seed=3)
@@ -160,7 +155,7 @@ def test_simulate_silent_scene_writes_finite_wav(tmp_path, geometry_file):
 
 
 @pytest.mark.parametrize("estimator", ["srp", "srp-phat", "music", "mvdr"])
-@pytest.mark.parametrize("kind", ["silent", "nan"])
+@pytest.mark.parametrize("kind", ["silent", "nan", "silent-8-bit"])
 def test_locate_without_usable_signal_exits_3(tmp_path, geometry_file, capsys,
                                               kind, estimator):
     from scipy.io import wavfile
@@ -169,6 +164,8 @@ def test_locate_without_usable_signal_exits_3(tmp_path, geometry_file, capsys,
     if kind == "nan":
         data = np.random.default_rng(0).standard_normal(data.shape).astype(np.float32)
         data[1234, 3] = np.nan
+    elif kind == "silent-8-bit":
+        data = np.full(data.shape, 128, dtype=np.uint8)  # unsigned, silence at 128
     wav = str(tmp_path / f"{kind}.wav")
     wavfile.write(wav, 16000, data)
     out = tmp_path / "report.json"
@@ -512,21 +509,27 @@ def test_bench_rejects_bad_cell_before_running(tmp_path, geometry_file, capsys,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["array.json", "sweep.json"]
 
 
-def test_import_leaves_scipy_signal_stats_and_optimize_unloaded():
-    # the import path of `doakit locate` loads none of the three; scoring
-    # imports scipy.optimize when it first runs
+def test_import_simulate_and_locate_load_no_scipy(tmp_path, geometry_file):
+    # importing doakit, simulating a recording and locating its sources load
+    # no scipy module at all; scoring imports scipy.optimize when it first runs
     code = (
         "import sys, doakit, doakit.cli\n"
-        "heavy = ('scipy.signal', 'scipy.stats', 'scipy.optimize')\n"
-        "print([m for m in heavy if m in sys.modules])\n"
+        "wav, geometry = sys.argv[1], sys.argv[2]\n"
+        "assert doakit.cli.main(['simulate', '--geometry', geometry, '--sources', '1',\n"
+        "                        '--duration', '0.25', '--output', wav]) == 0\n"
+        "assert doakit.cli.main(['locate', '--geometry', geometry, '--input', wav,\n"
+        "                        '--output', wav + '.report']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "print(doakit.evaluate([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],\n"
         "                      [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]).tolist())\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout.splitlines()
+    argv = [sys.executable, "-c", code, str(tmp_path / "scene.wav"), geometry_file]
+    out = subprocess.run(argv, env=env, check=True, capture_output=True,
+                         text=True).stdout.splitlines()
     assert out == ["[]", "[0.0, 0.0]"]
+    assert len(json.loads((tmp_path / "scene.wav.report").read_text())["sources"]) == 1
 
 
 def test_bench_output_flag_wins_over_sweep_file(tmp_path, geometry_file):

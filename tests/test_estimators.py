@@ -289,10 +289,9 @@ def test_grid_search_local_minima_match_loop(rng):
     spec = CostSpec(mats, np.array([20.0, 35.0, 50.0]), s=-1.0)
     grid = fibonacci_grid(2000)
     values = power_mean(band_powers(spec, geom, grid.points), spec.s)
-    nbrs = grid.neighbors
     minima = [
         i for i in range(grid.size)
-        if values[i] <= values[nbrs.indices[nbrs.indptr[i]:nbrs.indptr[i + 1]]].min()
+        if values[i] <= values[grid.indices[grid.indptr[i]:grid.indptr[i + 1]]].min()
     ]
     assert len(minima) > 1
     peaks = grid_search(spec, geom, grid, num_sources=len(minima), min_separation=0.0)
@@ -362,8 +361,7 @@ def test_band_powers_matches_steering_loop(kind, num_points):
 
 def _select_by_pair_loop(values, grid, num_sources, min_separation):
     # reference: the selection loop with one distance call per selected pair
-    nbrs = grid.neighbors
-    is_min = values <= np.minimum.reduceat(values[nbrs.indices], nbrs.indptr[:-1])
+    is_min = values <= np.minimum.reduceat(values[grid.indices], grid.indptr[:-1])
     candidates = np.flatnonzero(is_min)
     candidates = candidates[np.argsort(values[candidates], kind="stable")]
     selected = []

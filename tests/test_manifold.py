@@ -144,27 +144,31 @@ def test_fibonacci_grid_basic():
     np.fill_diagonal(dots, -1.0)
     assert np.arccos(np.clip(dots.max(), -1, 1)) > 0.0
     # symmetric adjacency, no self loops
-    nbrs = grid.neighbors
-    assert nbrs.shape == (100, 100)
-    assert not np.any(nbrs.diagonal())
-    assert (nbrs != nbrs.T).nnz == 0
+    assert grid.indptr.shape == (101,) and grid.indptr[0] == 0
+    assert grid.indptr[-1] == grid.indices.size
+    rows = np.repeat(np.arange(100), np.diff(grid.indptr))
+    assert not np.any(rows == grid.indices)
+    edges = set(zip(rows.tolist(), grid.indices.tolist()))
+    assert edges == {(j, i) for i, j in edges}
 
 
-@pytest.mark.parametrize("count", [4, 100, 1000])
+@pytest.mark.parametrize("count", [*range(4, 3001, 7), 100, 1000, 10_000, 100_000])
 def test_fibonacci_grid_neighbors_match_knn_sets(count):
-    # oracle: each point's k nearest plus every point that counts it among its own
+    # oracle: each point's k nearest plus every point that counts it among
+    # its own, from a k-d tree; every row is compared, the polar ones too
     grid = fibonacci_grid(count)
     k = min(8, count - 1)
     _, idx = cKDTree(grid.points).query(grid.points, k=k + 1)
     expected = [set() for _ in range(count)]
-    for i in range(count):
-        for j in idx[i]:
+    for i, row in enumerate(idx.tolist()):
+        for j in row:
             if j != i:
-                expected[i].add(int(j))
+                expected[i].add(j)
                 expected[j].add(i)
-    nbrs = grid.neighbors
+    indptr, indices = grid.indptr.tolist(), grid.indices.tolist()
     for i in range(count):
-        assert set(nbrs.indices[nbrs.indptr[i]:nbrs.indptr[i + 1]].tolist()) == expected[i]
+        got = indices[indptr[i]:indptr[i + 1]]
+        assert got == sorted(expected[i]), i
 
 
 def test_fibonacci_grid_rejects_tiny():
