@@ -106,9 +106,20 @@ def _number(config, key):
     return float(value)
 
 
+def _path(settings, key):
+    """A file path setting, or None when ``settings`` does not hold ``key``;
+    anything but a non-empty string exits 2 with the key in the message."""
+    if key not in settings:
+        return None
+    value = settings[key]
+    if not (isinstance(value, str) and value):
+        raise UsageError(f"{key} must be a non-empty file path, got {value!r}")
+    return value
+
+
 def _load_geometry(config):
-    path = config.get("geometry")
-    if not path:
+    path = _path(config, "geometry")
+    if path is None:
         raise UsageError("a geometry file is required (--geometry)")
     try:
         return ArrayGeometry.from_json(path)
@@ -230,11 +241,11 @@ def _write_wav(path, rate, samples):
 
 
 def _read_input(config, num_sensors):
-    path = config.get("input")
-    if not path:
+    path = _path(config, "input")
+    if path is None:
         raise UsageError("an input file is required (--input)")
     try:
-        if str(path).endswith(".wav"):
+        if path.endswith(".wav"):
             rate, data = _read_wav(path)
             if data.dtype == np.uint8:
                 data = (data - 128.0) / 128.0  # unsigned, silence at 128
@@ -245,6 +256,8 @@ def _read_input(config, num_sensors):
         else:
             # raw interleaved float32 at the configured sample rate
             rate = _number(config, "sample_rate")
+            if not 0.0 < rate < np.inf:
+                raise UsageError(f"sample_rate must be positive and finite, got {rate!r}")
             flat = np.fromfile(path, dtype=np.float32)
             if flat.size % num_sensors != 0:
                 raise UsageError(
@@ -262,6 +275,7 @@ def _read_input(config, num_sensors):
 
 def cmd_locate(args):
     config = _load_config(args)
+    output = _path(config, "output")
     geometry = _load_geometry(config)
     rate, signal = _read_input(config, geometry.num_sensors)
 
@@ -303,17 +317,23 @@ def cmd_locate(args):
                 "converged_at": trace.converged_at,
             }
         )
-    _emit(json.dumps(report, indent=2) + "\n", config.get("output"))
+    _emit(json.dumps(report, indent=2) + "\n", output)
     return EXIT_OK
 
 
 def cmd_simulate(args):
     config = _load_config(args)
-    geometry = _load_geometry(config)
-    output = config.get("output")
-    if not output:
+    output = _path(config, "output")
+    if output is None:
         raise UsageError("an output WAV path is required (--output)")
+    geometry = _load_geometry(config)
     seed = _integer(config, "seed")
+    sample_rate = _integer(config, "sample_rate")
+    # the WAV header holds the byte rate, 4 bytes per sample and channel, in 32 bits
+    if not 0 < 4 * geometry.num_sensors * sample_rate <= 0xFFFFFFFF:
+        raise UsageError(
+            f"sample_rate must be a positive integer that fits a WAV header, got {sample_rate}"
+        )
     rng = np.random.default_rng(seed)
     sources = random_sources(rng, _integer(config, "sources"), np.radians(15.0))
     scene = Scene(
@@ -321,20 +341,20 @@ def cmd_simulate(args):
         sources=sources,
         snr_db=_number(config, "snr_db"),
         seed=seed,
-        sample_rate=_number(config, "sample_rate"),
+        sample_rate=sample_rate,
         duration=_number(config, "duration"),
     )
     signal = synth_time_scene(scene)
     std = np.std(signal)
     if std > 0.0:  # a silent scene stays silent
         signal = signal / (8.0 * std)  # headroom for float WAV
-    _write_wav(output, int(scene.sample_rate), signal.astype(np.float32))
+    _write_wav(output, sample_rate, signal.astype(np.float32))
     truth = {
         "sources": [{"doa": [float(x) for x in q]} for q in sources],
         "snr_db": scene.snr_db,
         "seed": seed,
     }
-    truth_path = str(output).rsplit(".", 1)[0] + ".json"
+    truth_path = output.rsplit(".", 1)[0] + ".json"
     with open(truth_path, "w") as f:
         json.dump(truth, f, indent=2)
     print(f"wrote {output} and {truth_path}", file=sys.stderr)
@@ -351,15 +371,17 @@ def cmd_grid(args):
 
 def cmd_bench(args):
     sweep = _load_json_object(args.sweep, "sweep file")
-    try:
-        geometry = ArrayGeometry.from_json(sweep.pop("geometry"))
-    except KeyError:
+    path = _path(sweep, "geometry")
+    if path is None:
         raise UsageError("sweep file must name a geometry file")
+    try:
+        geometry = ArrayGeometry.from_json(path)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read geometry: {exc}")
     # the --output flag wins over the sweep file, as flags do for locate
-    file_output = sweep.pop("output", None)
-    output = args.output or file_output or "bench"
+    output = args.output or _path(sweep, "output") or "bench"
+    del sweep["geometry"]
+    sweep.pop("output", None)
     _reject_unknown(sweep, MonteCarloConfig.__dataclass_fields__, "sweep keys")
     config = MonteCarloConfig(geometry=geometry, **sweep)
     result = monte_carlo(config)

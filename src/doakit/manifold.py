@@ -87,8 +87,7 @@ class ArrayGeometry:
     """Sensor coordinates plus precomputed differences for all distinct pairs.
 
     The pair list enumerates unordered pairs (m, r) with m < r, and stores
-    delta = d_m - d_r for each. The largest eigenvalue of the 3x3 Gram matrix
-    of the deltas only depends on the geometry and is cached here.
+    delta = d_m - d_r for each.
     """
 
     sensors: np.ndarray  # (M, 3) in meters
@@ -96,7 +95,6 @@ class ArrayGeometry:
 
     pair_indices: np.ndarray = field(init=False, repr=False)
     pair_deltas: np.ndarray = field(init=False, repr=False)
-    pair_gram_lmax: float = field(init=False, repr=False)
 
     def __post_init__(self):
         self.sensors = np.atleast_2d(np.asarray(self.sensors, dtype=float))
@@ -109,8 +107,6 @@ class ArrayGeometry:
         m, r = np.triu_indices(self.num_sensors, k=1)
         self.pair_indices = np.stack([m, r], axis=1)
         self.pair_deltas = self.sensors[m] - self.sensors[r]
-        gram = self.pair_deltas.T @ self.pair_deltas
-        self.pair_gram_lmax = float(np.linalg.eigvalsh(gram)[-1])
 
     @property
     def num_sensors(self):

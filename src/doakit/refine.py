@@ -4,7 +4,7 @@ Each band power a_k(q)^H V_k a_k(q) expands into a sum of cosines over the
 distinct sensor pairs. A quadratic upper bound of each cosine around the
 current iterate, combined with the tangent plane of the concave power mean,
 yields a quadratic surrogate q^T D q - 2 v^T q minimized exactly on the
-sphere (a generalized trust region subproblem). A further eigenvalue bound
+sphere (a generalized trust region subproblem). Bounding D by lambda_max(D) I
 linearizes the surrogate, giving a closed-form update. Both updates decrease
 the objective monotonically and keep every iterate on the sphere.
 """
@@ -34,8 +34,7 @@ _NULL_RTOL = 1e-5
 class PairCoefficients:
     """The pair form of the objective: off-diagonal cost matrix entries per
     band and sensor pair, the sensor positions and pair coordinate
-    differences they are steered by, the exponent, and the Gram bound of
-    the linearization constant."""
+    differences they are steered by, and the exponent."""
 
     sensors: np.ndarray  # (M, 3) sensor coordinates
     pairs: np.ndarray  # (2, P) sensor indices (m, r), m < r
@@ -47,7 +46,6 @@ class PairCoefficients:
     omega: np.ndarray  # (K,) the cost spec's wavenumbers
     band_step: float | None  # their common spacing (CostSpec.band_step)
     s: float  # power-mean exponent
-    gram_lmax: float  # lambda_max(sum_p delta_p delta_p^T)
 
     @property
     def num_sensors(self):
@@ -72,19 +70,7 @@ class PairCoefficients:
             omega=spec.omega,
             band_step=spec.band_step,
             s=spec.s,
-            gram_lmax=geometry.pair_gram_lmax,
         )
-
-
-@dataclass
-class SurrogateSystem:
-    """Quadratic surrogate q^T D q - 2 v^T q (+ const) and the linearization
-    constant C of the linear variant, which makes C*I - D PSD."""
-
-    D: np.ndarray  # (3, 3) real symmetric PSD
-    v: np.ndarray  # (3,)
-    xi: np.ndarray  # (P,) per-pair quadratic weights, all >= 0
-    C: float
 
 
 @dataclass
@@ -137,8 +123,9 @@ def _band_weights(powers, s, mean):
 
 
 def surrogate_system(coeffs, q_hat, evaluated):
-    """Assemble the quadratic surrogate of the objective around q_hat from
-    ``evaluated = pair_band_powers(coeffs, q_hat)``.
+    """The quadratic surrogate q^T D q - 2 v^T q (+ const) of the objective
+    around q_hat, as (D, v), from ``evaluated = pair_band_powers(coeffs, q_hat)``.
+    D = sum_p xi_p delta_p delta_p^T with every xi_p >= 0, so D is PSD.
 
     Every cosine term u cos(psi - b.q) is bounded by a quadratic in b.q that
     touches it at b.q_hat, with the curvature weight sinc(phi0) for
@@ -146,8 +133,7 @@ def surrogate_system(coeffs, q_hat, evaluated):
     f = u exp(j phi0) of :func:`pair_band_powers` holds all of it:
     phi0 = arg f, and with u sin(phi0) = Im f the weighted magnitude is
     u_hat = u sinc(phi0) = Im f / phi0 and u_hat phi0 = Im f, with no further
-    cosine, sine or sinc pass. The linearization constant is
-    C = (max_p xi_p) lambda_max(sum_p delta_p delta_p^T).
+    cosine, sine or sinc pass.
     """
     powers, phasors, mean = evaluated
     beta = _band_weights(powers, coeffs.s, mean)  # (K,) >= 0
@@ -167,9 +153,7 @@ def surrogate_system(coeffs, q_hat, evaluated):
     xi = (omega * scale) @ u_hat  # (P,)
     gamma = xi * (coeffs.deltas @ q_hat) + scale @ sin_part
 
-    d = (xi @ coeffs.delta_outer).reshape(3, 3)
-    v = gamma @ coeffs.deltas
-    return SurrogateSystem(D=d, v=v, xi=xi, C=float(np.max(xi)) * coeffs.gram_lmax)
+    return (xi @ coeffs.delta_outer).reshape(3, 3), gamma @ coeffs.deltas
 
 
 def solve_gtrs(D, v):
@@ -248,9 +232,12 @@ def solve_gtrs(D, v):
     return q, t - lam_list[0], False
 
 
-def linear_update(system, q_hat):
-    """Closed-form minimizer of the linear surrogate on the sphere."""
-    g = system.v - system.D @ q_hat + system.C * q_hat
+def linear_update(D, v, q_hat):
+    """Closed-form minimizer on the sphere of the linear surrogate of
+    q^T D q - 2 v^T q at q_hat: normalize(v + (C*I - D) q_hat) with
+    C = lambda_max(D), the smallest C for which C*I - D is PSD, so that the
+    linear surrogate majorizes the quadratic one."""
+    g = v - D @ q_hat + np.linalg.eigvalsh(D)[-1] * q_hat
     n = np.linalg.norm(g)
     if n <= np.finfo(float).tiny:
         return np.asarray(q_hat, dtype=float).copy()
@@ -280,11 +267,11 @@ def refine(spec, geometry, q0, variant="quadratic", max_iters=30, rel_tol=1e-10)
     converged_at = None
     slow = 0
     for t in range(max_iters):
-        system = surrogate_system(coeffs, q, evaluated)
+        D, v = surrogate_system(coeffs, q, evaluated)
         if variant == "quadratic":
-            q = solve_gtrs(system.D, system.v)[0]
+            q = solve_gtrs(D, v)[0]
         else:
-            q = linear_update(system, q)
+            q = linear_update(D, v, q)
         evaluated = pair_band_powers(coeffs, q)
         obj, new_obj = objectives[-1], evaluated[2]
         iterates.append(q)

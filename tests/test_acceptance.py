@@ -99,7 +99,7 @@ def test_criterion_2_majorization_gap():
         q_hat = rng.standard_normal(3)
         q_hat /= np.linalg.norm(q_hat)
         evaluated = pair_band_powers(coeffs, q_hat)
-        system = surrogate_system(coeffs, q_hat, evaluated)
+        D, v = surrogate_system(coeffs, q_hat, evaluated)
         g_hat = power_mean(evaluated[0], spec.s)
 
         q = rng.standard_normal((100, 3))
@@ -110,15 +110,16 @@ def test_criterion_2_majorization_gap():
         )
 
         def quad(x):
-            return np.einsum("gi,ij,gj->g", x, system.D, x) - 2.0 * x @ system.v
+            return np.einsum("gi,ij,gj->g", x, D, x) - 2.0 * x @ v
 
         gap2 = quad(q) - quad(q_hat[None])[0] - (g - g_hat)
-        # linear surrogate: first-order expansion of the quadratic plus C||q - q_hat||^2
-        grad = 2.0 * (system.D @ q_hat - system.v)
+        # linear surrogate: first-order expansion of the quadratic plus
+        # C||q - q_hat||^2 with C = lambda_max(D), as linear_update takes it
+        grad = 2.0 * (D @ q_hat - v)
         lin = (
             quad(q_hat[None])[0]
             + (q - q_hat) @ grad
-            + system.C * np.sum((q - q_hat) ** 2, axis=1)
+            + np.linalg.eigvalsh(D)[-1] * np.sum((q - q_hat) ** 2, axis=1)
         )
         gap1 = lin - quad(q_hat[None])[0] - (g - g_hat)
         worst = min(worst, gap2.min(), gap1.min())

@@ -371,6 +371,102 @@ def test_locate_raw_float32_input(tmp_path, geometry_file, capsys):
     assert "not divisible by 8 channels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rate", ["0", "-16000", "nan", "inf"])
+def test_locate_raw_input_rejects_bad_sample_rate(tmp_path, geometry_file, capsys, rate):
+    raw = tmp_path / "x.f32"
+    np.ones((1600, 8), dtype=np.float32).tofile(raw)
+    rc = main(["locate", "--geometry", geometry_file, "--input", str(raw),
+               f"--sample-rate={rate}"])
+    assert rc == 2
+    assert "sample_rate must be positive" in capsys.readouterr().err
+
+
+NON_PATHS = pytest.mark.parametrize(
+    "value", [3, True, 0, None, "", ["a"]],
+    ids=["int", "bool", "zero", "null", "empty", "list"],
+)
+
+
+@NON_PATHS
+def test_locate_rejects_non_string_geometry(tmp_path, two_source_wav, capsys, value):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"geometry": value}))
+    out = tmp_path / "report.json"
+    rc = main(["locate", "--config", str(conf), "--input", two_source_wav,
+               "--output", str(out)])
+    assert rc == 2
+    assert "geometry must be a non-empty file path" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@NON_PATHS
+def test_locate_rejects_non_string_input(tmp_path, geometry_file, capsys, value):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"input": value}))
+    out = tmp_path / "report.json"
+    rc = main(["locate", "--config", str(conf), "--geometry", geometry_file,
+               "--output", str(out)])
+    assert rc == 2
+    assert "input must be a non-empty file path" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@NON_PATHS
+@pytest.mark.parametrize("command", ["locate", "simulate"])
+def test_rejects_non_string_output(tmp_path, geometry_file, two_source_wav, capsys,
+                                   command, value):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"output": value}))
+    before = sorted(tmp_path.iterdir())
+    flags = ["--input", two_source_wav] if command == "locate" else ["--duration", "0.1"]
+    rc = main([command, "--config", str(conf), "--geometry", geometry_file, *flags])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "output must be a non-empty file path" in captured.err
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@NON_PATHS
+def test_bench_rejects_non_string_geometry(tmp_path, capsys, value):
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"geometry": value}))
+    rc = main(["bench", "--sweep", str(sweep), "--output", str(tmp_path / "bench")])
+    assert rc == 2
+    assert "geometry must be a non-empty file path" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"sample_rate": 16000.9}, {"sample_rate": 0.5, "duration": 4},
+     {"sample_rate": -16000, "duration": -1}, {"sample_rate": 0},
+     {"sample_rate": "16000"}, {"sample_rate": 2**32, "duration": 1e-9}],
+    ids=["fractional", "half-hertz", "negative", "zero", "string", "too-high"],
+)
+def test_simulate_rejects_bad_sample_rate(tmp_path, geometry_file, capsys, config):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"duration": 0.1, **config}))
+    wav = tmp_path / "scene.wav"
+    rc = main(["simulate", "--config", str(conf), "--geometry", geometry_file,
+               "--output", str(wav)])
+    assert rc == 2
+    assert "sample_rate must be" in capsys.readouterr().err
+    assert not wav.exists()
+
+
+def test_simulate_writes_its_sample_rate(tmp_path, geometry_file):
+    from scipy.io import wavfile
+
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"sample_rate": 8000.0, "duration": 0.25}))
+    wav = tmp_path / "scene.wav"
+    rc = main(["simulate", "--config", str(conf), "--geometry", geometry_file,
+               "--output", str(wav)])
+    assert rc == 0
+    rate, samples = wavfile.read(wav)
+    assert rate == 8000 and samples.shape == (2000, 8)
+
+
 def test_locate_channel_mismatch(tmp_path, geometry_file, capsys):
     from scipy.io import wavfile
 
