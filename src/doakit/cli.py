@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import numbers
+import os
 import struct
 import sys
 
@@ -120,7 +121,9 @@ def _path(settings, key):
 def _load_geometry(config):
     path = _path(config, "geometry")
     if path is None:
-        raise UsageError("a geometry file is required (--geometry)")
+        raise UsageError(
+            'a geometry file is required (--geometry, or "geometry" in a config or sweep file)'
+        )
     try:
         return ArrayGeometry.from_json(path)
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
@@ -245,7 +248,7 @@ def _read_input(config, num_sensors):
     if path is None:
         raise UsageError("an input file is required (--input)")
     try:
-        if path.endswith(".wav"):
+        if path.lower().endswith(".wav"):
             rate, data = _read_wav(path)
             if data.dtype == np.uint8:
                 data = (data - 128.0) / 128.0  # unsigned, silence at 128
@@ -326,6 +329,10 @@ def cmd_simulate(args):
     output = _path(config, "output")
     if output is None:
         raise UsageError("an output WAV path is required (--output)")
+    # the truth file sits beside the recording, with its extension swapped
+    truth_path = os.path.splitext(output)[0] + ".json"
+    if truth_path == output:
+        raise UsageError(f"output {output} would be overwritten by the truth file")
     geometry = _load_geometry(config)
     seed = _integer(config, "seed")
     sample_rate = _integer(config, "sample_rate")
@@ -354,7 +361,6 @@ def cmd_simulate(args):
         "snr_db": scene.snr_db,
         "seed": seed,
     }
-    truth_path = output.rsplit(".", 1)[0] + ".json"
     with open(truth_path, "w") as f:
         json.dump(truth, f, indent=2)
     print(f"wrote {output} and {truth_path}", file=sys.stderr)
@@ -371,13 +377,7 @@ def cmd_grid(args):
 
 def cmd_bench(args):
     sweep = _load_json_object(args.sweep, "sweep file")
-    path = _path(sweep, "geometry")
-    if path is None:
-        raise UsageError("sweep file must name a geometry file")
-    try:
-        geometry = ArrayGeometry.from_json(path)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read geometry: {exc}")
+    geometry = _load_geometry(sweep)
     # the --output flag wins over the sweep file, as flags do for locate
     output = args.output or _path(sweep, "output") or "bench"
     del sweep["geometry"]

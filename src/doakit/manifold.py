@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,13 +115,17 @@ class ArrayGeometry:
 
     @classmethod
     def from_json(cls, path):
-        """Load {"speed_of_sound": c, "sensors": [[x,y,z], ...]} from a file."""
+        """Load {"speed_of_sound": c, "sensors": [[x,y,z], ...]} from a file;
+        ValueError when the file holds no such object or c is not a number."""
         with open(path) as f:
             obj = json.load(f)
-        return cls(
-            sensors=np.asarray(obj["sensors"], dtype=float),
-            speed_of_sound=float(obj.get("speed_of_sound", SPEED_OF_SOUND)),
-        )
+        if not isinstance(obj, dict):
+            raise ValueError("a geometry file must hold a JSON object")
+        speed = obj.get("speed_of_sound", SPEED_OF_SOUND)
+        if isinstance(speed, bool) or not isinstance(speed, numbers.Real):
+            raise ValueError(f"speed_of_sound must be a number, got {speed!r}")
+        return cls(sensors=np.asarray(obj["sensors"], dtype=float),
+                   speed_of_sound=float(speed))
 
     def to_json(self, path):
         obj = {

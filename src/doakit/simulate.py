@@ -193,6 +193,53 @@ def synth_time_scene(scene):
     return out
 
 
+def _min_sum_assignment(cost):
+    """The column each row takes in a minimum-sum assignment of a square
+    cost matrix: Kuhn-Munkres with row and column potentials and one
+    shortest augmenting path per row (Crouse, 2016), O(n^3). Columns are
+    visited and ties broken as scipy.optimize.linear_sum_assignment does, so
+    the same columns come out when several assignments reach the minimum."""
+    n = cost.shape[0]
+    u, v = np.zeros(n), np.zeros(n)
+    col4row, row4col, path = np.full(n, -1), np.full(n, -1), np.full(n, -1)
+    for cur in range(n):
+        dist = np.full(n, np.inf)  # shortest path cost to each column
+        seen_rows, seen_cols = np.zeros(n, bool), np.zeros(n, bool)
+        todo = np.arange(n - 1, -1, -1)  # columns not yet reached
+        i, low, sink = cur, 0.0, -1
+        while sink < 0:
+            seen_rows[i] = True
+            reach = low + cost[i, todo] - u[i] - v[todo]
+            closer = reach < dist[todo]
+            path[todo[closer]] = i
+            dist[todo[closer]] = reach[closer]
+            low = dist[todo].min()
+            ties = np.flatnonzero(dist[todo] == low)
+            free = ties[row4col[todo[ties]] < 0]  # a free column ends the path
+            k = free[-1] if free.size else ties[0]
+            j = todo[k]
+            seen_cols[j] = True
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            todo[k] = todo[-1]
+            todo = todo[:-1]
+        seen_rows[cur] = False
+        u[cur] += low
+        u[seen_rows] += low - dist[col4row[seen_rows]]
+        v[seen_cols] -= low - dist[seen_cols]
+        # flip the matched and unmatched edges along the path back to cur
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
 def evaluate(estimates, truth):
     """Per-source great-circle errors in degrees, indexed like ``truth``, under
     the assignment of estimates to sources that minimizes the average error."""
@@ -200,15 +247,11 @@ def evaluate(estimates, truth):
     truth = np.atleast_2d(np.asarray(truth, dtype=float))
     if estimates.shape != truth.shape:
         raise ValueError("estimates and truth must have the same shape")
-    # imported here, not at module level: only scoring needs scipy.optimize,
-    # and its import took about 70 ms on a 2-vCPU x86-64 host, more than
-    # the whole locate of a recording
-    from scipy.optimize import linear_sum_assignment
-
     # pairwise error matrix, truth index i vs estimate index j
     err = np.degrees(great_circle_distance(truth[:, None, :], estimates[None, :, :]))
-    rows, cols = linear_sum_assignment(err)
-    return err[rows, cols]
+    if not np.all(np.isfinite(err)):
+        raise ValueError("estimates and truth must be finite")
+    return err[np.arange(len(err)), _min_sum_assignment(err)]
 
 
 @dataclass

@@ -467,6 +467,81 @@ def test_simulate_writes_its_sample_rate(tmp_path, geometry_file):
     assert rate == 8000 and samples.shape == (2000, 8)
 
 
+def test_simulate_and_locate_read_upper_case_wav(tmp_path, geometry_file):
+    # a name ending in .WAV is a WAV file both ways, not raw float32 samples
+    upper, lower = tmp_path / "scene.WAV", tmp_path / "scene.wav"
+    rc = main(["simulate", "--geometry", geometry_file, "--sources", "1",
+               "--seed", "5", "--duration", "0.5", "--output", str(upper)])
+    assert rc == 0
+    assert (tmp_path / "scene.json").exists()
+    lower.write_bytes(upper.read_bytes())
+    reports = []
+    for path in (upper, lower):
+        out = tmp_path / f"{path.name}.report"
+        rc = main(["locate", "--geometry", geometry_file, "--input", str(path),
+                   "--output", str(out)])
+        assert rc == 0
+        reports.append(out.read_text())
+    assert reports[0] == reports[1]
+
+
+def test_simulate_truth_sits_beside_extensionless_output(tmp_path, geometry_file):
+    # only the last path component's extension is swapped, so a dot in a
+    # directory name does not move the truth file out of that directory
+    (tmp_path / "runs.v1").mkdir()
+    rc = main(["simulate", "--geometry", geometry_file, "--sources", "1",
+               "--duration", "0.1", "--output", str(tmp_path / "runs.v1" / "scene")])
+    assert rc == 0
+    assert sorted(p.name for p in (tmp_path / "runs.v1").iterdir()) == ["scene", "scene.json"]
+    assert not (tmp_path / "runs.json").exists()
+
+
+def test_simulate_rejects_output_the_truth_would_overwrite(tmp_path, geometry_file, capsys):
+    rc = main(["simulate", "--geometry", geometry_file, "--sources", "1",
+               "--duration", "0.1", "--output", str(tmp_path / "scene.json")])
+    assert rc == 2
+    assert "overwritten by the truth file" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["array.json"]
+
+
+def _command_with_geometry(command, tmp_path, geometry):
+    """argv for ``command`` reading the geometry file ``geometry``, every
+    output under tmp_path/out."""
+    out = tmp_path / "out"
+    if command == "locate":
+        return ["locate", "--geometry", geometry, "--input", str(tmp_path / "nope.wav"),
+                "--output", str(out)]
+    if command == "simulate":
+        return ["simulate", "--geometry", geometry, "--duration", "0.1",
+                "--output", str(out)]
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"geometry": geometry, "num_trials": 1, "num_frames": 10}))
+    return ["bench", "--sweep", str(sweep), "--output", str(out)]
+
+
+@pytest.mark.parametrize("command", ["locate", "simulate", "bench"])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]], "must hold a JSON object"),
+        ({"sensors": [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]], "speed_of_sound": None},
+         "speed_of_sound must be a number"),
+        ({"sensors": [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]], "speed_of_sound": "343"},
+         "speed_of_sound must be a number"),
+        ({"speed_of_sound": 343.0}, "sensors"),
+    ],
+    ids=["bare-list", "null-speed", "string-speed", "no-sensors"],
+)
+def test_malformed_geometry_exits_2(tmp_path, capsys, command, content, message):
+    geometry = tmp_path / "array.json"
+    geometry.write_text(json.dumps(content))
+    rc = main(_command_with_geometry(command, tmp_path, str(geometry)))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"cannot read geometry {geometry}" in err and message in err
+    assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
+
+
 def test_locate_channel_mismatch(tmp_path, geometry_file, capsys):
     from scipy.io import wavfile
 
@@ -626,6 +701,38 @@ def test_import_simulate_and_locate_load_no_scipy(tmp_path, geometry_file):
                          text=True).stdout.splitlines()
     assert out == ["[]", "[0.0, 0.0]"]
     assert len(json.loads((tmp_path / "scene.wav.report").read_text())["sources"]) == 1
+
+
+def test_runtime_needs_no_scipy(tmp_path, geometry_file):
+    # with every scipy import made to fail, importing doakit, simulating,
+    # locating, scoring and a one-cell bench all still succeed
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({
+        "geometry": geometry_file, "num_sources": 2, "num_trials": 1, "num_frames": 10,
+        "grid_sizes": [50],
+    }))
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import doakit, doakit.cli\n"
+        "wav, geometry, sweep = sys.argv[1:4]\n"
+        "assert doakit.cli.main(['simulate', '--geometry', geometry, '--sources', '2',\n"
+        "                        '--duration', '0.25', '--output', wav]) == 0\n"
+        "assert doakit.cli.main(['locate', '--geometry', geometry, '--input', wav,\n"
+        "                        '--sources', '2', '--output', wav + '.report']) == 0\n"
+        "print(doakit.evaluate([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],\n"
+        "                      [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]).tolist())\n"
+        "assert doakit.cli.main(['bench', '--sweep', sweep, '--output', wav + '.bench']) == 0\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-c", code, str(tmp_path / "scene.wav"), geometry_file, str(sweep)]
+    out = subprocess.run(argv, env=env, check=True, capture_output=True,
+                         text=True).stdout.splitlines()
+    assert out == ["[0.0, 0.0]"]
+    assert len(json.loads((tmp_path / "scene.wav.report").read_text())["sources"]) == 2
+    cells = json.loads((tmp_path / "scene.wav.bench.json").read_text())["cells"]
+    assert len(cells) == 1 and np.isfinite(cells[0]["median_error_deg"])
 
 
 def test_bench_output_flag_wins_over_sweep_file(tmp_path, geometry_file):

@@ -229,6 +229,8 @@ def test_evaluate_known_errors():
 def test_evaluate_rejects_bad_input():
     with pytest.raises(ValueError):
         evaluate(np.zeros((2, 3)), np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        evaluate([[np.nan, 0.0, 1.0]], [[0.0, 0.0, 1.0]])
     # there is no cap on the source count: seven permuted sources match exactly
     local = np.random.default_rng(7)
     truth = random_sources(local, 7, np.radians(10.0))
@@ -256,6 +258,40 @@ def test_evaluate_matches_permutation_oracle(num):
         np.testing.assert_allclose(
             evaluate(estimates, truth), _evaluate_oracle(estimates, truth), atol=1e-9
         )
+
+
+def test_evaluate_matches_scipy_assignment():
+    # scipy's assignment is the oracle: the same errors, bit for bit, at
+    # source counts no permutation search reaches
+    from scipy.optimize import linear_sum_assignment
+
+    local = np.random.default_rng(13)
+    for num in range(1, 13):
+        for _ in range(20):
+            truth = random_sources(local, num, 0.0)
+            estimates = random_sources(local, num, 0.0)
+            err = np.degrees(great_circle_distance(truth[:, None, :], estimates[None, :, :]))
+            np.testing.assert_array_equal(
+                evaluate(estimates, truth), err[linear_sum_assignment(err)]
+            )
+    truth = random_sources(local, 40, np.radians(5.0))
+    np.testing.assert_array_equal(evaluate(truth[local.permutation(40)], truth), 0.0)
+
+
+def test_min_sum_assignment_breaks_ties_as_scipy_does():
+    # small integer costs tie often; the columns, not only the sums, match
+    from scipy.optimize import linear_sum_assignment
+
+    from doakit.simulate import _min_sum_assignment
+
+    local = np.random.default_rng(17)
+    for num in range(1, 9):
+        for _ in range(30):
+            cost = local.integers(0, 3, (num, num)).astype(float)
+            np.testing.assert_array_equal(
+                _min_sum_assignment(cost), linear_sum_assignment(cost)[1]
+            )
+    np.testing.assert_array_equal(_min_sum_assignment(np.ones((5, 5))), np.arange(5))
 
 
 def test_random_sources_separation(rng):
