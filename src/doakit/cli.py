@@ -55,14 +55,10 @@ DEFAULTS = {
 }
 
 
-class UsageError(Exception):
-    pass
-
-
 def _reject_unknown(keys, known, what):
     unknown = set(keys) - set(known)
     if unknown:
-        raise UsageError(f"unknown {what}: {sorted(unknown)}")
+        raise ValueError(f"unknown {what}: {sorted(unknown)}")
 
 
 def _load_json_object(path, what):
@@ -70,9 +66,9 @@ def _load_json_object(path, what):
         with open(path) as f:
             loaded = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read {what} {path}: {exc}")
+        raise ValueError(f"cannot read {what} {path}: {exc}")
     if not isinstance(loaded, dict):
-        raise UsageError(f"{what} {path} must hold a JSON object")
+        raise ValueError(f"{what} {path} must hold a JSON object")
     return loaded
 
 
@@ -103,7 +99,7 @@ def _number(config, key):
     non-number exits 2 with the key in the message."""
     value = config[key]
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise UsageError(f"{key} must be a number, got {value!r}")
+        raise ValueError(f"{key} must be a number, got {value!r}")
     return float(value)
 
 
@@ -114,20 +110,20 @@ def _path(settings, key):
         return None
     value = settings[key]
     if not (isinstance(value, str) and value):
-        raise UsageError(f"{key} must be a non-empty file path, got {value!r}")
+        raise ValueError(f"{key} must be a non-empty file path, got {value!r}")
     return value
 
 
 def _load_geometry(config):
     path = _path(config, "geometry")
     if path is None:
-        raise UsageError(
+        raise ValueError(
             'a geometry file is required (--geometry, or "geometry" in a config or sweep file)'
         )
     try:
         return ArrayGeometry.from_json(path)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read geometry {path}: {exc}")
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"cannot read geometry {path}: {exc}")
 
 
 # WAVE format tags; WAVE_FORMAT_EXTENSIBLE names the real one in the first
@@ -246,31 +242,32 @@ def _write_wav(path, rate, samples):
 def _read_input(config, num_sensors):
     path = _path(config, "input")
     if path is None:
-        raise UsageError("an input file is required (--input)")
+        raise ValueError("an input file is required (--input)")
+    wav = path.lower().endswith(".wav")
+    if not wav:
+        # raw interleaved float32 at the configured sample rate
+        rate = _number(config, "sample_rate")
+        if not 0.0 < rate < np.inf:
+            raise ValueError(f"sample_rate must be positive and finite, got {rate!r}")
     try:
-        if path.lower().endswith(".wav"):
+        if wav:
             rate, data = _read_wav(path)
-            if data.dtype == np.uint8:
-                data = (data - 128.0) / 128.0  # unsigned, silence at 128
-            elif np.issubdtype(data.dtype, np.integer):
-                data = data / float(np.iinfo(data.dtype).max)
-            else:
-                data = data.astype(float)
         else:
-            # raw interleaved float32 at the configured sample rate
-            rate = _number(config, "sample_rate")
-            if not 0.0 < rate < np.inf:
-                raise UsageError(f"sample_rate must be positive and finite, got {rate!r}")
-            flat = np.fromfile(path, dtype=np.float32)
-            if flat.size % num_sensors != 0:
-                raise UsageError(
-                    f"raw input length not divisible by {num_sensors} channels"
-                )
-            data = flat.reshape(-1, num_sensors).astype(float)
+            data = np.fromfile(path, dtype=np.float32)
     except (OSError, ValueError, struct.error) as exc:
-        raise UsageError(f"cannot read input {path}: {exc}")
+        raise ValueError(f"cannot read input {path}: {exc}")
+    if not wav:
+        if data.size % num_sensors != 0:
+            raise ValueError(f"raw input length not divisible by {num_sensors} channels")
+        data = data.reshape(-1, num_sensors).astype(float)
+    elif data.dtype == np.uint8:
+        data = (data - 128.0) / 128.0  # unsigned, silence at 128
+    elif np.issubdtype(data.dtype, np.integer):
+        data = data / float(np.iinfo(data.dtype).max)
+    else:
+        data = data.astype(float)
     if data.shape[1] != num_sensors:
-        raise UsageError(
+        raise ValueError(
             f"input has {data.shape[1]} channels but geometry has {num_sensors} sensors"
         )
     return float(rate), data
@@ -328,17 +325,21 @@ def cmd_simulate(args):
     config = _load_config(args)
     output = _path(config, "output")
     if output is None:
-        raise UsageError("an output WAV path is required (--output)")
+        raise ValueError("an output WAV path is required (--output)")
     # the truth file sits beside the recording, with its extension swapped
     truth_path = os.path.splitext(output)[0] + ".json"
     if truth_path == output:
-        raise UsageError(f"output {output} would be overwritten by the truth file")
+        raise ValueError(f"output {output} would be overwritten by the truth file")
     geometry = _load_geometry(config)
+    for read, what in ((config["geometry"], "geometry"), (args.config, "config")):
+        for written in (output, truth_path):
+            if read and os.path.realpath(written) == os.path.realpath(read):
+                raise ValueError(f"{written} would overwrite the {what} file {read}")
     seed = _integer(config, "seed")
     sample_rate = _integer(config, "sample_rate")
     # the WAV header holds the byte rate, 4 bytes per sample and channel, in 32 bits
     if not 0 < 4 * geometry.num_sensors * sample_rate <= 0xFFFFFFFF:
-        raise UsageError(
+        raise ValueError(
             f"sample_rate must be a positive integer that fits a WAV header, got {sample_rate}"
         )
     rng = np.random.default_rng(seed)
@@ -447,9 +448,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

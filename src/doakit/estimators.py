@@ -8,53 +8,30 @@ with Hermitian PSD matrices V_k. Estimators that are natively maximizations
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import SPEED_OF_SOUND, great_circle_distance
+from .manifold import great_circle_distance
+from .spectral import CovarianceSet
 
 # floor applied to band powers before negative exponents
 EPS_POWER = 1e-30
 
 DEFAULT_MVDR_LOADING = 1e-3
 
-# wavenumbers within this many ulps of an arithmetic progression count as
-# evenly spaced, so the phasor recurrence of phasor_table reproduces
-# exp(j omega_k x)
-_SPACING_ULPS = 8
-
 
 @dataclass
-class CostSpec:
-    """Matrices, wavenumbers and exponent of the band-power objective."""
+class CostSpec(CovarianceSet):
+    """Matrices, band frequencies and exponent of the band-power objective;
+    the array geometry turns the frequencies into wavenumbers."""
 
-    matrices: np.ndarray  # (K, M, M) Hermitian PSD
-    omega: np.ndarray  # (K,) wavenumbers in rad/m
     s: float
-    # common spacing of omega when evenly spaced (STFT bands), else None
-    band_step: float | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.matrices = np.asarray(self.matrices, dtype=complex)
-        self.omega = np.asarray(self.omega, dtype=float)
-        if self.matrices.ndim != 3 or self.matrices.shape[1] != self.matrices.shape[2]:
-            raise ValueError("matrices must have shape (bands, M, M)")
-        if self.omega.shape != (self.matrices.shape[0],):
-            raise ValueError("omega length must match the band count")
-        if np.any(self.omega < 0) or np.any(np.diff(self.omega) <= 0):
-            raise ValueError("omega must be non-negative and strictly increasing")
+        super().__post_init__()
         if not -np.inf < self.s <= 1.0 or self.s == 0.0:
             raise ValueError("exponent s must lie in (-inf, 1], s != 0")
-        self.band_step = _common_step(self.omega)
-
-    @property
-    def num_bands(self):
-        return self.matrices.shape[0]
-
-    @property
-    def num_sensors(self):
-        return self.matrices.shape[1]
 
 
 def gershgorin_shift(c):
@@ -67,21 +44,17 @@ def gershgorin_shift(c):
     return p, v
 
 
-def _wavenumbers(frequencies, speed_of_sound):
-    return 2.0 * np.pi * np.asarray(frequencies, dtype=float) / speed_of_sound
-
-
-def srp_cost_spec(cov, s=-3.0, speed_of_sound=SPEED_OF_SOUND):
+def srp_cost_spec(cov, s=-3.0):
     """Steered-response-power cost. Apply PHAT weighting to the frames before
     computing the covariance to obtain SRP-PHAT."""
     return CostSpec(
         matrices=gershgorin_shift(cov.matrices)[1],
-        omega=_wavenumbers(cov.band_frequencies, speed_of_sound),
+        band_frequencies=cov.band_frequencies,
         s=s,
     )
 
 
-def music_cost_spec(cov, num_sources, s=-1.0, speed_of_sound=SPEED_OF_SOUND):
+def music_cost_spec(cov, num_sources, s=-1.0):
     """Noise-subspace projector cost (MUSIC)."""
     m = cov.num_sensors
     if not 1 <= num_sources < m:
@@ -90,12 +63,12 @@ def music_cost_spec(cov, num_sources, s=-1.0, speed_of_sound=SPEED_OF_SOUND):
     noise = vecs[..., : m - num_sources]
     return CostSpec(
         matrices=noise @ np.swapaxes(noise.conj(), 1, 2),
-        omega=_wavenumbers(cov.band_frequencies, speed_of_sound),
+        band_frequencies=cov.band_frequencies,
         s=s,
     )
 
 
-def mvdr_cost_spec(cov, loading=DEFAULT_MVDR_LOADING, s=-1.0, speed_of_sound=SPEED_OF_SOUND):
+def mvdr_cost_spec(cov, loading=DEFAULT_MVDR_LOADING, s=-1.0):
     """Inverse-covariance (Capon) cost with relative diagonal loading."""
     if not 0.0 <= loading < np.inf:
         raise ValueError("loading must be finite and non-negative")
@@ -111,7 +84,7 @@ def mvdr_cost_spec(cov, loading=DEFAULT_MVDR_LOADING, s=-1.0, speed_of_sound=SPE
     inv = np.linalg.inv(loaded)
     return CostSpec(
         matrices=0.5 * (inv + np.swapaxes(inv.conj(), 1, 2)),
-        omega=_wavenumbers(cov.band_frequencies, speed_of_sound),
+        band_frequencies=cov.band_frequencies,
         s=s,
     )
 
@@ -137,33 +110,6 @@ def power_mean(values, s):
     return c[0] * mean ** (1.0 / s)
 
 
-def _common_step(omega):
-    """Spacing of omega if every omega_k lies within a few ulps of
-    omega_0 + k * step, so the phasor recurrence reproduces exp(j omega_k x)
-    to rounding; None otherwise."""
-    step = (omega[-1] - omega[0]) / max(omega.size - 1, 1)
-    drift = np.max(np.abs(omega - (omega[0] + step * np.arange(omega.size))))
-    return float(step) if drift <= _SPACING_ULPS * np.finfo(float).eps * omega[-1] else None
-
-
-def phasor_table(omega, x, step):
-    """exp(j omega_k x) for every band, shape (K, x.size); meant for a small
-    x, such as the sensor delays of one direction.
-
-    With evenly spaced omega (``step`` from :func:`_common_step`) each band
-    is the previous one times exp(j step x): two exp calls and one
-    cumulative product over the bands. Otherwise one exp per entry.
-    """
-    omega = np.asarray(omega, dtype=float)
-    if step is None:
-        return np.exp(np.multiply.outer(1j * omega, x))
-    first, rotate = np.exp(np.multiply.outer((1j * omega[0], 1j * step), x))
-    table = np.empty((omega.size, x.size), dtype=complex)
-    table[0] = first
-    table[1:] = rotate
-    return np.multiply.accumulate(table, axis=0, out=table)
-
-
 def band_powers(spec, geometry, points):
     """Quadratic forms a_k(q)^H V_k a_k(q), shape (K, G), for a (G, 3) batch
     of directions.
@@ -175,12 +121,13 @@ def band_powers(spec, geometry, points):
     written into one reused complex buffer, which is cheaper than the
     complex exp of a purely imaginary argument.
     """
+    omega = geometry.wavenumbers(spec.band_frequencies)
     tau = points @ geometry.sensors.T  # (G, M)
     out = np.empty((spec.num_bands, tau.shape[0]))
     phase = np.empty_like(tau)
     a = np.empty(tau.shape, dtype=complex)
     for k in range(spec.num_bands):
-        np.multiply(tau, spec.omega[k], out=phase)
+        np.multiply(tau, omega[k], out=phase)
         np.cos(phase, out=a.real)
         np.sin(phase, out=a.imag)
         b = a @ spec.matrices[k].T

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,17 +85,11 @@ def normalized(q):
 
 @dataclass
 class ArrayGeometry:
-    """Sensor coordinates plus precomputed differences for all distinct pairs.
-
-    The pair list enumerates unordered pairs (m, r) with m < r, and stores
-    delta = d_m - d_r for each.
-    """
+    """Sensor coordinates and the speed of sound, which together fix the
+    wavenumber of every frequency."""
 
     sensors: np.ndarray  # (M, 3) in meters
     speed_of_sound: float = SPEED_OF_SOUND
-
-    pair_indices: np.ndarray = field(init=False, repr=False)
-    pair_deltas: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.sensors = np.atleast_2d(np.asarray(self.sensors, dtype=float))
@@ -103,15 +97,18 @@ class ArrayGeometry:
             raise ValueError("sensors must be an (M, 3) array")
         if self.sensors.shape[0] < 2:
             raise ValueError("need at least two sensors")
-        if not self.speed_of_sound > 0:
-            raise ValueError("speed of sound must be positive")
-        m, r = np.triu_indices(self.num_sensors, k=1)
-        self.pair_indices = np.stack([m, r], axis=1)
-        self.pair_deltas = self.sensors[m] - self.sensors[r]
+        if not np.all(np.isfinite(self.sensors)):
+            raise ValueError("sensor coordinates must be finite")
+        if not 0.0 < self.speed_of_sound < np.inf:
+            raise ValueError("speed of sound must be positive and finite")
 
     @property
     def num_sensors(self):
         return self.sensors.shape[0]
+
+    def wavenumbers(self, frequencies):
+        """Wavenumbers 2 pi f / c in rad/m of frequencies in Hz."""
+        return 2.0 * np.pi * np.asarray(frequencies, dtype=float) / self.speed_of_sound
 
     @classmethod
     def from_json(cls, path):

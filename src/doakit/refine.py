@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import EPS_POWER, phasor_table, power_mean
+from .estimators import EPS_POWER, power_mean
 from .manifold import normalized
 
 GTRS_NORM_TOL = 1e-12
@@ -28,13 +28,17 @@ _TINY = np.finfo(float).tiny
 # about 1e-10 of a power at this level, so switching there cannot break the
 # 1e-9 relative descent guarantee
 _NULL_RTOL = 1e-5
+# wavenumbers within this many ulps of an arithmetic progression count as
+# evenly spaced, so the phasor recurrence of phasor_table reproduces
+# exp(j omega_k x)
+_SPACING_ULPS = 8
 
 
 @dataclass
 class PairCoefficients:
     """The pair form of the objective: off-diagonal cost matrix entries per
     band and sensor pair, the sensor positions and pair coordinate
-    differences they are steered by, and the exponent."""
+    differences they are steered by, the wavenumbers and the exponent."""
 
     sensors: np.ndarray  # (M, 3) sensor coordinates
     pairs: np.ndarray  # (2, P) sensor indices (m, r), m < r
@@ -43,8 +47,8 @@ class PairCoefficients:
     neg_entries: np.ndarray  # (K, P) -V_k[m, r]
     magnitudes: np.ndarray  # (K, P) |V_k[m, r]|
     diagonal: np.ndarray  # (K,) tr(V_k) / M, the diagonal part of each band power
-    omega: np.ndarray  # (K,) the cost spec's wavenumbers
-    band_step: float | None  # their common spacing (CostSpec.band_step)
+    omega: np.ndarray  # (K,) wavenumbers of the cost spec's band frequencies
+    band_step: float | None  # their common spacing when evenly spaced, else None
     s: float  # power-mean exponent
 
     @property
@@ -53,8 +57,9 @@ class PairCoefficients:
 
     @classmethod
     def from_cost_spec(cls, spec, geometry):
-        pairs = geometry.pair_indices.T
-        deltas = geometry.pair_deltas
+        pairs = np.array(np.triu_indices(geometry.num_sensors, k=1))
+        deltas = geometry.sensors[pairs[0]] - geometry.sensors[pairs[1]]
+        omega = geometry.wavenumbers(spec.band_frequencies)
         # fancy indexing leaves the band axis innermost; (K, P) rows keep the
         # per-step arithmetic on contiguous memory
         entries = np.ascontiguousarray(spec.matrices[:, pairs[0], pairs[1]])
@@ -67,10 +72,37 @@ class PairCoefficients:
             neg_entries=-entries,
             magnitudes=np.abs(entries),
             diagonal=traces / geometry.num_sensors,
-            omega=spec.omega,
-            band_step=spec.band_step,
+            omega=omega,
+            band_step=_common_step(omega),
             s=spec.s,
         )
+
+
+def _common_step(omega):
+    """Spacing of omega if every omega_k lies within a few ulps of
+    omega_0 + k * step, so the phasor recurrence reproduces exp(j omega_k x)
+    to rounding; None otherwise."""
+    step = (omega[-1] - omega[0]) / max(omega.size - 1, 1)
+    drift = np.max(np.abs(omega - (omega[0] + step * np.arange(omega.size))))
+    return float(step) if drift <= _SPACING_ULPS * np.finfo(float).eps * omega[-1] else None
+
+
+def phasor_table(omega, x, step):
+    """exp(j omega_k x) for every band, shape (K, x.size); meant for a small
+    x, such as the sensor delays of one direction.
+
+    With evenly spaced omega (``step`` from :func:`_common_step`) each band
+    is the previous one times exp(j step x): two exp calls and one
+    cumulative product over the bands. Otherwise one exp per entry.
+    """
+    omega = np.asarray(omega, dtype=float)
+    if step is None:
+        return np.exp(np.multiply.outer(1j * omega, x))
+    first, rotate = np.exp(np.multiply.outer((1j * omega[0], 1j * step), x))
+    table = np.empty((omega.size, x.size), dtype=complex)
+    table[0] = first
+    table[1:] = rotate
+    return np.multiply.accumulate(table, axis=0, out=table)
 
 
 @dataclass

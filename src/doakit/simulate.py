@@ -109,7 +109,7 @@ def synth_stft_scene(scene, frame_size=512, num_frames=100, f_min=300.0, f_max=3
     num_bands = frame_size // 2 + 1
     freqs = np.arange(num_bands) * scene.sample_rate / frame_size
     active = (freqs >= f_min) & (freqs <= f_max)
-    omega = 2.0 * np.pi * freqs / geom.speed_of_sound
+    omega = geom.wavenumbers(freqs)
 
     # (K, M, L) steering tensor
     tau = geom.sensors @ scene.sources.T  # (M, L)
@@ -371,14 +371,13 @@ def _check_settings(estimator, variant, max_iters, rel_tol, mvdr_loading):
             raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
 
 
-def build_cost_spec(cov, estimator, s, num_sources, speed_of_sound,
-                    mvdr_loading=DEFAULT_MVDR_LOADING):
+def build_cost_spec(cov, estimator, s, num_sources, mvdr_loading=DEFAULT_MVDR_LOADING):
     if estimator in ("srp", "srp-phat"):
-        return srp_cost_spec(cov, s=s, speed_of_sound=speed_of_sound)
+        return srp_cost_spec(cov, s=s)
     if estimator == "music":
-        return music_cost_spec(cov, num_sources, s=s, speed_of_sound=speed_of_sound)
+        return music_cost_spec(cov, num_sources, s=s)
     if estimator == "mvdr":
-        return mvdr_cost_spec(cov, loading=mvdr_loading, s=s, speed_of_sound=speed_of_sound)
+        return mvdr_cost_spec(cov, loading=mvdr_loading, s=s)
     raise ValueError(f"unknown estimator {estimator!r}")
 
 
@@ -400,9 +399,7 @@ def locate_sources(cov, geometry, grid, *, estimator, s, num_sources, variant,
         raise np.linalg.LinAlgError(
             "no usable signal: the covariance is non-finite or zero in every band"
         )
-    spec = build_cost_spec(
-        cov, estimator, s, num_sources, geometry.speed_of_sound, mvdr_loading
-    )
+    spec = build_cost_spec(cov, estimator, s, num_sources, mvdr_loading)
     peaks = grid_search(
         spec, geometry, grid, num_sources=num_sources, min_separation=min_separation_rad
     )

@@ -49,7 +49,8 @@ class SpectralFrames:
 
 @dataclass
 class CovarianceSet:
-    """Per-band Hermitian PSD sample covariance matrices."""
+    """Per-band Hermitian matrices at non-negative, strictly increasing band
+    frequencies."""
 
     matrices: np.ndarray  # (K, M, M) complex
     band_frequencies: np.ndarray  # (K,) Hz
@@ -59,8 +60,11 @@ class CovarianceSet:
         self.band_frequencies = np.asarray(self.band_frequencies, dtype=float)
         if self.matrices.ndim != 3 or self.matrices.shape[1] != self.matrices.shape[2]:
             raise ValueError("matrices must have shape (bands, M, M)")
-        if self.band_frequencies.shape[0] != self.matrices.shape[0]:
+        if self.band_frequencies.shape != (self.matrices.shape[0],):
             raise ValueError("band count mismatch")
+        f = self.band_frequencies
+        if not (np.all(f >= 0.0) and np.all(np.diff(f) > 0.0)):
+            raise ValueError("band frequencies must be non-negative and strictly increasing")
 
     @property
     def num_bands(self):

@@ -14,6 +14,12 @@ from doakit.spectral import apply_weighting
 _TWO_PI = 2.0 * np.pi
 
 
+def hertz(omega, speed_of_sound=343.0):
+    """Band frequencies in Hz of wavenumbers in rad/m, omega c / (2 pi), for
+    cost specs whose inputs are drawn as wavenumbers."""
+    return np.asarray(omega, dtype=float) * speed_of_sound / _TWO_PI
+
+
 def wrap_phase(theta0):
     """Wrap an angle into (-pi, pi]: returns (z0, phi0) with
     phi0 = theta0 + 2*pi*z0 and z0 the integer minimizing |phi0|.

@@ -26,7 +26,7 @@ from doakit.refine import (
 )
 from doakit.simulate import MonteCarloConfig, monte_carlo
 from doakit.spectral import CovarianceSet
-from oracles import gtrs_coefficients, quadratic_monomials, unnormalized_sinc, wrap_phase
+from oracles import gtrs_coefficients, hertz, quadratic_monomials, unnormalized_sinc, wrap_phase
 
 
 def _report(num, name, ok, detail=""):
@@ -45,7 +45,7 @@ def _random_cost_spec(rng, num_sensors, num_bands, s):
         )
         mats.append(a @ a.conj().T / num_sensors)
     omega = np.sort(rng.uniform(5.0, 70.0, num_bands))
-    return CostSpec(np.stack(mats), omega, s=s), geom
+    return CostSpec(np.stack(mats), hertz(omega, geom.speed_of_sound), s=s), geom
 
 
 def _rank_one_spec(geom, qstar, freqs, s=0.5):

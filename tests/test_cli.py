@@ -504,6 +504,37 @@ def test_simulate_rejects_output_the_truth_would_overwrite(tmp_path, geometry_fi
     assert sorted(p.name for p in tmp_path.iterdir()) == ["array.json"]
 
 
+@pytest.mark.parametrize(
+    "geometry_name, output",
+    [("array.json", "array.wav"), ("array.json", "sub/../array.wav"), ("array.dat", "array.dat")],
+    ids=["truth", "truth-via-dotdot", "wav"],
+)
+def test_simulate_refuses_to_overwrite_its_geometry(tmp_path, capsys, geometry_name, output):
+    # the truth file (array.wav -> array.json) or the WAV itself would
+    # replace the geometry the command reads
+    (tmp_path / "sub").mkdir()
+    geometry = tmp_path / geometry_name
+    random_geometry(num_sensors=8, seed=3).to_json(geometry)
+    original = geometry.read_bytes()
+    rc = main(["simulate", "--geometry", str(geometry), "--duration", "0.1",
+               "--output", str(tmp_path / output)])
+    assert rc == 2
+    assert f"would overwrite the geometry file {geometry}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([geometry_name, "sub"])
+    assert geometry.read_bytes() == original
+
+
+def test_simulate_refuses_to_overwrite_its_config(tmp_path, geometry_file, capsys):
+    conf = tmp_path / "c.json"
+    conf.write_text(json.dumps({"duration": 0.1}))
+    rc = main(["simulate", "--config", str(conf), "--geometry", geometry_file,
+               "--output", str(tmp_path / "c.wav")])
+    assert rc == 2
+    assert f"would overwrite the config file {conf}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["array.json", "c.json"]
+    assert json.loads(conf.read_text()) == {"duration": 0.1}
+
+
 def _command_with_geometry(command, tmp_path, geometry):
     """argv for ``command`` reading the geometry file ``geometry``, every
     output under tmp_path/out."""
@@ -529,8 +560,13 @@ def _command_with_geometry(command, tmp_path, geometry):
         ({"sensors": [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]], "speed_of_sound": "343"},
          "speed_of_sound must be a number"),
         ({"speed_of_sound": 343.0}, "sensors"),
+        ({"sensors": [[0.0, 0.0, 0.0], [0.1, 0.0, None]]}, "sensor coordinates must be finite"),
+        ({"sensors": [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]], "speed_of_sound": float("inf")},
+         "speed of sound must be positive and finite"),
+        ({"sensors": {"a": 1}}, "not 'dict'"),
     ],
-    ids=["bare-list", "null-speed", "string-speed", "no-sensors"],
+    ids=["bare-list", "null-speed", "string-speed", "no-sensors", "null-coordinate",
+         "infinite-speed", "sensor-dict"],
 )
 def test_malformed_geometry_exits_2(tmp_path, capsys, command, content, message):
     geometry = tmp_path / "array.json"

@@ -20,7 +20,7 @@ from doakit.manifold import (
 )
 from doakit.refine import PairCoefficients, pair_band_powers
 from doakit.spectral import CovarianceSet
-from oracles import objective
+from oracles import hertz, objective
 
 
 @pytest.fixture
@@ -77,8 +77,11 @@ def test_cost_spec_validation():
     for s in (np.nan, -np.inf):
         with pytest.raises(ValueError, match="exponent s"):
             CostSpec(mats, np.array([1.0, 2.0]), s=s)
-    with pytest.raises(ValueError):
-        CostSpec(mats, np.array([2.0, 1.0]), s=-1.0)
+    for freqs in ([2.0, 1.0], [1.0, 1.0], [-1.0, 2.0], [np.nan, 2.0]):
+        with pytest.raises(ValueError, match="non-negative and strictly increasing"):
+            CostSpec(mats, np.array(freqs), s=-1.0)
+    with pytest.raises(ValueError, match="band count"):
+        CostSpec(mats, np.array([1.0, 2.0, 3.0]), s=-1.0)
 
 
 def test_srp_spec_isotropic_degenerate():
@@ -199,7 +202,7 @@ def test_power_mean_concave_tangent(rng):
 def test_objective_identity_matrices(rng):
     geom = random_geometry(num_sensors=5, seed=8)
     mats = np.stack([np.eye(5, dtype=complex)] * 3)
-    spec = CostSpec(mats, np.array([10.0, 20.0, 30.0]), s=-1.0)
+    spec = CostSpec(mats, hertz([10.0, 20.0, 30.0]), s=-1.0)
     for _ in range(5):
         assert abs(objective(spec, geom, random_unit(rng)) - 1.0) < 1e-12
 
@@ -207,9 +210,8 @@ def test_objective_identity_matrices(rng):
 def test_objective_rank_one_at_source(rng):
     geom = random_geometry(num_sensors=5, seed=8)
     qstar = random_unit(rng)
-    omega = 2 * np.pi * 900.0 / geom.speed_of_sound
-    a = steering_vector(geom, omega, qstar)
-    spec = CostSpec(np.outer(a, a.conj())[None], np.array([omega]), s=0.5)
+    a = steering_vector(geom, 2 * np.pi * 900.0 / geom.speed_of_sound, qstar)
+    spec = CostSpec(np.outer(a, a.conj())[None], np.array([900.0]), s=0.5)
     assert abs(objective(spec, geom, qstar) - 1.0) < 1e-12
 
 
@@ -218,7 +220,7 @@ def test_objective_matches_cosine_expansion(rng):
     # trace + pair-cosine expansion
     geom = random_geometry(num_sensors=4, seed=2)
     mats = np.stack([random_psd(rng, 4) for _ in range(6)])
-    spec = CostSpec(mats, np.sort(rng.uniform(5, 60, 6)), s=-1.0)
+    spec = CostSpec(mats, hertz(np.sort(rng.uniform(5, 60, 6))), s=-1.0)
     coeffs = PairCoefficients.from_cost_spec(spec, geom)
     for _ in range(20):
         q = random_unit(rng)
@@ -230,7 +232,7 @@ def test_objective_matches_cosine_expansion(rng):
 def test_objective_rotation_invariant(rng):
     geom = random_geometry(num_sensors=4, seed=2)
     mats = np.stack([random_psd(rng, 4) for _ in range(4)])
-    spec = CostSpec(mats, np.sort(rng.uniform(5, 60, 4)), s=0.5)
+    spec = CostSpec(mats, hertz(np.sort(rng.uniform(5, 60, 4))), s=0.5)
     rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     rotated = ArrayGeometry(geom.sensors @ rot.T, geom.speed_of_sound)
     for _ in range(10):
@@ -243,9 +245,9 @@ def test_objective_rotation_invariant(rng):
 def test_objective_scale_covariance(rng):
     geom = random_geometry(num_sensors=4, seed=2)
     mats = np.stack([random_psd(rng, 4) for _ in range(4)])
-    omega = np.sort(rng.uniform(5, 60, 4))
-    spec = CostSpec(mats, omega, s=-3.0)
-    scaled = CostSpec(7.5 * mats, omega, s=-3.0)
+    freqs = hertz(np.sort(rng.uniform(5, 60, 4)))
+    spec = CostSpec(mats, freqs, s=-3.0)
+    scaled = CostSpec(7.5 * mats, freqs, s=-3.0)
     grid = fibonacci_grid(300)
     q = random_unit(rng)
     assert abs(objective(scaled, geom, q) - 7.5 * objective(spec, geom, q)) < 1e-9
@@ -270,7 +272,7 @@ def test_grid_search_single_source(rng):
 def test_grid_search_flat_landscape():
     geom = random_geometry(num_sensors=4, seed=6)
     mats = np.stack([np.eye(4, dtype=complex)] * 2)
-    spec = CostSpec(mats, np.array([10.0, 20.0]), s=-1.0)
+    spec = CostSpec(mats, hertz([10.0, 20.0]), s=-1.0)
     grid = fibonacci_grid(500)
     peaks = grid_search(spec, geom, grid, num_sources=3, min_separation=np.radians(20))
     assert len(peaks) == 3
@@ -286,7 +288,7 @@ def test_grid_search_local_minima_match_loop(rng):
     # limit, asking for every local minimum returns exactly them, by value
     geom = random_geometry(num_sensors=6, seed=8)
     mats = np.stack([random_psd(rng, 6) for _ in range(3)])
-    spec = CostSpec(mats, np.array([20.0, 35.0, 50.0]), s=-1.0)
+    spec = CostSpec(mats, hertz([20.0, 35.0, 50.0]), s=-1.0)
     grid = fibonacci_grid(2000)
     values = power_mean(band_powers(spec, geom, grid.points), spec.s)
     minima = [
@@ -322,28 +324,28 @@ def test_grid_search_two_sources():
         assert min(great_circle_distance(f, target) for f in found) < covering
 
 
-# evenly spaced STFT wavenumbers (16 kHz; 256-point frames in 300-3500 Hz and
+# evenly spaced STFT bands (16 kHz; 256-point frames in 300-3500 Hz and
 # every band of 2048-point frames) and sorted random ones: band_powers takes
 # one exp per band whatever the spacing, the pair expansion's phasor table
 # (test_refine) takes the band recurrence on the evenly spaced ones
-OMEGA_KINDS = {
-    "stft-52": 2 * np.pi * np.arange(5, 57) * 62.5 / 343.0,
-    "stft-1025": 2 * np.pi * np.arange(1025) * 16000.0 / 2048 / 343.0,
-    "uneven": np.sort(np.random.default_rng(7).uniform(5.0, 70.0, 52)),
+FREQUENCY_KINDS = {
+    "stft-52": np.arange(5, 57) * 62.5,
+    "stft-1025": np.arange(1025) * 16000.0 / 2048,
+    "uneven": hertz(np.sort(np.random.default_rng(7).uniform(5.0, 70.0, 52))),
 }
 
 
-@pytest.mark.parametrize("kind", OMEGA_KINDS)
+@pytest.mark.parametrize("kind", FREQUENCY_KINDS)
 @pytest.mark.parametrize("num_points", [1, 100, 10_000])
 def test_band_powers_matches_steering_loop(kind, num_points):
-    omega = OMEGA_KINDS[kind]
+    freqs = FREQUENCY_KINDS[kind]
     local = np.random.default_rng(num_points)
     geom = random_geometry(num_sensors=12, seed=5)
-    mats = local.standard_normal((omega.size, 12, 4)) + 1j * local.standard_normal(
-        (omega.size, 12, 4)
+    mats = local.standard_normal((freqs.size, 12, 4)) + 1j * local.standard_normal(
+        (freqs.size, 12, 4)
     )
-    spec = CostSpec(mats @ np.swapaxes(mats.conj(), 1, 2), omega, s=-1.0)
-    assert (spec.band_step is None) == (kind == "uneven")
+    spec = CostSpec(mats @ np.swapaxes(mats.conj(), 1, 2), freqs, s=-1.0)
+    omega = geom.wavenumbers(freqs)
     points = fibonacci_grid(max(num_points, 4)).points[:num_points]
     got = band_powers(spec, geom, points)
     # oracle: steering_vector for every band at up to 40 of the directions
@@ -381,7 +383,7 @@ def _three_band_spec():
     # a random 3-band, 6-sensor spec for the selection tests
     local = np.random.default_rng(5)
     a = local.standard_normal((3, 6, 6)) + 1j * local.standard_normal((3, 6, 6))
-    return CostSpec(a @ np.swapaxes(a.conj(), 1, 2) / 6, np.array([20.0, 35.0, 50.0]), s=-1.0)
+    return CostSpec(a @ np.swapaxes(a.conj(), 1, 2) / 6, hertz([20.0, 35.0, 50.0]), s=-1.0)
 
 
 @pytest.mark.parametrize("num_sources", [1, 3, 8])

@@ -50,14 +50,6 @@ def test_angle_round_trip():
     assert np.all(colat >= 0) and np.all(colat <= np.pi)
 
 
-def test_geometry_pairs():
-    geom = random_geometry(num_sensors=5, seed=3)
-    assert geom.pair_indices.shape == (10, 2)
-    for (m, r), delta in zip(geom.pair_indices, geom.pair_deltas):
-        assert m < r
-        np.testing.assert_array_equal(delta, geom.sensors[m] - geom.sensors[r])
-
-
 def test_geometry_json_round_trip(tmp_path):
     geom = random_geometry(num_sensors=4, seed=9)
     path = tmp_path / "geom.json"
@@ -70,6 +62,27 @@ def test_geometry_json_round_trip(tmp_path):
 def test_geometry_rejects_single_sensor():
     with pytest.raises(ValueError):
         ArrayGeometry(np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_geometry_rejects_non_finite_sensors(bad):
+    sensors = np.zeros((3, 3))
+    sensors[1, 2] = bad
+    with pytest.raises(ValueError, match="sensor coordinates must be finite"):
+        ArrayGeometry(sensors)
+
+
+@pytest.mark.parametrize("speed", [np.inf, np.nan, 0.0, -343.0])
+def test_geometry_rejects_bad_speed_of_sound(speed):
+    with pytest.raises(ValueError, match="speed of sound must be positive and finite"):
+        ArrayGeometry(np.eye(3), speed_of_sound=speed)
+
+
+def test_geometry_wavenumbers():
+    geom = ArrayGeometry(np.eye(3), speed_of_sound=1480.0)
+    freqs = np.array([0.0, 62.5, 1000.0])
+    np.testing.assert_array_equal(geom.wavenumbers(freqs), 2.0 * np.pi * freqs / 1480.0)
+    assert geom.wavenumbers(1480.0) == 2.0 * np.pi
 
 
 def test_steering_vector_trivial():

@@ -28,6 +28,7 @@ from doakit.spectral import CovarianceSet
 from oracles import (
     cosine_surrogate_coeffs,
     gtrs_coefficients,
+    hertz,
     objective,
     quadratic_monomials,
     unnormalized_sinc,
@@ -56,7 +57,7 @@ def random_spec(num_sensors=5, num_bands=4, s=-1.0, *, seed):
         )
         mats.append(a @ a.conj().T / num_sensors)
     omega = np.sort(local.uniform(5.0, 70.0, num_bands))
-    return CostSpec(np.stack(mats), omega, s=s), geom
+    return CostSpec(np.stack(mats), hertz(omega, geom.speed_of_sound), s=s), geom
 
 
 @pytest.mark.parametrize(
@@ -132,11 +133,12 @@ def test_cosine_surrogate_upper_bound(rng):
 def test_pair_band_powers_matches_quadratic_form(rng):
     spec, geom = random_spec(seed=10)
     coeffs = PairCoefficients.from_cost_spec(spec, geom)
+    omega = geom.wavenumbers(spec.band_frequencies)
     for _ in range(10):
         q = random_unit(rng)
         via_pairs = pair_band_powers(coeffs, q)[0]
         for k in range(spec.num_bands):
-            a = steering_vector(geom, spec.omega[k], q)
+            a = steering_vector(geom, omega[k], q)
             direct = (a.conj() @ spec.matrices[k] @ a).real
             assert abs(via_pairs[k] - direct) < 1e-10
 
@@ -194,9 +196,9 @@ def test_surrogate_zero_phase_single_pair():
     u = 0.7
     mat = np.array([[1.0, u], [u, 1.0]], dtype=complex)
     omega = 40.0
-    spec = CostSpec(mat[None], np.array([omega]), s=1.0)
+    spec = CostSpec(mat[None], hertz([omega]), s=1.0)
     coeffs = PairCoefficients.from_cost_spec(spec, geom)
-    delta = geom.pair_deltas[0]  # (0.1, 0, 0)
+    delta = coeffs.deltas[0]  # (0.1, 0, 0)
     # pick q_hat with omega * delta . q_hat = pi exactly
     qx = np.pi / (omega * delta[0])
     q_hat = np.array([qx, 0.0, np.sqrt(1.0 - qx**2)])
@@ -254,7 +256,7 @@ def test_majorization_constant_single_pair():
     q_hat = np.array([qx, 0.0, np.sqrt(1.0 - qx**2)])
     for u, xi_expected in [(0.25, 2.0), (0.0, 0.0)]:
         mat = np.array([[1.0, u], [u, 1.0]], dtype=complex)
-        spec = CostSpec(mat[None], np.array([omega]), s=1.0)
+        spec = CostSpec(mat[None], hertz([omega]), s=1.0)
         coeffs = PairCoefficients.from_cost_spec(spec, geom)
         D, v = surrogate_system(coeffs, q_hat, pair_band_powers(coeffs, q_hat))
         np.testing.assert_allclose(D, np.diag([xi_expected, 0.0, 0.0]), atol=1e-12)
@@ -496,7 +498,7 @@ def test_refine_scale_invariant(rng):
     # scaling every cost matrix rescales the objective but leaves the
     # iterate sequence unchanged
     spec, geom = random_spec(num_sensors=5, num_bands=3, s=-3.0, seed=91)
-    scaled = CostSpec(4.0 * spec.matrices, spec.omega, s=spec.s)
+    scaled = CostSpec(4.0 * spec.matrices, spec.band_frequencies, s=spec.s)
     q0 = random_unit(rng)
     a = refine(spec, geom, q0, max_iters=10)
     b = refine(scaled, geom, q0, max_iters=10)
@@ -556,36 +558,48 @@ def test_iteration_cost_scales_with_pairs_and_bands(rng):
     assert large < 400.0 * small
 
 
-STFT_OMEGA = {
-    "stft-52": 2 * np.pi * np.arange(5, 57) * 62.5 / 343.0,
-    "stft-1025": 2 * np.pi * np.arange(1025) * 16000.0 / 2048 / 343.0,
-    "uneven": np.sort(np.random.default_rng(7).uniform(5.0, 70.0, 52)),
+STFT_FREQUENCIES = {
+    "stft-52": np.arange(5, 57) * 62.5,
+    "stft-1025": np.arange(1025) * 16000.0 / 2048,
+    "uneven": hertz(np.sort(np.random.default_rng(7).uniform(5.0, 70.0, 52))),
 }
 
 
-def _psd_spec(omega, num_sensors, s, seed):
+def _psd_spec(freqs, num_sensors, s, seed):
     local = np.random.default_rng(seed)
-    a = local.standard_normal((omega.size, num_sensors, 3)) + 1j * local.standard_normal(
-        (omega.size, num_sensors, 3)
+    a = local.standard_normal((freqs.size, num_sensors, 3)) + 1j * local.standard_normal(
+        (freqs.size, num_sensors, 3)
     )
-    return CostSpec(a @ np.swapaxes(a.conj(), 1, 2) / num_sensors, omega, s=s)
+    return CostSpec(a @ np.swapaxes(a.conj(), 1, 2) / num_sensors, freqs, s=s)
 
 
-@pytest.mark.parametrize("kind", STFT_OMEGA)
+def test_pair_coefficients_pairs():
+    geom = random_geometry(num_sensors=5, seed=3)
+    spec = _psd_spec(STFT_FREQUENCIES["stft-52"], 5, -1.0, seed=3)
+    coeffs = PairCoefficients.from_cost_spec(spec, geom)
+    assert coeffs.pairs.shape == (2, 10)
+    assert len({(m, r) for m, r in coeffs.pairs.T}) == 10
+    for (m, r), delta in zip(coeffs.pairs.T, coeffs.deltas):
+        assert m < r
+        np.testing.assert_array_equal(delta, geom.sensors[m] - geom.sensors[r])
+    np.testing.assert_array_equal(coeffs.omega, geom.wavenumbers(spec.band_frequencies))
+
+
+@pytest.mark.parametrize("kind", STFT_FREQUENCIES)
 def test_pair_band_powers_matches_steering_on_band_grids(kind, rng):
-    # the pair phasors come from the band recurrence on evenly spaced omega
-    spec = _psd_spec(STFT_OMEGA[kind], 8, -1.0, seed=3)
+    # the pair phasors come from the band recurrence on evenly spaced bands
+    spec = _psd_spec(STFT_FREQUENCIES[kind], 8, -1.0, seed=3)
     geom = random_geometry(num_sensors=8, seed=9)
     coeffs = PairCoefficients.from_cost_spec(spec, geom)
+    assert (coeffs.band_step is None) == (kind == "uneven")
+    omega = geom.wavenumbers(spec.band_frequencies)
     scale = np.trace(spec.matrices, axis1=1, axis2=2).real / 8
     for _ in range(5):
         q = random_unit(rng)
         via_pairs = pair_band_powers(coeffs, q)[0]
         direct = np.array([
             (a.conj() @ v @ a).real
-            for a, v in zip(
-                (steering_vector(geom, w, q) for w in spec.omega), spec.matrices
-            )
+            for a, v in zip((steering_vector(geom, w, q) for w in omega), spec.matrices)
         ])
         assert np.max(np.abs(via_pairs - direct) / scale) <= 1e-12
 
@@ -593,11 +607,13 @@ def test_pair_band_powers_matches_steering_on_band_grids(kind, rng):
 def _surrogate_oracle(spec, geom, q_hat):
     # the surrogate as wrap_phase and unnormalized_sinc define it: one cosine
     # pass for the band powers, then the wrapped expansion phases and weights
-    m, r = geom.pair_indices.T
+    n = geom.num_sensors
+    m, r = np.triu_indices(n, k=1)
+    deltas = geom.sensors[m] - geom.sensors[r]
+    omega = 2 * np.pi * spec.band_frequencies / geom.speed_of_sound
     entries = spec.matrices[:, m, r]
     mags, phases = np.abs(entries), np.angle(entries)
-    n = geom.num_sensors
-    b_dot = np.outer(spec.omega, geom.pair_deltas @ q_hat)
+    b_dot = np.outer(omega, deltas @ q_hat)
     traces = np.trace(spec.matrices, axis1=1, axis2=2).real
     powers = traces / n + 2.0 / n * np.sum(mags * np.cos(phases - b_dot), axis=1)
     y = np.maximum(powers, 1e-30)
@@ -605,16 +621,16 @@ def _surrogate_oracle(spec, geom, q_hat):
     psi_hat, weight = cosine_surrogate_coeffs(phases, b_dot)
     scale = beta[:, None] / n
     u_hat = mags * weight
-    xi = np.sum(spec.omega[:, None] ** 2 * scale * u_hat, axis=0)
-    gamma = np.sum(spec.omega[:, None] * scale * u_hat * psi_hat, axis=0)
-    d = np.einsum("p,pi,pj->ij", xi, geom.pair_deltas, geom.pair_deltas)
-    return d, gamma @ geom.pair_deltas
+    xi = np.sum(omega[:, None] ** 2 * scale * u_hat, axis=0)
+    gamma = np.sum(omega[:, None] * scale * u_hat * psi_hat, axis=0)
+    d = np.einsum("p,pi,pj->ij", xi, deltas, deltas)
+    return d, gamma @ deltas
 
 
 @pytest.mark.parametrize("kind", ["stft-52", "uneven"])
 @pytest.mark.parametrize("s", [-3.0, 0.5])
 def test_surrogate_matches_wrap_sinc_oracle(kind, s, rng):
-    spec = _psd_spec(STFT_OMEGA[kind], 6, s, seed=11)
+    spec = _psd_spec(STFT_FREQUENCIES[kind], 6, s, seed=11)
     geom = random_geometry(num_sensors=6, seed=12)
     coeffs = PairCoefficients.from_cost_spec(spec, geom)
     for _ in range(10):
@@ -633,10 +649,10 @@ def test_pair_band_powers_flat_at_exact_null():
     geom = random_geometry(num_sensors=8, seed=3)
     qstar = np.array([0.3, -0.4, 0.866])
     qstar /= np.linalg.norm(qstar)
-    omega = STFT_OMEGA["stft-52"]
-    steer = np.stack([steering_vector(geom, w, qstar) for w in omega])
+    freqs = STFT_FREQUENCIES["stft-52"]
+    steer = np.stack([steering_vector(geom, w, qstar) for w in geom.wavenumbers(freqs)])
     projectors = np.eye(8) - steer[:, :, None] * steer[:, None, :].conj()
-    spec = CostSpec(projectors, omega, s=-10.0)
+    spec = CostSpec(projectors, freqs, s=-10.0)
     coeffs = PairCoefficients.from_cost_spec(spec, geom)
     at_null = pair_band_powers(coeffs, qstar)[0]
     assert np.max(np.abs(at_null)) < 1e-14

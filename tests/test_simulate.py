@@ -3,8 +3,13 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from doakit.estimators import grid_search
-from doakit.manifold import fibonacci_grid, great_circle_distance, random_geometry
+from doakit.estimators import band_powers, grid_search
+from doakit.manifold import (
+    ArrayGeometry,
+    fibonacci_grid,
+    great_circle_distance,
+    random_geometry,
+)
 from doakit.refine import refine
 from doakit.simulate import (
     MonteCarloConfig,
@@ -18,7 +23,7 @@ from doakit.simulate import (
     synth_stft_scene,
     synth_time_scene,
 )
-from doakit.spectral import sample_covariance, stft
+from doakit.spectral import SpectralFrames, sample_covariance, stft
 from oracles import covariance_then_select
 
 
@@ -186,7 +191,7 @@ def test_locate_sources_returns_refine_traces_of_grid_peaks():
     cov = estimator_covariance(frames, "music", 300.0, 3500.0)
     grid = fibonacci_grid(100)
     separation = np.radians(10.0)
-    spec = build_cost_spec(cov, "music", -3.0, 2, GEOM.speed_of_sound)
+    spec = build_cost_spec(cov, "music", -3.0, 2)
     peaks = grid_search(spec, GEOM, grid, num_sources=2, min_separation=separation)
     settings = dict(estimator="music", s=-3.0, num_sources=2, max_iters=15,
                     min_separation_rad=separation)
@@ -204,6 +209,56 @@ def test_locate_sources_returns_refine_traces_of_grid_peaks():
         np.testing.assert_array_equal(trace.iterates, [q0])
         np.testing.assert_array_equal(trace.objectives, [value])
         assert trace.converged_at is None
+
+
+def _located(cov, geometry, estimator, variant):
+    traces = locate_sources(cov, geometry, fibonacci_grid(200), estimator=estimator,
+                            s=-3.0, num_sources=2, variant=variant, max_iters=30,
+                            min_separation_rad=np.radians(10.0))
+    return np.array([t.iterates[-1] for t in traces])
+
+
+INVARIANCE_SOURCES = np.array([unit([1.0, 0.2, 0.3]), unit([-0.3, 1.0, -0.2])])
+
+
+@pytest.mark.parametrize("factor", [1480.0 / 343.0, 0.5])
+def test_array_and_speed_of_sound_scaled_together_change_nothing(factor):
+    # the wavenumbers scale as 1/c and the sensor delays as the array, so
+    # their products, and with them the objective, stay the same
+    geom = random_geometry(num_sensors=8, seed=3)
+    scaled = ArrayGeometry(geom.sensors * factor, geom.speed_of_sound * factor)
+    frames = synth_stft_scene(Scene(geom, INVARIANCE_SOURCES, snr_db=20.0, seed=3),
+                              frame_size=256, num_frames=50)
+    points = fibonacci_grid(500).points
+    for estimator in ("srp-phat", "music", "mvdr"):
+        cov = estimator_covariance(frames, estimator, 300.0, 3500.0)
+        spec = build_cost_spec(cov, estimator, -3.0, 2)
+        scale = np.trace(spec.matrices, axis1=1, axis2=2).real[:, None] / 8
+        difference = band_powers(spec, scaled, points) - band_powers(spec, geom, points)
+        assert np.max(np.abs(difference) / scale) <= 1e-12
+        for variant in ("quadratic", "linear"):
+            got = _located(cov, scaled, estimator, variant)
+            expected = _located(cov, geom, estimator, variant)
+            assert np.degrees(great_circle_distance(got, expected)).max() < 1e-9
+
+
+@pytest.mark.parametrize("estimator", ["srp-phat", "music", "mvdr"])
+@pytest.mark.parametrize("variant", ["quadratic", "linear"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sensor_permutation_changes_nothing(estimator, variant, seed):
+    # relabelling the sensors, in the array and in the recording alike,
+    # leaves every quadratic form a^H V a as it is
+    geom = random_geometry(num_sensors=12, seed=seed)
+    perm = np.random.default_rng(seed).permutation(12)
+    permuted = ArrayGeometry(geom.sensors[perm], geom.speed_of_sound)
+    frames = synth_stft_scene(Scene(geom, INVARIANCE_SOURCES, snr_db=20.0, seed=seed),
+                              frame_size=256, num_frames=50)
+    shuffled = SpectralFrames(frames.data[:, :, perm], frames.band_frequencies)
+    got = _located(estimator_covariance(shuffled, estimator, 300.0, 3500.0), permuted,
+                   estimator, variant)
+    expected = _located(estimator_covariance(frames, estimator, 300.0, 3500.0), geom,
+                        estimator, variant)
+    assert np.degrees(great_circle_distance(got, expected)).max() < 1e-9
 
 
 def test_evaluate_identity_and_permutation():
