@@ -65,7 +65,7 @@ def _load_json_object(path, what):
     try:
         with open(path) as f:
             loaded = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read {what} {path}: {exc}")
     if not isinstance(loaded, dict):
         raise ValueError(f"{what} {path} must hold a JSON object")
@@ -112,6 +112,17 @@ def _path(settings, key):
     if not (isinstance(value, str) and value):
         raise ValueError(f"{key} must be a non-empty file path, got {value!r}")
     return value
+
+
+def _refuse_overwrite(written, read):
+    """ValueError, before anything is written, when one of the ``written``
+    paths names the same file as one of the ``read`` (what, path) pairs,
+    after resolving links and ``..``; a None path is skipped."""
+    targets = {os.path.realpath(path): path for path in written if path}
+    for what, source in read:
+        path = targets.get(os.path.realpath(source)) if source else None
+        if path:
+            raise ValueError(f"{path} would overwrite the {what} file {source}")
 
 
 def _load_geometry(config):
@@ -277,6 +288,8 @@ def cmd_locate(args):
     config = _load_config(args)
     output = _path(config, "output")
     geometry = _load_geometry(config)
+    _refuse_overwrite([output], [("geometry", config["geometry"]),
+                                 ("input", _path(config, "input")), ("config", args.config)])
     rate, signal = _read_input(config, geometry.num_sensors)
 
     frames = stft(
@@ -331,10 +344,8 @@ def cmd_simulate(args):
     if truth_path == output:
         raise ValueError(f"output {output} would be overwritten by the truth file")
     geometry = _load_geometry(config)
-    for read, what in ((config["geometry"], "geometry"), (args.config, "config")):
-        for written in (output, truth_path):
-            if read and os.path.realpath(written) == os.path.realpath(read):
-                raise ValueError(f"{written} would overwrite the {what} file {read}")
+    _refuse_overwrite([output, truth_path],
+                      [("geometry", config["geometry"]), ("config", args.config)])
     seed = _integer(config, "seed")
     sample_rate = _integer(config, "sample_rate")
     # the WAV header holds the byte rate, 4 bytes per sample and channel, in 32 bits
@@ -381,6 +392,8 @@ def cmd_bench(args):
     geometry = _load_geometry(sweep)
     # the --output flag wins over the sweep file, as flags do for locate
     output = args.output or _path(sweep, "output") or "bench"
+    _refuse_overwrite([f"{output}.csv", f"{output}.json"],
+                      [("sweep", args.sweep), ("geometry", sweep["geometry"])])
     del sweep["geometry"]
     sweep.pop("output", None)
     _reject_unknown(sweep, MonteCarloConfig.__dataclass_fields__, "sweep keys")

@@ -257,7 +257,8 @@ def evaluate(estimates, truth):
 @dataclass
 class MonteCarloConfig:
     """Sweep over estimator, exponent, grid size, variant, iteration count
-    and SNR; every cell runs ``num_trials`` independent scenes."""
+    and SNR. Every cell scores ``num_trials`` independent scenes, and cells
+    at one SNR score the same ones."""
 
     geometry: ArrayGeometry
     estimators: tuple = ("srp-phat",)
@@ -381,19 +382,13 @@ def build_cost_spec(cov, estimator, s, num_sources, mvdr_loading=DEFAULT_MVDR_LO
     raise ValueError(f"unknown estimator {estimator!r}")
 
 
-def locate_sources(cov, geometry, grid, *, estimator, s, num_sources, variant,
-                   max_iters, min_separation_rad, rel_tol=1e-10,
-                   mvdr_loading=DEFAULT_MVDR_LOADING):
-    """Localize sources in a covariance from ``estimator_covariance``: build
-    the estimator's cost spec, search the grid, then refine each peak.
-    Returns one RefinementTrace per source in peak order, whose last iterate
-    is the direction; an unrefined peak (variant "none" or max_iters 0) gets
-    the one-point trace of its grid point. Raises ValueError naming the
-    setting for an unknown estimator or variant, a negative max_iters, or a
-    rel_tol or mvdr_loading outside [0, inf), whatever the estimator and
-    variant, and LinAlgError when the covariance is non-finite or zero in
-    every band."""
-    _check_settings(estimator, variant, max_iters, rel_tol, mvdr_loading)
+def search_peaks(cov, geometry, grid, *, estimator, s, num_sources, min_separation_rad,
+                 mvdr_loading=DEFAULT_MVDR_LOADING):
+    """The first stage of ``locate_sources``: build the estimator's cost spec
+    from a covariance of ``estimator_covariance`` and search the grid, with
+    settings checked as ``locate_sources`` checks them. Returns (spec,
+    peaks), the peaks as ``grid_search`` gives them. Raises LinAlgError when
+    the covariance is non-finite or zero in every band."""
     band_power = np.trace(cov.matrices, axis1=1, axis2=2).real
     if not (np.all(np.isfinite(cov.matrices)) and np.any(band_power)):
         raise np.linalg.LinAlgError(
@@ -403,18 +398,64 @@ def locate_sources(cov, geometry, grid, *, estimator, s, num_sources, variant,
     peaks = grid_search(
         spec, geometry, grid, num_sources=num_sources, min_separation=min_separation_rad
     )
+    return spec, peaks
+
+
+def refine_peaks(spec, geometry, peaks, *, variant, max_iters, rel_tol=1e-10):
+    """The second stage of ``locate_sources``, with settings checked as it
+    checks them: one RefinementTrace per peak of ``search_peaks``, in peak
+    order, whose last iterate is the direction; an unrefined peak (variant
+    "none" or max_iters 0) gets the one-point trace of its grid point."""
     if variant == "none" or max_iters == 0:
         return [RefinementTrace(iterates=[q0], objectives=[value]) for q0, value in peaks]
     return [refine(spec, geometry, q0, variant=variant, max_iters=max_iters, rel_tol=rel_tol)
             for q0, _ in peaks]
 
 
-def run_trial(config, cell_key, cell_index, trial, grid):
-    """One Monte Carlo trial; returns (per-source errors, localization time).
+def locate_sources(cov, geometry, grid, *, estimator, s, num_sources, variant,
+                   max_iters, min_separation_rad, rel_tol=1e-10,
+                   mvdr_loading=DEFAULT_MVDR_LOADING):
+    """Localize sources in a covariance from ``estimator_covariance``: the
+    grid search of ``search_peaks``, then ``refine_peaks``. Returns one
+    RefinementTrace per source in peak order, whose last iterate is the
+    direction. Raises ValueError naming the setting for an unknown estimator
+    or variant, a negative max_iters, or a rel_tol or mvdr_loading outside
+    [0, inf), whatever the estimator and variant, and LinAlgError when the
+    covariance is non-finite or zero in every band."""
+    _check_settings(estimator, variant, max_iters, rel_tol, mvdr_loading)
+    spec, peaks = search_peaks(
+        cov, geometry, grid, estimator=estimator, s=s, num_sources=num_sources,
+        min_separation_rad=min_separation_rad, mvdr_loading=mvdr_loading,
+    )
+    return refine_peaks(spec, geometry, peaks, variant=variant, max_iters=max_iters,
+                        rel_tol=rel_tol)
 
-    The time covers cost-spec build, grid search and refinement only."""
-    estimator, s, grid_size, variant, iters, snr_db = cell_key
-    seed_seq = np.random.SeedSequence([config.master_seed, *cell_index, trial])
+
+def _front_end(estimator):
+    # the covariance an estimator reads from estimator_covariance
+    return "phat" if estimator == "srp-phat" else "raw"
+
+
+@dataclass
+class PairedTrial:
+    """One trial's recording at one SNR, which every cell at that SNR scores:
+    the true sources, one covariance per front end the sweep's estimators
+    read, and the grid searches run on it so far, keyed by (estimator, s,
+    grid size), each as (spec, peaks, seconds)."""
+
+    sources: np.ndarray
+    covariances: dict
+    searches: dict = field(default_factory=dict)
+
+
+def paired_trial(config, snr_index, trial):
+    """The recording of trial ``trial`` at the SNR ``config.snr_values[snr_index]``.
+
+    Its sources and noise come from SeedSequence([master_seed, snr_index,
+    trial]) alone, so a cell's scenes do not depend on which other
+    estimators, exponents, grid sizes, variants or iteration counts the
+    sweep holds. The frames are dropped once the covariances are taken."""
+    seed_seq = np.random.SeedSequence([config.master_seed, snr_index, trial])
     rng = np.random.default_rng(seed_seq)
     sources = random_sources(
         rng, config.num_sources, np.radians(config.min_source_separation_deg)
@@ -422,7 +463,7 @@ def run_trial(config, cell_key, cell_index, trial, grid):
     scene = Scene(
         geometry=config.geometry,
         sources=sources,
-        snr_db=snr_db,
+        snr_db=config.snr_values[snr_index],
         seed=int(seed_seq.generate_state(1)[0]),
         sample_rate=config.sample_rate,
         band_gain_spread_db=config.band_gain_spread_db,
@@ -434,45 +475,72 @@ def run_trial(config, cell_key, cell_index, trial, grid):
         f_min=config.f_min,
         f_max=config.f_max,
     )
-    cov = estimator_covariance(frames, estimator, config.f_min, config.f_max)
+    readers = {_front_end(e): e for e in config.estimators}
+    covariances = {
+        end: estimator_covariance(frames, estimator, config.f_min, config.f_max)
+        for end, estimator in readers.items()
+    }
+    return PairedTrial(sources, covariances)
 
+
+def run_trial(config, cell_key, paired, grid):
+    """One Monte Carlo cell on one paired trial; returns (per-source errors,
+    localization time).
+
+    The first cell of a trial that needs an (estimator, s, grid size) search
+    runs it, and later cells reuse it. The time is the search's own measured
+    time (cost-spec build and grid search), whichever cell ran it, plus this
+    cell's refinement, so it counts what one cell costs on its own."""
+    estimator, s, grid_size, variant, iters, _ = cell_key
+    search = (estimator, s, grid_size)
+    if search not in paired.searches:
+        start = time.perf_counter()
+        spec, peaks = search_peaks(
+            paired.covariances[_front_end(estimator)],
+            config.geometry,
+            grid,
+            estimator=estimator,
+            s=s,
+            num_sources=config.num_sources,
+            min_separation_rad=np.radians(config.min_separation_deg),
+            mvdr_loading=config.mvdr_loading,
+        )
+        paired.searches[search] = (spec, peaks, time.perf_counter() - start)
+    spec, peaks, search_seconds = paired.searches[search]
     start = time.perf_counter()
-    traces = locate_sources(
-        cov,
-        config.geometry,
-        grid,
-        estimator=estimator,
-        s=s,
-        num_sources=config.num_sources,
-        variant=variant,
-        max_iters=iters,
-        min_separation_rad=np.radians(config.min_separation_deg),
-        rel_tol=config.rel_tol,
-        mvdr_loading=config.mvdr_loading,
+    traces = refine_peaks(
+        spec, config.geometry, peaks, variant=variant, max_iters=iters, rel_tol=config.rel_tol
     )
-    elapsed = time.perf_counter() - start
-    return evaluate([t.iterates[-1] for t in traces], sources), elapsed
+    elapsed = search_seconds + time.perf_counter() - start
+    return evaluate([t.iterates[-1] for t in traces], paired.sources), elapsed
 
 
 def monte_carlo(config):
-    """Run the full sweep; deterministic given config.master_seed."""
+    """Run the full sweep; deterministic given config.master_seed.
+
+    Trials run outer and cells inner: each (trial, SNR) recording is drawn
+    once (``paired_trial``) and scored by every cell at that SNR. Rows come
+    out cell by cell, trials in order within a cell."""
     grids = {g: fibonacci_grid(g) for g in set(config.grid_sizes)}
     axes = [getattr(config, name) for name in SWEEP_AXES]
-    result = EvalResult()
-    for cell in product(*(enumerate(axis) for axis in axes)):
-        cell_index, cell_key = zip(*cell)
-        errors, times = [], []
-        for trial in range(config.num_trials):
-            err, elapsed = run_trial(
-                config, cell_key, cell_index, trial, grids[cell_key[2]]
-            )
-            times.append(elapsed)
-            errors.extend(err)
-            result.rows.extend(
+    cells = [tuple(zip(*cell)) for cell in product(*(enumerate(axis) for axis in axes))]
+    rows = [[] for _ in cells]
+    times = [[] for _ in cells]
+    for trial, snr_index in product(range(config.num_trials), range(len(config.snr_values))):
+        paired = paired_trial(config, snr_index, trial)
+        for (cell_index, cell_key), cell_rows, cell_times in zip(cells, rows, times):
+            if cell_index[-1] != snr_index:
+                continue
+            err, elapsed = run_trial(config, cell_key, paired, grids[cell_key[2]])
+            cell_times.append(elapsed)
+            cell_rows.extend(
                 dict(zip(CELL_FIELDS, cell_key), trial=trial, src_index=i,
                      error_deg=float(e))
                 for i, e in enumerate(err)
             )
-        result.medians[cell_key] = float(np.median(errors))
-        result.cell_seconds[cell_key] = float(np.median(times))
+    result = EvalResult()
+    for (_, cell_key), cell_rows, cell_times in zip(cells, rows, times):
+        result.rows.extend(cell_rows)
+        result.medians[cell_key] = float(np.median([r["error_deg"] for r in cell_rows]))
+        result.cell_seconds[cell_key] = float(np.median(cell_times))
     return result

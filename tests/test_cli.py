@@ -535,6 +535,48 @@ def test_simulate_refuses_to_overwrite_its_config(tmp_path, geometry_file, capsy
     assert json.loads(conf.read_text()) == {"duration": 0.1}
 
 
+@pytest.mark.parametrize("read", ["geometry", "input", "config"])
+def test_locate_refuses_to_overwrite_what_it_reads(tmp_path, geometry_file, two_source_wav,
+                                                   capsys, read):
+    conf = tmp_path / "c.json"
+    conf.write_text(json.dumps({"estimator": "music", "sources": 2}))
+    target = {"geometry": geometry_file, "input": two_source_wav, "config": str(conf)}[read]
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    rc = main(["locate", "--config", str(conf), "--geometry", geometry_file,
+               "--input", two_source_wav, "--output", target])
+    assert rc == 2
+    assert f"would overwrite the {read} file {target}" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("read", ["sweep", "geometry"])
+def test_bench_refuses_to_overwrite_what_it_reads(tmp_path, geometry_file, capsys,
+                                                  monkeypatch, read):
+    # a sweep file named bench.json is what the default output "bench"
+    # writes its summary to; --output array would put it on the geometry
+    monkeypatch.chdir(tmp_path)
+    sweep = tmp_path / ("bench.json" if read == "sweep" else "sweep.json")
+    sweep.write_text(json.dumps({"geometry": geometry_file, "num_trials": 1, "num_frames": 10}))
+    flags = [] if read == "sweep" else ["--output", str(tmp_path / "array")]
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(["bench", "--sweep", sweep.name, *flags]) == 2
+    assert f"would overwrite the {read} file" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", ["locate", "bench"])
+def test_non_utf8_settings_file_exits_2_naming_it(tmp_path, geometry_file, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")  # UTF-16 with a byte-order mark
+    if command == "locate":
+        argv, what = ["locate", "--config", str(bad), "--geometry", geometry_file,
+                      "--input", "nope.wav"], "config"
+    else:
+        argv, what = ["bench", "--sweep", str(bad)], "sweep file"
+    assert main(argv) == 2
+    assert f"cannot read {what} {bad}" in capsys.readouterr().err
+
+
 def _command_with_geometry(command, tmp_path, geometry):
     """argv for ``command`` reading the geometry file ``geometry``, every
     output under tmp_path/out."""

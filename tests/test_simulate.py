@@ -1,8 +1,10 @@
+import time
 from itertools import permutations
 
 import numpy as np
 import pytest
 
+import doakit.simulate
 from doakit.estimators import band_powers, grid_search
 from doakit.manifold import (
     ArrayGeometry,
@@ -12,6 +14,7 @@ from doakit.manifold import (
 )
 from doakit.refine import refine
 from doakit.simulate import (
+    CELL_FIELDS,
     MonteCarloConfig,
     Scene,
     build_cost_spec,
@@ -388,6 +391,54 @@ def test_monte_carlo_rows_and_determinism():
     assert [r["error_deg"] for r in a.rows] == [r["error_deg"] for r in b.rows]
     c = monte_carlo(_small_config(master_seed=8))
     assert [r["error_deg"] for r in a.rows] != [r["error_deg"] for r in c.rows]
+
+
+def test_monte_carlo_cell_rows_do_not_depend_on_the_rest_of_the_sweep():
+    # a cell scores the same scenes, and so writes the same rows, whatever
+    # else the sweep holds at its SNR
+    key = ("srp-phat", -3.0, 400, "quadratic", 10, 20.0)
+    alone = monte_carlo(_small_config(num_sources=2))
+    crowded = monte_carlo(_small_config(
+        num_sources=2, estimators=("music", "srp-phat"), s_values=(1.0, -3.0),
+        grid_sizes=(100, 400), variants=("none", "linear", "quadratic"),
+        iteration_counts=(0, 10)))
+    assert len(crowded.medians) == 48
+    assert [r for r in crowded.rows if tuple(r[f] for f in CELL_FIELDS) == key] == alone.rows
+    assert crowded.medians[key] == alone.medians[key]
+
+
+def test_monte_carlo_synthesizes_and_searches_once_per_pairing(monkeypatch):
+    calls = {"synth": 0, "search": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(doakit.simulate, "synth_stft_scene", counted("synth", synth_stft_scene))
+    monkeypatch.setattr(doakit.simulate, "grid_search", counted("search", grid_search))
+    config = _small_config(
+        estimators=("srp-phat", "mvdr"), s_values=(-3.0, 1.0), grid_sizes=(100, 200),
+        variants=("quadratic", "linear", "none"), iteration_counts=(0, 5),
+        snr_values=(10.0, 20.0), num_trials=2)
+    result = monte_carlo(config)
+    assert len(result.medians) == 2 * 2 * 2 * 3 * 2 * 2
+    # once per (SNR, trial), and once per (estimator, s, grid, SNR, trial)
+    assert calls == {"synth": 2 * 2, "search": 2 * 2 * 2 * 2 * 2}
+
+
+def test_monte_carlo_charges_a_shared_search_to_every_cell(monkeypatch):
+    def slow_search(*args, **kwargs):
+        time.sleep(0.02)
+        return grid_search(*args, **kwargs)
+
+    monkeypatch.setattr(doakit.simulate, "grid_search", slow_search)
+    result = monte_carlo(_small_config(variants=("quadratic", "linear", "none"),
+                                       iteration_counts=(0, 5), num_trials=2))
+    cells = result.summary()["cells"]
+    assert len(cells) == 6
+    assert all(cell["median_seconds"] >= 0.02 for cell in cells)
 
 
 @pytest.mark.parametrize(
