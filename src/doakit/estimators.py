@@ -8,6 +8,7 @@ with Hermitian PSD matrices V_k. Estimators that are natively maximizations
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,14 @@ EPS_POWER = 1e-30
 DEFAULT_MVDR_LOADING = 1e-3
 
 
+def _check_exponent(s, name="exponent s"):
+    """ValueError naming ``name`` unless s is a number in (-inf, 1] other
+    than 0, an exponent the power mean takes."""
+    if (isinstance(s, bool) or not isinstance(s, numbers.Real)
+            or not -np.inf < s <= 1.0 or s == 0.0):
+        raise ValueError(f"{name} must lie in (-inf, 1], s != 0, got {s!r}")
+
+
 @dataclass
 class CostSpec(CovarianceSet):
     """Matrices, band frequencies and exponent of the band-power objective;
@@ -30,25 +39,23 @@ class CostSpec(CovarianceSet):
 
     def __post_init__(self):
         super().__post_init__()
-        if not -np.inf < self.s <= 1.0 or self.s == 0.0:
-            raise ValueError("exponent s must lie in (-inf, 1], s != 0")
+        _check_exponent(self.s)
 
 
 def gershgorin_shift(c):
-    """Return (P, V) with P the largest absolute row sum of the Hermitian
-    matrix c and V = P*I - c, which is PSD by the Gershgorin circle theorem.
-    A (K, M, M) stack gives P per matrix."""
+    """V = P*I - c with P the largest absolute row sum of the Hermitian matrix
+    c, so V is PSD by the Gershgorin circle theorem. A (K, M, M) stack is
+    shifted matrix by matrix."""
     c = np.asarray(c, dtype=complex)
     p = np.max(np.sum(np.abs(c), axis=-1), axis=-1)
-    v = p[..., None, None] * np.eye(c.shape[-1]) - c
-    return p, v
+    return p[..., None, None] * np.eye(c.shape[-1]) - c
 
 
 def srp_cost_spec(cov, s=-3.0):
     """Steered-response-power cost. Apply PHAT weighting to the frames before
     computing the covariance to obtain SRP-PHAT."""
     return CostSpec(
-        matrices=gershgorin_shift(cov.matrices)[1],
+        matrices=gershgorin_shift(cov.matrices),
         band_frequencies=cov.band_frequencies,
         s=s,
     )
@@ -139,13 +146,15 @@ def band_powers(spec, geometry, points):
 def grid_search(spec, geometry, grid, num_sources=1, min_separation=np.deg2rad(10.0)):
     """Pick ``num_sources`` well separated local minima on the grid.
 
-    Local minima (value <= all graph neighbors) are ranked by objective value
-    and greedily filtered so returned directions are pairwise at least
-    ``min_separation`` apart. If too few local minima survive, the remaining
-    slots are padded from the globally smallest grid values that respect the
-    separation. Returns a list of (direction, objective value) pairs sorted
-    ascending by value. Raises ValueError when not even the padding finds
-    ``num_sources`` grid points that far apart.
+    A point is a local minimum when its value is no higher than those of its
+    k nearest grid points and of every point that counts it among theirs.
+    Local minima are ranked by objective value and greedily filtered so
+    returned directions are pairwise at least ``min_separation`` apart. If
+    too few local minima survive, the remaining slots are padded from the
+    globally smallest grid values that respect the separation. Returns a list
+    of (direction, objective value) pairs sorted ascending by value. Raises
+    ValueError when not even the padding finds ``num_sources`` grid points
+    that far apart.
     """
     if num_sources < 1:
         raise ValueError("num_sources must be at least 1")
@@ -153,7 +162,10 @@ def grid_search(spec, geometry, grid, num_sources=1, min_separation=np.deg2rad(1
         raise ValueError("min_separation must be finite and non-negative")
     values = power_mean(band_powers(spec, geometry, grid.points), spec.s)
 
-    is_local_min = values <= np.minimum.reduceat(values[grid.indices], grid.indptr[:-1])
+    nearest = values[grid.neighbors]
+    is_local_min = np.all(nearest >= values[:, None], axis=1)
+    # nor is a point that a lower (or NaN) point counts among its k nearest
+    is_local_min[grid.neighbors[~(nearest <= values[:, None])]] = False
     candidates = np.flatnonzero(is_local_min)
     candidates = candidates[np.argsort(values[candidates], kind="stable")]
     fallback = np.argsort(values, kind="stable")

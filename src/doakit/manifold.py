@@ -12,7 +12,7 @@ SPEED_OF_SOUND = 343.0  # m/s, dry air at 20 C
 
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
-# neighbors per point in a grid's k-nearest-neighbor graph
+# the k of each grid point's k nearest other points
 NUM_NEIGHBORS = 8
 
 # The lattice is irregular near its poles, up to about 105 rows in. The
@@ -30,26 +30,10 @@ _LATTICE_OFFSETS = 6
 _LOG_PHI_SQUARED = 2.0 * np.log((1.0 + np.sqrt(5.0)) / 2.0)
 
 
-def doa_from_angles(colatitude, azimuth):
-    """Unit direction vector(s) from colatitude and azimuth in radians.
-
-    Broadcasts over array inputs; the vector components live on the last axis.
-    """
-    colatitude = np.asarray(colatitude, dtype=float)
-    azimuth = np.asarray(azimuth, dtype=float)
-    st = np.sin(colatitude)
-    return np.stack(
-        [
-            np.cos(azimuth) * st,
-            np.sin(azimuth) * st,
-            np.cos(colatitude) * np.ones_like(azimuth),
-        ],
-        axis=-1,
-    )
-
-
 def angles_from_doa(q):
-    """Inverse of :func:`doa_from_angles`.
+    """Colatitude and azimuth in radians of unit direction vector(s) q, so
+    that q = (cos(azimuth) sin(colatitude), sin(azimuth) sin(colatitude),
+    cos(colatitude)).
 
     Returns (colatitude, azimuth) with colatitude in [0, pi] and azimuth in
     (-pi, pi]. At the poles the azimuth is 0 by convention.
@@ -133,22 +117,13 @@ class ArrayGeometry:
             json.dump(obj, f, indent=2)
 
 
-def random_geometry(num_sensors=12, radius=0.1, seed=0, speed_of_sound=SPEED_OF_SOUND):
+def random_geometry(num_sensors=12, radius=0.1, seed=0):
     """Sensors drawn uniformly inside a sphere of the given radius (meters)."""
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal((num_sensors, 3))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     r = radius * rng.random(num_sensors) ** (1.0 / 3.0)
-    return ArrayGeometry(direction * r[:, None], speed_of_sound=speed_of_sound)
-
-
-def steering_vector(geometry, wavenumber, q):
-    """Array response for a plane wave from direction q at spatial frequency
-    ``wavenumber`` (rad/m): entry m is M^(-1/2) exp(j w d_m . q)."""
-    if wavenumber < 0:
-        raise ValueError("wavenumber must be non-negative")
-    phase = wavenumber * (geometry.sensors @ np.asarray(q, dtype=float))
-    return np.exp(1j * phase) / np.sqrt(geometry.num_sensors)
+    return ArrayGeometry(direction * r[:, None])
 
 
 def fibonacci_points(count):
@@ -164,13 +139,12 @@ def fibonacci_points(count):
 
 @dataclass
 class SphericalGrid:
-    """Point set on the sphere with a symmetric nearest-neighbor graph."""
+    """Point set on the sphere and each point's k nearest other points."""
 
     points: np.ndarray  # (G, 3) unit vectors
-    # row i's neighbors are indices[indptr[i]:indptr[i + 1]], ascending; the
-    # graph is symmetric and has no self loops
-    indptr: np.ndarray  # (G + 1,)
-    indices: np.ndarray  # (indptr[-1],)
+    # row i holds the indices of point i's k nearest other points, in no
+    # particular order; the relation is not symmetric
+    neighbors: np.ndarray  # (G, k)
 
     @property
     def size(self):
@@ -198,9 +172,8 @@ def _nearest(points, rows, offsets, k):
 
 
 def fibonacci_grid(count):
-    """Fibonacci lattice grid with a symmetrized k-nearest-neighbor graph:
-    each point is joined to its k nearest and to every point that counts it
-    among its own k nearest.
+    """Fibonacci lattice grid with each point's k = min(NUM_NEIGHBORS,
+    count - 1) nearest other points.
 
     The candidates come from the lattice itself: rows near a pole are
     searched by brute force over the rows around them, every other row over
@@ -222,11 +195,4 @@ def fibonacci_grid(count):
         while len(fib) <= order[:, -1].max():
             fib.append(fib[-1] + fib[-2])
         knn[rows] = _nearest(points, rows, np.asarray(fib)[order], k)
-
-    # both directions of every edge, once each, ordered by (row, column)
-    head, tail = np.repeat(index, k), knn.ravel()
-    edges = np.concatenate([head * count + tail, tail * count + head])
-    edges.sort()
-    edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
-    indptr = np.searchsorted(edges, np.arange(count + 1) * count)
-    return SphericalGrid(points=points, indptr=indptr, indices=edges % count)
+    return SphericalGrid(points=points, neighbors=knn)

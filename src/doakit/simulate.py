@@ -14,6 +14,7 @@ import numpy as np
 
 from .estimators import (
     DEFAULT_MVDR_LOADING,
+    _check_exponent,
     grid_search,
     music_cost_spec,
     mvdr_cost_spec,
@@ -46,6 +47,14 @@ def as_integer(value, name):
     return int(value)
 
 
+def _check_snr(snr_db, name="snr_db"):
+    """ValueError naming ``name`` unless snr_db is a number above -inf, which
+    NaN is not."""
+    if (isinstance(snr_db, bool) or not isinstance(snr_db, numbers.Real)
+            or not snr_db > -np.inf):
+        raise ValueError(f"{name} must be a number above -inf, got {snr_db!r}")
+
+
 @dataclass
 class Scene:
     """Free-field plane-wave scene: sources at fixed directions plus noise."""
@@ -66,8 +75,7 @@ class Scene:
         norms = np.linalg.norm(self.sources, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise ValueError("source directions must be unit vectors")
-        if not self.snr_db > -np.inf:
-            raise ValueError("snr_db must be a number above -inf")
+        _check_snr(self.snr_db)
         if self.num_sources >= self.geometry.num_sensors:
             warnings.warn(
                 "more sources than sensors minus one; estimators may fail",
@@ -290,6 +298,10 @@ class MonteCarloConfig:
             setattr(self, name, tuple(as_integer(v, name) for v in getattr(self, name)))
         for name in INTEGER_FIELDS:
             setattr(self, name, as_integer(getattr(self, name), name))
+        for s in self.s_values:
+            _check_exponent(s, "s_values")
+        for snr_db in self.snr_values:
+            _check_snr(snr_db, "snr_values")
         if not self.num_trials >= 1:
             raise ValueError("num_trials must be at least 1")
         # every cell's settings up front, so a bad one late in an axis does
@@ -297,6 +309,12 @@ class MonteCarloConfig:
         for estimator, variant, iters in product(
                 self.estimators, self.variants, self.iteration_counts):
             _check_settings(estimator, variant, iters, self.rel_tol, self.mvdr_loading)
+        # cells are keyed by their values, so a value may appear once per axis
+        for name in SWEEP_AXES:
+            axis = getattr(self, name)
+            for i, value in enumerate(axis):
+                if value in axis[:i]:
+                    raise ValueError(f"{name} repeats the value {value!r}")
 
 
 @dataclass
@@ -385,10 +403,11 @@ def build_cost_spec(cov, estimator, s, num_sources, mvdr_loading=DEFAULT_MVDR_LO
 def search_peaks(cov, geometry, grid, *, estimator, s, num_sources, min_separation_rad,
                  mvdr_loading=DEFAULT_MVDR_LOADING):
     """The first stage of ``locate_sources``: build the estimator's cost spec
-    from a covariance of ``estimator_covariance`` and search the grid, with
-    settings checked as ``locate_sources`` checks them. Returns (spec,
-    peaks), the peaks as ``grid_search`` gives them. Raises LinAlgError when
-    the covariance is non-finite or zero in every band."""
+    from a covariance of ``estimator_covariance`` and search the grid.
+    Returns (spec, peaks), the peaks as ``grid_search`` gives them. Raises
+    LinAlgError when the covariance is non-finite or zero in every band.
+    The caller checks the settings: ``locate_sources`` and
+    ``MonteCarloConfig`` run ``_check_settings``."""
     band_power = np.trace(cov.matrices, axis1=1, axis2=2).real
     if not (np.all(np.isfinite(cov.matrices)) and np.any(band_power)):
         raise np.linalg.LinAlgError(
@@ -402,10 +421,11 @@ def search_peaks(cov, geometry, grid, *, estimator, s, num_sources, min_separati
 
 
 def refine_peaks(spec, geometry, peaks, *, variant, max_iters, rel_tol=1e-10):
-    """The second stage of ``locate_sources``, with settings checked as it
-    checks them: one RefinementTrace per peak of ``search_peaks``, in peak
-    order, whose last iterate is the direction; an unrefined peak (variant
-    "none" or max_iters 0) gets the one-point trace of its grid point."""
+    """The second stage of ``locate_sources``: one RefinementTrace per peak of
+    ``search_peaks``, in peak order, whose last iterate is the direction; an
+    unrefined peak (variant "none" or max_iters 0) gets the one-point trace
+    of its grid point. The caller checks the settings: ``locate_sources``
+    and ``MonteCarloConfig`` run ``_check_settings``."""
     if variant == "none" or max_iters == 0:
         return [RefinementTrace(iterates=[q0], objectives=[value]) for q0, value in peaks]
     return [refine(spec, geometry, q0, variant=variant, max_iters=max_iters, rel_tol=rel_tol)
@@ -521,26 +541,25 @@ def monte_carlo(config):
     Trials run outer and cells inner: each (trial, SNR) recording is drawn
     once (``paired_trial``) and scored by every cell at that SNR. Rows come
     out cell by cell, trials in order within a cell."""
-    grids = {g: fibonacci_grid(g) for g in set(config.grid_sizes)}
-    axes = [getattr(config, name) for name in SWEEP_AXES]
-    cells = [tuple(zip(*cell)) for cell in product(*(enumerate(axis) for axis in axes))]
-    rows = [[] for _ in cells]
-    times = [[] for _ in cells]
-    for trial, snr_index in product(range(config.num_trials), range(len(config.snr_values))):
+    grids = {g: fibonacci_grid(g) for g in config.grid_sizes}
+    cells = list(product(*(getattr(config, name) for name in SWEEP_AXES)))
+    rows = {cell: [] for cell in cells}
+    times = {cell: [] for cell in cells}
+    for trial, (snr_index, snr_db) in product(range(config.num_trials),
+                                              enumerate(config.snr_values)):
         paired = paired_trial(config, snr_index, trial)
-        for (cell_index, cell_key), cell_rows, cell_times in zip(cells, rows, times):
-            if cell_index[-1] != snr_index:
+        for cell in cells:
+            if cell[-1] != snr_db:
                 continue
-            err, elapsed = run_trial(config, cell_key, paired, grids[cell_key[2]])
-            cell_times.append(elapsed)
-            cell_rows.extend(
-                dict(zip(CELL_FIELDS, cell_key), trial=trial, src_index=i,
-                     error_deg=float(e))
+            err, elapsed = run_trial(config, cell, paired, grids[cell[2]])
+            times[cell].append(elapsed)
+            rows[cell].extend(
+                dict(zip(CELL_FIELDS, cell), trial=trial, src_index=i, error_deg=float(e))
                 for i, e in enumerate(err)
             )
     result = EvalResult()
-    for (_, cell_key), cell_rows, cell_times in zip(cells, rows, times):
-        result.rows.extend(cell_rows)
-        result.medians[cell_key] = float(np.median([r["error_deg"] for r in cell_rows]))
-        result.cell_seconds[cell_key] = float(np.median(cell_times))
+    for cell in cells:
+        result.rows.extend(rows[cell])
+        result.medians[cell] = float(np.median([r["error_deg"] for r in rows[cell]]))
+        result.cell_seconds[cell] = float(np.median(times[cell]))
     return result

@@ -20,6 +20,36 @@ def hertz(omega, speed_of_sound=343.0):
     return np.asarray(omega, dtype=float) * speed_of_sound / _TWO_PI
 
 
+def doa_from_angles(colatitude, azimuth):
+    """Unit direction vector(s) from colatitude and azimuth in radians, the
+    inverse of ``angles_from_doa``.
+
+    Broadcasts over array inputs; the vector components live on the last axis.
+    """
+    colatitude = np.asarray(colatitude, dtype=float)
+    azimuth = np.asarray(azimuth, dtype=float)
+    st = np.sin(colatitude)
+    return np.stack(
+        [
+            np.cos(azimuth) * st,
+            np.sin(azimuth) * st,
+            np.cos(colatitude) * np.ones_like(azimuth),
+        ],
+        axis=-1,
+    )
+
+
+def steering_vector(geometry, wavenumber, q):
+    """Array response for a plane wave from direction q at spatial frequency
+    ``wavenumber`` (rad/m): entry m is M^(-1/2) exp(j w d_m . q). The
+    library forms these for a whole batch of directions in ``band_powers``
+    and from pair phasors in the refinement."""
+    if wavenumber < 0:
+        raise ValueError("wavenumber must be non-negative")
+    phase = wavenumber * (geometry.sensors @ np.asarray(q, dtype=float))
+    return np.exp(1j * phase) / np.sqrt(geometry.num_sensors)
+
+
 def wrap_phase(theta0):
     """Wrap an angle into (-pi, pi]: returns (z0, phi0) with
     phi0 = theta0 + 2*pi*z0 and z0 the integer minimizing |phi0|.
@@ -97,6 +127,17 @@ def covariance_then_select(frames, estimator, f_min, f_max):
     s = np.einsum("knm,knr->kmr", x, x.conj()) / frames.num_frames
     keep = (frames.band_frequencies >= f_min) & (frames.band_frequencies <= f_max)
     return s[keep], frames.band_frequencies[keep]
+
+
+def symmetric_neighbors(grid):
+    """Each grid point's k nearest plus every point that counts it among its
+    own k nearest, as one ascending index list per point: the neighbors a
+    grid point's value is compared with in ``grid_search``."""
+    closure = [set(row) for row in grid.neighbors.tolist()]
+    for i, row in enumerate(grid.neighbors.tolist()):
+        for j in row:
+            closure[j].add(i)
+    return [sorted(row) for row in closure]
 
 
 def objective(spec, geometry, q):

@@ -14,7 +14,6 @@ from doakit.manifold import (
     fibonacci_points,
     great_circle_distance,
     random_geometry,
-    steering_vector,
 )
 from doakit.refine import (
     PairCoefficients,
@@ -26,7 +25,14 @@ from doakit.refine import (
 )
 from doakit.simulate import MonteCarloConfig, monte_carlo
 from doakit.spectral import CovarianceSet
-from oracles import gtrs_coefficients, hertz, quadratic_monomials, unnormalized_sinc, wrap_phase
+from oracles import (
+    gtrs_coefficients,
+    hertz,
+    quadratic_monomials,
+    steering_vector,
+    unnormalized_sinc,
+    wrap_phase,
+)
 
 
 def _report(num, name, ok, detail=""):
@@ -310,7 +316,7 @@ def test_criterion_8_power_mean_and_shift():
         m = int(rng.integers(2, 13))
         a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         c = (a + a.conj().T) / 2.0
-        _, v = gershgorin_shift(c)
+        v = gershgorin_shift(c)
         trace = max(np.trace(v).real, 1.0)
         worst_eig = min(worst_eig, np.linalg.eigvalsh(v).min() / trace)
     elapsed = time.perf_counter() - start

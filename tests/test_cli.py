@@ -721,11 +721,19 @@ def test_bench_sweep_must_be_object(tmp_path, capsys, content):
         ({"variants": ["bogus"], "iteration_counts": [0]}, "variant"),
         ({"iteration_counts": [0], "mvdr_loading": float("nan")}, "mvdr_loading"),
         ({"mvdr_loading": "x"}, "mvdr_loading"),
+        ({"snr_values": ["10"]}, "snr_values"),
+        ({"snr_values": [None]}, "snr_values"),
+        ({"snr_values": [10.0, float("-inf")]}, "snr_values"),
+        ({"s_values": ["x"]}, "s_values"),
+        ({"s_values": [False]}, "s_values"),
+        ({"estimators": ["music", "music"]}, "estimators repeats the value 'music'"),
+        ({"grid_sizes": [100, 100.0]}, "grid_sizes repeats the value 100"),
     ],
     ids=["scalar-axis", "string-axis", "empty-axis", "zero-trials",
          "fractional-iterations", "fractional-grid", "fractional-trials", "rel-tol-nan",
          "unrefined-rel-tol-nan", "variant-bogus", "unrefined-loading-nan",
-         "loading-string"],
+         "loading-string", "snr-string", "snr-null", "snr-minus-inf", "s-string",
+         "s-bool", "repeated-estimator", "repeated-grid-size"],
 )
 def test_bench_rejects_bad_axes_and_trials(tmp_path, geometry_file, capsys,
                                            overrides, message):
@@ -734,7 +742,7 @@ def test_bench_rejects_bad_axes_and_trials(tmp_path, geometry_file, capsys,
     rc = main(["bench", "--sweep", str(sweep), "--output", str(tmp_path / "bench")])
     assert rc == 2
     assert message in capsys.readouterr().err
-    assert not (tmp_path / "bench.csv").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["array.json", "sweep.json"]
 
 
 def test_bench_rejects_bad_cell_before_running(tmp_path, geometry_file, capsys,

@@ -5,13 +5,12 @@ from scipy.spatial import cKDTree
 from doakit.manifold import (
     ArrayGeometry,
     angles_from_doa,
-    doa_from_angles,
     fibonacci_grid,
     fibonacci_points,
     great_circle_distance,
     random_geometry,
-    steering_vector,
 )
+from oracles import doa_from_angles, steering_vector, symmetric_neighbors
 
 rng = np.random.default_rng(1234)
 
@@ -156,13 +155,6 @@ def test_fibonacci_grid_basic():
     dots = grid.points @ grid.points.T
     np.fill_diagonal(dots, -1.0)
     assert np.arccos(np.clip(dots.max(), -1, 1)) > 0.0
-    # symmetric adjacency, no self loops
-    assert grid.indptr.shape == (101,) and grid.indptr[0] == 0
-    assert grid.indptr[-1] == grid.indices.size
-    rows = np.repeat(np.arange(100), np.diff(grid.indptr))
-    assert not np.any(rows == grid.indices)
-    edges = set(zip(rows.tolist(), grid.indices.tolist()))
-    assert edges == {(j, i) for i, j in edges}
 
 
 @pytest.mark.parametrize("count", [*range(4, 3001, 7), 100, 1000, 10_000, 100_000])
@@ -178,10 +170,28 @@ def test_fibonacci_grid_neighbors_match_knn_sets(count):
             if j != i:
                 expected[i].add(j)
                 expected[j].add(i)
-    indptr, indices = grid.indptr.tolist(), grid.indices.tolist()
+    got = symmetric_neighbors(grid)
     for i in range(count):
-        got = indices[indptr[i]:indptr[i + 1]]
-        assert got == sorted(expected[i]), i
+        assert got[i] == sorted(expected[i]), i
+
+
+@pytest.mark.parametrize(
+    "sizes", [range(start, min(start + 300, 3001)) for start in range(4, 3001, 300)]
+    + [[10_000]], ids=lambda sizes: f"{sizes[0]}-{sizes[-1]}")
+def test_fibonacci_grid_neighbors_are_k_nearest(sizes):
+    # tie-robust: a row may take either of two points at the same distance,
+    # so it is checked by distance, not by index against the k-d tree's
+    for count in sizes:
+        grid = fibonacci_grid(count)
+        k = min(8, count - 1)
+        assert grid.neighbors.shape == (count, k)
+        rows = np.sort(grid.neighbors, axis=1)
+        assert np.all(rows[:, 1:] != rows[:, :-1]), count
+        assert not np.any(rows == np.arange(count)[:, None]), count
+        assert rows.min() >= 0 and rows.max() < count, count
+        kth, _ = cKDTree(grid.points).query(grid.points, k=[k + 1])
+        chord = np.linalg.norm(grid.points[grid.neighbors] - grid.points[:, None], axis=2)
+        assert np.max(np.abs(chord.max(axis=1) - kth[:, 0])) <= 1e-12, count
 
 
 def test_fibonacci_grid_rejects_tiny():

@@ -13,7 +13,6 @@ from doakit.manifold import (
     fibonacci_points,
     great_circle_distance,
     random_geometry,
-    steering_vector,
 )
 from doakit.refine import (
     PairCoefficients,
@@ -31,6 +30,7 @@ from oracles import (
     hertz,
     objective,
     quadratic_monomials,
+    steering_vector,
     unnormalized_sinc,
     wrap_phase,
 )

@@ -52,6 +52,8 @@ def test_scene_validation(rng):
     # -inf dB would mean infinite noise; the renderers drew a noise-free scene
     with pytest.raises(ValueError, match="snr_db"):
         Scene(GEOM, np.array([[1.0, 0.0, 0.0]]), snr_db=-np.inf)
+    with pytest.raises(ValueError, match="snr_db"):
+        Scene(GEOM, np.array([[1.0, 0.0, 0.0]]), snr_db="20")
     with pytest.warns(UserWarning):
         Scene(GEOM, random_sources(rng, 6, 0.1))
     # a source-free scene is a valid noise-only recording
@@ -452,6 +454,49 @@ def test_monte_carlo_charges_a_shared_search_to_every_cell(monkeypatch):
     ids=["scalar-axis", "string-axis", "empty-axis", "zero-trials"],
 )
 def test_monte_carlo_config_rejects_bad_axes_and_trials(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        _small_config(**overrides)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"snr_values": ("10",)}, "snr_values must be a number above -inf, got '10'"),
+        ({"snr_values": (None,)}, "snr_values must be a number above -inf, got None"),
+        ({"snr_values": (True,)}, "snr_values must be a number above -inf, got True"),
+        ({"snr_values": (10.0, -np.inf)}, "snr_values must be a number above -inf"),
+        ({"snr_values": (np.nan,)}, "snr_values must be a number above -inf"),
+        ({"s_values": ("x",)}, r"s_values must lie in \(-inf, 1\], s != 0, got 'x'"),
+        ({"s_values": (None,)}, "s_values must lie in"),
+        ({"s_values": (True,)}, "s_values must lie in"),
+        ({"s_values": (-3.0, 0.0)}, "s_values must lie in"),
+        ({"s_values": (1.5,)}, "s_values must lie in"),
+        ({"s_values": (-np.inf,)}, "s_values must lie in"),
+        ({"s_values": (np.nan,)}, "s_values must lie in"),
+    ],
+    ids=["snr-string", "snr-null", "snr-bool", "snr-minus-inf", "snr-nan", "s-string",
+         "s-null", "s-bool", "s-zero", "s-above-one", "s-minus-inf", "s-nan"],
+)
+def test_monte_carlo_config_rejects_bad_axis_entries(overrides, message):
+    # the rules Scene and CostSpec apply, on every entry before any trial
+    with pytest.raises(ValueError, match=message):
+        _small_config(**overrides)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"estimators": ("music", "music")}, "estimators repeats the value 'music'"),
+        ({"s_values": (-3.0, 1.0, -3)}, "s_values repeats the value -3"),
+        ({"grid_sizes": (100, 100.0)}, "grid_sizes repeats the value 100"),
+        ({"variants": ("none", "quadratic", "none")}, "variants repeats the value 'none'"),
+        ({"iteration_counts": (5.0, 5)}, "iteration_counts repeats the value 5"),
+        ({"snr_values": (20.0, 20.0)}, "snr_values repeats the value 20.0"),
+    ],
+    ids=["estimators", "s", "grid-sizes", "variants", "iterations", "snr"],
+)
+def test_monte_carlo_config_rejects_repeated_axis_values(overrides, message):
+    # a repeated value would write rows for both cells but one summary cell
     with pytest.raises(ValueError, match=message):
         _small_config(**overrides)
 
