@@ -9,6 +9,7 @@ with Hermitian PSD matrices V_k. Estimators that are natively maximizations
 from __future__ import annotations
 
 import numbers
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,34 +118,73 @@ def power_mean(values, s):
     return c[0] * mean ** (1.0 / s)
 
 
-def band_powers(spec, geometry, points):
-    """Quadratic forms a_k(q)^H V_k a_k(q), shape (K, G), for a (G, 3) batch
-    of directions.
+def steered_band_powers(specs, geometry, points):
+    """Band powers of several cost specs on one (G, 3) batch of directions,
+    from one steering pass.
 
-    One band at a time, so memory stays O(G M): the band's (G, M) steering
-    phasors, then one BLAS product b = a V_k^T and the row sums
-    Re sum_m conj(a_m) b_m. The 1/M of the unit-norm steering vectors is
-    applied once at the end. The phasors are cos and sin of omega_k tau
-    written into one reused complex buffer, which is cheaper than the
-    complex exp of a purely imaginary argument.
+    One band at a time, so memory stays O(G M) beside the outputs: the
+    band's (G, M) steering phasors, built once as cos and sin of omega_k tau
+    written into one reused complex buffer (cheaper than the complex exp of
+    a purely imaginary argument), then for each spec one BLAS product
+    b = a V_k^T and the row sums Re sum_m conj(a_m) b_m. The 1/M of the
+    unit-norm steering vectors is applied once at the end. The specs must
+    share their band frequencies.
+
+    Returns (powers, seconds): powers[i] is the (K, G) band powers of
+    specs[i], bit for bit what ``band_powers`` gives for it alone;
+    seconds[0] is the time of the phasor pass and seconds[1 + i] the time
+    of specs[i]'s products, clocked apart inside the band loop, so a caller
+    can charge each spec what it would cost alone.
     """
-    omega = geometry.wavenumbers(spec.band_frequencies)
+    frequencies = specs[0].band_frequencies
+    if not all(np.array_equal(spec.band_frequencies, frequencies) for spec in specs):
+        raise ValueError("the cost specs must share their band frequencies")
+    seconds = [0.0] * (1 + len(specs))
+    last = time.perf_counter()
+
+    def lap(i):  # charge the time since the last lap to seconds[i]
+        nonlocal last
+        now = time.perf_counter()
+        seconds[i] += now - last
+        last = now
+
+    omega = geometry.wavenumbers(frequencies)
     tau = points @ geometry.sensors.T  # (G, M)
-    out = np.empty((spec.num_bands, tau.shape[0]))
+    powers = [np.empty((len(omega), tau.shape[0])) for _ in specs]
     phase = np.empty_like(tau)
     a = np.empty(tau.shape, dtype=complex)
-    for k in range(spec.num_bands):
+    for k in range(len(omega)):
         np.multiply(tau, omega[k], out=phase)
         np.cos(phase, out=a.real)
         np.sin(phase, out=a.imag)
-        b = a @ spec.matrices[k].T
-        out[k] = np.einsum("gm,gm->g", a.conj(), b).real
-    out /= geometry.num_sensors
-    return out
+        lap(0)
+        for i, (spec, out) in enumerate(zip(specs, powers), 1):
+            b = a @ spec.matrices[k].T
+            out[k] = np.einsum("gm,gm->g", a.conj(), b).real
+            lap(i)
+    for i, out in enumerate(powers, 1):
+        out /= geometry.num_sensors
+        lap(i)
+    return powers, seconds
+
+
+def band_powers(spec, geometry, points):
+    """Quadratic forms a_k(q)^H V_k a_k(q), shape (K, G), for a (G, 3) batch
+    of directions: ``steered_band_powers`` of the one spec."""
+    (powers,), _ = steered_band_powers([spec], geometry, points)
+    return powers
 
 
 def grid_search(spec, geometry, grid, num_sources=1, min_separation=np.deg2rad(10.0)):
-    """Pick ``num_sources`` well separated local minima on the grid.
+    """``pick_peaks`` of the spec's objective, the power mean of its band
+    powers, at the grid points."""
+    values = power_mean(band_powers(spec, geometry, grid.points), spec.s)
+    return pick_peaks(values, grid, num_sources, min_separation)
+
+
+def pick_peaks(values, grid, num_sources, min_separation):
+    """Pick ``num_sources`` well separated local minima of the objective
+    ``values`` at the grid points.
 
     A point is a local minimum when its value is no higher than those of its
     k nearest grid points and of every point that counts it among theirs.
@@ -160,7 +200,6 @@ def grid_search(spec, geometry, grid, num_sources=1, min_separation=np.deg2rad(1
         raise ValueError("num_sources must be at least 1")
     if not 0.0 <= min_separation < np.inf:
         raise ValueError("min_separation must be finite and non-negative")
-    values = power_mean(band_powers(spec, geometry, grid.points), spec.s)
 
     nearest = values[grid.neighbors]
     is_local_min = np.all(nearest >= values[:, None], axis=1)

@@ -7,7 +7,7 @@ import json
 import numbers
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 import numpy as np
@@ -18,7 +18,10 @@ from .estimators import (
     grid_search,
     music_cost_spec,
     mvdr_cost_spec,
+    pick_peaks,
+    power_mean,
     srp_cost_spec,
+    steered_band_powers,
 )
 from .manifold import ArrayGeometry, fibonacci_grid, great_circle_distance
 from .refine import RefinementTrace, refine
@@ -36,6 +39,8 @@ VARIANTS = ("quadratic", "linear", "none")
 INTEGER_AXES = ("grid_sizes", "iteration_counts")
 INTEGER_FIELDS = ("num_sources", "num_trials", "master_seed", "frame_size",
                   "num_frames")
+# draws random_sources makes before it gives up on the separation
+MAX_SOURCE_DRAWS = 10_000
 
 
 def as_integer(value, name):
@@ -304,11 +309,18 @@ class MonteCarloConfig:
             _check_snr(snr_db, "snr_values")
         if not self.num_trials >= 1:
             raise ValueError("num_trials must be at least 1")
+        separation = self.min_source_separation_deg
+        if (isinstance(separation, bool) or not isinstance(separation, numbers.Real)
+                or not 0.0 <= separation <= 180.0):
+            raise ValueError(
+                f"min_source_separation_deg must lie in [0, 180], got {separation!r}"
+            )
         # every cell's settings up front, so a bad one late in an axis does
         # not wait for the cells before it to run
         for estimator, variant, iters in product(
                 self.estimators, self.variants, self.iteration_counts):
-            _check_settings(estimator, variant, iters, self.rel_tol, self.mvdr_loading)
+            _check_settings(estimator, variant, iters, self.rel_tol, self.mvdr_loading,
+                            self.min_separation_deg)
         # cells are keyed by their values, so a value may appear once per axis
         for name in SWEEP_AXES:
             axis = getattr(self, name)
@@ -351,13 +363,18 @@ class EvalResult:
 
 def random_sources(rng, num_sources, min_separation_rad):
     """Uniformly random unit directions, redrawn until every pair is at least
-    ``min_separation_rad`` apart."""
-    while True:
+    ``min_separation_rad`` apart. Raises ValueError naming the separation
+    when MAX_SOURCE_DRAWS draws do not meet it."""
+    for _ in range(MAX_SOURCE_DRAWS):
         q = rng.standard_normal((num_sources, 3))
         q /= np.linalg.norm(q, axis=1, keepdims=True)
         apart = great_circle_distance(q[:, None], q[None])
         if np.all(apart[np.triu_indices(num_sources, k=1)] >= min_separation_rad):
             return q
+    raise ValueError(
+        f"no {num_sources} random directions at least "
+        f"{np.degrees(min_separation_rad):g} deg apart in {MAX_SOURCE_DRAWS} draws"
+    )
 
 
 def estimator_covariance(frames, estimator, f_min, f_max):
@@ -376,16 +393,20 @@ def estimator_covariance(frames, estimator, f_min, f_max):
     return sample_covariance(band_select(frames, f_min, f_max))
 
 
-def _check_settings(estimator, variant, max_iters, rel_tol, mvdr_loading):
+def _check_settings(estimator, variant, max_iters, rel_tol, mvdr_loading, min_separation):
     """The settings check of ``locate_sources``, which MonteCarloConfig also
-    runs on every cell before a sweep starts: ValueError naming the setting."""
+    runs on every cell before a sweep starts: ValueError naming the setting.
+    The peak separation (in degrees or radians alike) is checked here as
+    well, so a bad one fails before any grid pass rather than in
+    ``pick_peaks`` after it."""
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if max_iters < 0:
         raise ValueError("max_iters must be non-negative")
-    for name, value in (("rel_tol", rel_tol), ("mvdr_loading", mvdr_loading)):
+    for name, value in (("rel_tol", rel_tol), ("mvdr_loading", mvdr_loading),
+                        ("min_separation", min_separation)):
         if not (isinstance(value, numbers.Real) and 0.0 <= value < np.inf):
             raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
 
@@ -400,6 +421,16 @@ def build_cost_spec(cov, estimator, s, num_sources, mvdr_loading=DEFAULT_MVDR_LO
     raise ValueError(f"unknown estimator {estimator!r}")
 
 
+def _usable_cost_spec(cov, estimator, s, num_sources, mvdr_loading):
+    # build_cost_spec, once the covariance is known to hold a signal
+    band_power = np.trace(cov.matrices, axis1=1, axis2=2).real
+    if not (np.all(np.isfinite(cov.matrices)) and np.any(band_power)):
+        raise np.linalg.LinAlgError(
+            "no usable signal: the covariance is non-finite or zero in every band"
+        )
+    return build_cost_spec(cov, estimator, s, num_sources, mvdr_loading)
+
+
 def search_peaks(cov, geometry, grid, *, estimator, s, num_sources, min_separation_rad,
                  mvdr_loading=DEFAULT_MVDR_LOADING):
     """The first stage of ``locate_sources``: build the estimator's cost spec
@@ -408,12 +439,7 @@ def search_peaks(cov, geometry, grid, *, estimator, s, num_sources, min_separati
     LinAlgError when the covariance is non-finite or zero in every band.
     The caller checks the settings: ``locate_sources`` and
     ``MonteCarloConfig`` run ``_check_settings``."""
-    band_power = np.trace(cov.matrices, axis1=1, axis2=2).real
-    if not (np.all(np.isfinite(cov.matrices)) and np.any(band_power)):
-        raise np.linalg.LinAlgError(
-            "no usable signal: the covariance is non-finite or zero in every band"
-        )
-    spec = build_cost_spec(cov, estimator, s, num_sources, mvdr_loading)
+    spec = _usable_cost_spec(cov, estimator, s, num_sources, mvdr_loading)
     peaks = grid_search(
         spec, geometry, grid, num_sources=num_sources, min_separation=min_separation_rad
     )
@@ -439,10 +465,10 @@ def locate_sources(cov, geometry, grid, *, estimator, s, num_sources, variant,
     grid search of ``search_peaks``, then ``refine_peaks``. Returns one
     RefinementTrace per source in peak order, whose last iterate is the
     direction. Raises ValueError naming the setting for an unknown estimator
-    or variant, a negative max_iters, or a rel_tol or mvdr_loading outside
-    [0, inf), whatever the estimator and variant, and LinAlgError when the
-    covariance is non-finite or zero in every band."""
-    _check_settings(estimator, variant, max_iters, rel_tol, mvdr_loading)
+    or variant, a negative max_iters, or a rel_tol, mvdr_loading or
+    min_separation_rad outside [0, inf), whatever the estimator and variant,
+    and LinAlgError when the covariance is non-finite or zero in every band."""
+    _check_settings(estimator, variant, max_iters, rel_tol, mvdr_loading, min_separation_rad)
     spec, peaks = search_peaks(
         cov, geometry, grid, estimator=estimator, s=s, num_sources=num_sources,
         min_separation_rad=min_separation_rad, mvdr_loading=mvdr_loading,
@@ -503,30 +529,52 @@ def paired_trial(config, snr_index, trial):
     return PairedTrial(sources, covariances)
 
 
+def search_grid(config, paired, grid):
+    """Every (estimator, s) search of a paired trial on one grid, from one
+    steering pass; fills ``paired.searches`` for each.
+
+    Each estimator's cost spec is built once, since s enters only the power
+    mean, and ``steered_band_powers`` gives every spec's band powers from
+    one set of steering phasors. Each s then takes its power mean and picks
+    its peaks with ``pick_peaks``, which gives what ``search_peaks`` gives
+    with the same spec. A search's seconds are what it would cost on its
+    own: the phasor pass, its estimator's spec build and products, and its
+    own power mean and pick, never another estimator's share. The band
+    powers are dropped on return."""
+    specs, build_seconds = [], []
+    for estimator in config.estimators:
+        start = time.perf_counter()
+        specs.append(_usable_cost_spec(
+            paired.covariances[_front_end(estimator)], estimator, config.s_values[0],
+            config.num_sources, config.mvdr_loading,
+        ))
+        build_seconds.append(time.perf_counter() - start)
+    powers, seconds = steered_band_powers(specs, config.geometry, grid.points)
+    for estimator, spec, spec_powers, built, products in zip(
+            config.estimators, specs, powers, build_seconds, seconds[1:]):
+        for s in config.s_values:
+            start = time.perf_counter()
+            peaks = pick_peaks(power_mean(spec_powers, s), grid, config.num_sources,
+                               np.radians(config.min_separation_deg))
+            paired.searches[(estimator, s, grid.size)] = (
+                replace(spec, s=s), peaks,
+                seconds[0] + built + products + time.perf_counter() - start,
+            )
+
+
 def run_trial(config, cell_key, paired, grid):
     """One Monte Carlo cell on one paired trial; returns (per-source errors,
     localization time).
 
-    The first cell of a trial that needs an (estimator, s, grid size) search
-    runs it, and later cells reuse it. The time is the search's own measured
-    time (cost-spec build and grid search), whichever cell ran it, plus this
-    cell's refinement, so it counts what one cell costs on its own."""
+    The first cell of a trial that needs a grid runs ``search_grid``, the
+    searches of every estimator and exponent on that grid, and later cells
+    reuse them. The time is the cell's search as ``search_grid`` charges it,
+    whichever cell ran it, plus this cell's refinement, so it counts what
+    one cell costs on its own."""
     estimator, s, grid_size, variant, iters, _ = cell_key
-    search = (estimator, s, grid_size)
-    if search not in paired.searches:
-        start = time.perf_counter()
-        spec, peaks = search_peaks(
-            paired.covariances[_front_end(estimator)],
-            config.geometry,
-            grid,
-            estimator=estimator,
-            s=s,
-            num_sources=config.num_sources,
-            min_separation_rad=np.radians(config.min_separation_deg),
-            mvdr_loading=config.mvdr_loading,
-        )
-        paired.searches[search] = (spec, peaks, time.perf_counter() - start)
-    spec, peaks, search_seconds = paired.searches[search]
+    if (estimator, s, grid_size) not in paired.searches:
+        search_grid(config, paired, grid)
+    spec, peaks, search_seconds = paired.searches[(estimator, s, grid_size)]
     start = time.perf_counter()
     traces = refine_peaks(
         spec, config.geometry, peaks, variant=variant, max_iters=iters, rel_tol=config.rel_tol

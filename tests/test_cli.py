@@ -344,6 +344,16 @@ def test_simulate_rejects_snr_at_minus_inf(tmp_path, geometry_file, capsys):
     assert not wav.exists()
 
 
+def test_simulate_exits_2_when_the_sources_cannot_be_placed(tmp_path, geometry_file, capsys):
+    # 60 random directions all 15 deg apart are drawn with odds near 1e-13
+    wav = tmp_path / "scene.wav"
+    rc = main(["simulate", "--geometry", geometry_file, "--sources", "60",
+               "--duration", "0.1", "--output", str(wav)])
+    assert rc == 2
+    assert "60 random directions at least 15 deg apart" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["array.json"]
+
+
 def test_locate_raw_float32_input(tmp_path, geometry_file, capsys):
     from scipy.io import wavfile
 
@@ -728,12 +738,17 @@ def test_bench_sweep_must_be_object(tmp_path, capsys, content):
         ({"s_values": [False]}, "s_values"),
         ({"estimators": ["music", "music"]}, "estimators repeats the value 'music'"),
         ({"grid_sizes": [100, 100.0]}, "grid_sizes repeats the value 100"),
+        ({"min_source_separation_deg": 200}, "min_source_separation_deg must lie in [0, 180]"),
+        ({"min_source_separation_deg": -5}, "min_source_separation_deg must lie in [0, 180]"),
+        ({"min_separation_deg": -1}, "min_separation must be a finite non-negative number"),
     ],
     ids=["scalar-axis", "string-axis", "empty-axis", "zero-trials",
          "fractional-iterations", "fractional-grid", "fractional-trials", "rel-tol-nan",
          "unrefined-rel-tol-nan", "variant-bogus", "unrefined-loading-nan",
          "loading-string", "snr-string", "snr-null", "snr-minus-inf", "s-string",
-         "s-bool", "repeated-estimator", "repeated-grid-size"],
+         "s-bool", "repeated-estimator", "repeated-grid-size",
+         "source-separation-above-180", "source-separation-negative",
+         "peak-separation-negative"],
 )
 def test_bench_rejects_bad_axes_and_trials(tmp_path, geometry_file, capsys,
                                            overrides, message):
@@ -742,6 +757,18 @@ def test_bench_rejects_bad_axes_and_trials(tmp_path, geometry_file, capsys,
     rc = main(["bench", "--sweep", str(sweep), "--output", str(tmp_path / "bench")])
     assert rc == 2
     assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["array.json", "sweep.json"]
+
+
+def test_bench_exits_2_when_the_sources_cannot_be_placed(tmp_path, geometry_file, capsys):
+    # three directions pairwise 150 deg apart do not exist; the draws give up
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"geometry": geometry_file, "num_sources": 3,
+                                 "min_source_separation_deg": 150, "num_trials": 1,
+                                 "num_frames": 10, "grid_sizes": [50]}))
+    rc = main(["bench", "--sweep", str(sweep), "--output", str(tmp_path / "bench")])
+    assert rc == 2
+    assert "3 random directions at least 150 deg apart" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["array.json", "sweep.json"]
 
 

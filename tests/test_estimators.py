@@ -11,6 +11,7 @@ from doakit.estimators import (
     mvdr_cost_spec,
     power_mean,
     srp_cost_spec,
+    steered_band_powers,
 )
 from doakit.manifold import (
     ArrayGeometry,
@@ -19,6 +20,13 @@ from doakit.manifold import (
     random_geometry,
 )
 from doakit.refine import PairCoefficients, pair_band_powers
+from doakit.simulate import (
+    Scene,
+    build_cost_spec,
+    estimator_covariance,
+    random_sources,
+    synth_stft_scene,
+)
 from doakit.spectral import CovarianceSet
 from oracles import hertz, objective, steering_vector, symmetric_neighbors
 
@@ -387,6 +395,50 @@ def test_band_powers_matches_steering_loop(kind, num_points):
         ])
         scale = np.trace(spec.matrices, axis1=1, axis2=2).real / 12
         assert np.max(np.abs(got[:, g] - expected) / scale) <= 1e-12
+
+
+def _band_powers_band_by_band(spec, geometry, points):
+    # reference: one spec's band loop written out, conj(a) taken per band
+    omega = geometry.wavenumbers(spec.band_frequencies)
+    tau = points @ geometry.sensors.T
+    out = np.empty((spec.num_bands, points.shape[0]))
+    for k, w in enumerate(omega):
+        a = np.empty(tau.shape, dtype=complex)
+        np.cos(tau * w, out=a.real)
+        np.sin(tau * w, out=a.imag)
+        out[k] = np.einsum("gm,gm->g", a.conj(), a @ spec.matrices[k].T).real
+    return out / geometry.num_sensors
+
+
+@pytest.mark.parametrize("spacing", ["even", "uneven"])
+@pytest.mark.parametrize("num_points", [100, 1000])
+def test_steered_band_powers_equal_band_powers_bit_for_bit(spacing, num_points):
+    # one steering pass for srp, srp-phat, music and mvdr gives each spec the
+    # bits band_powers gives it alone
+    geom = random_geometry(num_sensors=12, seed=0)
+    scene = Scene(geom, random_sources(np.random.default_rng(3), 2, np.radians(30.0)),
+                  snr_db=10.0, seed=3)
+    frames = synth_stft_scene(scene, frame_size=256, num_frames=40)
+    specs = []
+    for estimator in ("srp", "srp-phat", "music", "mvdr"):
+        cov = estimator_covariance(frames, estimator, 300.0, 3500.0)
+        if spacing == "uneven":
+            cov = CovarianceSet(cov.matrices, FREQUENCY_KINDS["uneven"])
+        specs.append(build_cost_spec(cov, estimator, -3.0, num_sources=2))
+    points = fibonacci_grid(num_points).points
+    powers, seconds = steered_band_powers(specs, geom, points)
+    assert len(powers) == 4 and len(seconds) == 5 and min(seconds) > 0.0
+    for spec, got in zip(specs, powers):
+        assert np.array_equal(got, band_powers(spec, geom, points))
+        assert np.array_equal(got, _band_powers_band_by_band(spec, geom, points))
+
+
+def test_steered_band_powers_rejects_specs_on_other_bands():
+    geom = random_geometry(num_sensors=4, seed=0)
+    a = CostSpec(np.eye(4, dtype=complex)[None], [100.0], s=-1.0)
+    b = CostSpec(np.eye(4, dtype=complex)[None], [200.0], s=-1.0)
+    with pytest.raises(ValueError, match="share their band frequencies"):
+        steered_band_powers([a, b], geom, fibonacci_grid(10).points)
 
 
 def _select_by_pair_loop(values, grid, num_sources, min_separation):

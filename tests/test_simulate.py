@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import doakit.simulate
-from doakit.estimators import band_powers, grid_search
+from doakit.estimators import band_powers, grid_search, pick_peaks, steered_band_powers
 from doakit.manifold import (
     ArrayGeometry,
     fibonacci_grid,
@@ -364,6 +364,12 @@ def test_random_sources_separation(rng):
                 assert great_circle_distance(q[i], q[j]) >= np.radians(25.0)
 
 
+def test_random_sources_gives_up_on_an_unmeetable_separation(rng):
+    # no three directions are pairwise 150 deg apart
+    with pytest.raises(ValueError, match="3 random directions at least 150 deg apart"):
+        random_sources(rng, 3, np.radians(150.0))
+
+
 def _small_config(**overrides):
     base = dict(
         geometry=random_geometry(num_sensors=8, seed=2),
@@ -410,7 +416,7 @@ def test_monte_carlo_cell_rows_do_not_depend_on_the_rest_of_the_sweep():
 
 
 def test_monte_carlo_synthesizes_and_searches_once_per_pairing(monkeypatch):
-    calls = {"synth": 0, "search": 0}
+    calls = {"synth": 0, "steer": 0, "pick": 0}
 
     def counted(name, function):
         def wrapper(*args, **kwargs):
@@ -419,28 +425,66 @@ def test_monte_carlo_synthesizes_and_searches_once_per_pairing(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(doakit.simulate, "synth_stft_scene", counted("synth", synth_stft_scene))
-    monkeypatch.setattr(doakit.simulate, "grid_search", counted("search", grid_search))
+    monkeypatch.setattr(doakit.simulate, "steered_band_powers",
+                        counted("steer", steered_band_powers))
+    monkeypatch.setattr(doakit.simulate, "pick_peaks", counted("pick", pick_peaks))
     config = _small_config(
         estimators=("srp-phat", "mvdr"), s_values=(-3.0, 1.0), grid_sizes=(100, 200),
         variants=("quadratic", "linear", "none"), iteration_counts=(0, 5),
         snr_values=(10.0, 20.0), num_trials=2)
     result = monte_carlo(config)
     assert len(result.medians) == 2 * 2 * 2 * 3 * 2 * 2
-    # once per (SNR, trial), and once per (estimator, s, grid, SNR, trial)
-    assert calls == {"synth": 2 * 2, "search": 2 * 2 * 2 * 2 * 2}
+    # one scene per (SNR, trial), one phasor pass per (SNR, trial, grid) and
+    # one pick per (estimator, s, grid, SNR, trial)
+    assert calls == {"synth": 2 * 2, "steer": 2 * 2 * 2, "pick": 2 * 2 * 2 * 2 * 2}
+
+
+def _slow_sweep(monkeypatch, phasor_delay, slow_estimator=None, product_delay=0.0):
+    """Median seconds per estimator of a sweep without refinement, whose
+    phasor pass sleeps ``phasor_delay`` (the geometry's wavenumbers are read
+    inside it) and whose ``slow_estimator`` sleeps ``product_delay`` per band
+    in its products (its matrices are read band by band there)."""
+
+    class SlowMatrices(np.ndarray):
+        def __getitem__(self, key):
+            time.sleep(product_delay)
+            return np.asarray(self)[key]
+
+    def slow_wavenumbers(self, frequencies):
+        time.sleep(phasor_delay)
+        return wavenumbers(self, frequencies)
+
+    def slow_build(cov, estimator, *args, **kwargs):
+        spec = build_cost_spec(cov, estimator, *args, **kwargs)
+        if estimator == slow_estimator:
+            spec.matrices = spec.matrices.view(SlowMatrices)
+        return spec
+
+    wavenumbers = ArrayGeometry.wavenumbers
+    monkeypatch.setattr(ArrayGeometry, "wavenumbers", slow_wavenumbers)
+    monkeypatch.setattr(doakit.simulate, "build_cost_spec", slow_build)
+    result = monte_carlo(_small_config(estimators=("srp-phat", "mvdr"), s_values=(-3.0, 1.0),
+                                       variants=("none",), iteration_counts=(0,),
+                                       num_trials=2))
+    cells = result.summary()["cells"]
+    assert len(cells) == 4
+    return {(c["estimator"], c["s"]): c["median_seconds"] for c in cells}
 
 
 def test_monte_carlo_charges_a_shared_search_to_every_cell(monkeypatch):
-    def slow_search(*args, **kwargs):
-        time.sleep(0.02)
-        return grid_search(*args, **kwargs)
+    # every cell carries the phasor pass it shares with the others
+    seconds = _slow_sweep(monkeypatch, phasor_delay=0.02)
+    assert all(value >= 0.02 for value in seconds.values())
 
-    monkeypatch.setattr(doakit.simulate, "grid_search", slow_search)
-    result = monte_carlo(_small_config(variants=("quadratic", "linear", "none"),
-                                       iteration_counts=(0, 5), num_trials=2))
-    cells = result.summary()["cells"]
-    assert len(cells) == 6
-    assert all(cell["median_seconds"] >= 0.02 for cell in cells)
+
+def test_monte_carlo_charges_products_only_to_their_estimator(monkeypatch):
+    # mvdr's products sleep 2 ms in each of the 52 bands, about 0.1 s; srp-phat
+    # is charged none of it, and both still carry the 20 ms phasor pass
+    seconds = _slow_sweep(monkeypatch, phasor_delay=0.02, slow_estimator="mvdr",
+                          product_delay=0.002)
+    for s in (-3.0, 1.0):
+        assert seconds[("mvdr", s)] >= 0.02 + 52 * 0.002
+        assert 0.02 <= seconds[("srp-phat", s)] < 0.02 + 0.05
 
 
 @pytest.mark.parametrize(
@@ -531,14 +575,29 @@ def test_monte_carlo_config_rejects_non_integer_counts(overrides, message):
         ({"mvdr_loading": "x"}, "mvdr_loading"),
         ({"rel_tol": -1.0}, "rel_tol"),
         ({"rel_tol": float("inf")}, "rel_tol"),
+        ({"min_separation_deg": -1.0}, "min_separation must be a finite non-negative"),
+        ({"min_separation_deg": float("inf")}, "min_separation must be a finite non-negative"),
     ],
     ids=["variant", "estimator", "iters-negative", "loading-nan", "loading-string",
-         "rel-tol-negative", "rel-tol-inf"],
+         "rel-tol-negative", "rel-tol-inf", "separation-negative", "separation-inf"],
 )
 def test_monte_carlo_config_rejects_bad_locate_settings(overrides, message):
     # the check locate_sources runs, on every cell before any trial
     with pytest.raises(ValueError, match=message):
         _small_config(**overrides)
+
+
+@pytest.mark.parametrize("separation", [-1.0, 180.5, np.inf, np.nan, "20", True])
+def test_monte_carlo_config_rejects_source_separation_outside_0_180(separation):
+    with pytest.raises(ValueError, match=r"min_source_separation_deg must lie in \[0, 180\]"):
+        _small_config(min_source_separation_deg=separation)
+
+
+def test_monte_carlo_raises_when_the_sources_cannot_be_placed():
+    # three directions pairwise 150 deg apart do not exist
+    with pytest.raises(ValueError, match="3 random directions at least 150 deg apart"):
+        monte_carlo(_small_config(num_sources=3, min_source_separation_deg=150.0,
+                                  num_trials=1, num_frames=10))
 
 
 def test_monte_carlo_config_accepts_integer_valued_floats():
