@@ -270,13 +270,12 @@ def _read_input(config, num_sensors):
     if not wav:
         if data.size % num_sensors != 0:
             raise ValueError(f"raw input length not divisible by {num_sensors} channels")
-        data = data.reshape(-1, num_sensors).astype(float)
+        data = data.reshape(-1, num_sensors)
     elif data.dtype == np.uint8:
         data = (data - 128.0) / 128.0  # unsigned, silence at 128
     elif np.issubdtype(data.dtype, np.integer):
         data = data / float(np.iinfo(data.dtype).max)
-    else:
-        data = data.astype(float)
+    # float samples stay as they are; stft casts them a channel at a time
     if data.shape[1] != num_sensors:
         raise ValueError(
             f"input has {data.shape[1]} channels but geometry has {num_sensors} sensors"
@@ -292,16 +291,17 @@ def cmd_locate(args):
                                  ("input", _path(config, "input")), ("config", args.config)])
     rate, signal = _read_input(config, geometry.num_sensors)
 
+    f_min, f_max = _number(config, "f_min"), _number(config, "f_max")
     frames = stft(
         signal,
         frame_size=_integer(config, "frame_size"),
         hop=_integer(config, "hop"),
         window=config["window"],
         sample_rate=rate,
+        f_min=f_min,
+        f_max=f_max,
     )
-    cov = estimator_covariance(
-        frames, config["estimator"], _number(config, "f_min"), _number(config, "f_max")
-    )
+    cov = estimator_covariance(frames, config["estimator"], f_min, f_max)
     traces = locate_sources(
         cov,
         geometry,

@@ -25,7 +25,13 @@ from .estimators import (
 )
 from .manifold import ArrayGeometry, fibonacci_grid, great_circle_distance
 from .refine import RefinementTrace, refine
-from .spectral import SpectralFrames, apply_weighting, band_select, sample_covariance
+from .spectral import (
+    SpectralFrames,
+    apply_weighting,
+    band_range,
+    band_select,
+    sample_covariance,
+)
 
 # the sweep axes of a Monte Carlo cell, in key order, and the
 # MonteCarloConfig fields that list each axis's values
@@ -121,7 +127,7 @@ def synth_stft_scene(scene, frame_size=512, num_frames=100, f_min=300.0, f_max=3
 
     num_bands = frame_size // 2 + 1
     freqs = np.arange(num_bands) * scene.sample_rate / frame_size
-    active = (freqs >= f_min) & (freqs <= f_max)
+    active = band_range(freqs, f_min, f_max)
     omega = geom.wavenumbers(freqs)
 
     # (K, M, L) steering tensor
@@ -138,7 +144,8 @@ def synth_stft_scene(scene, frame_size=512, num_frames=100, f_min=300.0, f_max=3
         )
         gains /= np.sqrt(np.mean(gains[active] ** 2, axis=0, keepdims=True))
         y = y * gains[:, None, :]
-    y[~active] = 0.0
+    y[:active.start] = 0.0
+    y[active.stop:] = 0.0
     x = y @ np.swapaxes(steering, 1, 2)  # (K, N, L) @ (K, L, M)
 
     # unit-norm steering vectors give each source power 1/M at a sensor
@@ -380,17 +387,19 @@ def random_sources(rng, num_sources, min_separation_rad):
 def estimator_covariance(frames, estimator, f_min, f_max):
     """Sample covariance of the bands in [f_min, f_max] an estimator works
     on: SRP-PHAT sees PHAT-weighted frames, every other estimator the frames
-    as they are. PHAT comes before the selection because its floor is a mean
-    over every band of a frame. Raises LinAlgError when SRP-PHAT is given a
-    non-finite entry, which PHAT would divide by and spread through its
-    frame's floor."""
+    as they are. The selection comes first, so PHAT's floor is the mean
+    magnitude over the kept bands of a frame; frames that hold only the kept
+    bands, as ``stft`` gives them for the same range, are not copied.
+    Raises LinAlgError when SRP-PHAT is given a non-finite entry in a kept
+    band, which PHAT would divide by and spread through its frame's floor."""
+    frames = band_select(frames, f_min, f_max)
     if estimator == "srp-phat":
         if not np.all(np.isfinite(frames.data)):
             raise np.linalg.LinAlgError(
                 "no usable signal: the frames hold a non-finite value"
             )
         frames = apply_weighting(frames)
-    return sample_covariance(band_select(frames, f_min, f_max))
+    return sample_covariance(frames)
 
 
 def _check_settings(estimator, variant, max_iters, rel_tol, mvdr_loading, min_separation):
@@ -486,11 +495,14 @@ def _front_end(estimator):
 class PairedTrial:
     """One trial's recording at one SNR, which every cell at that SNR scores:
     the true sources, one covariance per front end the sweep's estimators
-    read, and the grid searches run on it so far, keyed by (estimator, s,
-    grid size), each as (spec, peaks, seconds)."""
+    read, each estimator's cost spec once a search has built it, keyed by
+    estimator as (spec, seconds of its build), and the grid searches run on
+    it so far, keyed by (estimator, s, grid size), each as (spec, peaks,
+    seconds)."""
 
     sources: np.ndarray
     covariances: dict
+    specs: dict = field(default_factory=dict)
     searches: dict = field(default_factory=dict)
 
 
@@ -533,22 +545,25 @@ def search_grid(config, paired, grid):
     """Every (estimator, s) search of a paired trial on one grid, from one
     steering pass; fills ``paired.searches`` for each.
 
-    Each estimator's cost spec is built once, since s enters only the power
-    mean, and ``steered_band_powers`` gives every spec's band powers from
-    one set of steering phasors. Each s then takes its power mean and picks
-    its peaks with ``pick_peaks``, which gives what ``search_peaks`` gives
-    with the same spec. A search's seconds are what it would cost on its
-    own: the phasor pass, its estimator's spec build and products, and its
-    own power mean and pick, never another estimator's share. The band
-    powers are dropped on return."""
-    specs, build_seconds = [], []
+    Each estimator's cost spec is built once per trial, on its first grid,
+    and kept in ``paired.specs``: a spec depends on neither the grid nor s,
+    which enters only the power mean. ``steered_band_powers`` gives every
+    spec's band powers from one set of steering phasors. Each s then takes
+    its power mean and picks its peaks with ``pick_peaks``, which gives what
+    ``search_peaks`` gives with the same spec. A search's seconds are what it
+    would cost on its own: the phasor pass, its estimator's spec build (on
+    every grid, though the trial ran it once) and products, and its own
+    power mean and pick, never another estimator's share. The band powers
+    are dropped on return."""
     for estimator in config.estimators:
-        start = time.perf_counter()
-        specs.append(_usable_cost_spec(
-            paired.covariances[_front_end(estimator)], estimator, config.s_values[0],
-            config.num_sources, config.mvdr_loading,
-        ))
-        build_seconds.append(time.perf_counter() - start)
+        if estimator not in paired.specs:
+            start = time.perf_counter()
+            spec = _usable_cost_spec(
+                paired.covariances[_front_end(estimator)], estimator, config.s_values[0],
+                config.num_sources, config.mvdr_loading,
+            )
+            paired.specs[estimator] = (spec, time.perf_counter() - start)
+    specs, build_seconds = zip(*(paired.specs[e] for e in config.estimators))
     powers, seconds = steered_band_powers(specs, config.geometry, grid.points)
     for estimator, spec, spec_powers, built, products in zip(
             config.estimators, specs, powers, build_seconds, seconds[1:]):

@@ -90,26 +90,47 @@ def periodic_window(window, n):
     return w[:-1]
 
 
-def stft(signal, frame_size=512, hop=256, window="hann", sample_rate=16000.0):
-    """Short-time Fourier transform of a real multichannel signal.
+def band_range(frequencies, f_min, f_max):
+    """The slice of the strictly increasing ``frequencies`` with
+    f_min <= f <= f_max. ValueError unless f_min < f_max and the slice holds
+    a band."""
+    if not f_min < f_max:
+        raise ValueError("f_min must be below f_max")
+    first = np.searchsorted(frequencies, f_min, side="left")
+    stop = np.searchsorted(frequencies, f_max, side="right")
+    if not first < stop:
+        raise ValueError("band selection is empty")
+    return slice(int(first), int(stop))
+
+
+def stft(signal, frame_size=512, hop=256, window="hann", sample_rate=16000.0,
+         f_min=0.0, f_max=np.inf):
+    """Short-time Fourier transform of a real multichannel signal, kept to the
+    bands in [f_min, f_max].
 
     Parameters
     ----------
-    signal : (T,) or (T, M) real array
+    signal : (T,) or (T, M) real array, integer or floating; the samples
+        are cast to float64 a channel at a time, as they are read
     frame_size : even frame length in samples
     hop : hop size in samples
     window : "hann" (periodic Hann) or "boxcar" (rectangular); see
         periodic_window. Any other name raises ValueError.
     sample_rate : sampling rate in Hz
+    f_min, f_max : the band range kept, both ends included (band_range);
+        the default keeps every band
 
-    Returns frames with N = 1 + floor((T - frame_size) / hop) frames and
-    K = frame_size / 2 + 1 one-sided bands at frequencies k * fs / frame_size.
-    The forward DFT is unnormalized.
+    Returns C-contiguous (K, N, M) frames with N = 1 + floor((T - frame_size)
+    / hop) frames, whose K bands are the one-sided bands k * fs / frame_size,
+    k = 0 .. frame_size / 2, that lie in the range. The forward DFT is
+    unnormalized. ValueError for complex samples.
     """
-    signal = np.asarray(signal, dtype=float)
+    signal = np.asarray(signal)
+    if np.iscomplexobj(signal):
+        raise ValueError("signal must be real")
     if signal.ndim == 1:
         signal = signal[:, None]
-    num_samples = signal.shape[0]
+    num_samples, num_sensors = signal.shape
     if frame_size < 2 or frame_size % 2 != 0:
         raise ValueError("frame_size must be a positive even number")
     if hop < 1:
@@ -117,14 +138,20 @@ def stft(signal, frame_size=512, hop=256, window="hann", sample_rate=16000.0):
     if num_samples < frame_size:
         raise ValueError("signal shorter than one frame")
     win = periodic_window(window, frame_size)
-
-    # (M, N, frame) strided view of the channel-major samples; the window
-    # product is the one copy, and rfft runs along its contiguous last axis
-    channels = np.ascontiguousarray(signal.T)
-    frames = sliding_window_view(channels, frame_size, axis=1)[:, ::hop]
-    spectra = np.fft.rfft(frames * win, axis=-1)  # (M, N, K)
     freqs = np.arange(frame_size // 2 + 1) * sample_rate / frame_size
-    return SpectralFrames(data=np.transpose(spectra, (2, 1, 0)), band_frequencies=freqs)
+    kept = band_range(freqs, f_min, f_max)
+
+    # (N, M, frame) strided view of the samples, framed along time; each
+    # channel's windowed frames go into one reused buffer, and only the kept
+    # bins of its spectra are stored
+    frames = sliding_window_view(signal, frame_size, axis=0)[::hop]
+    num_frames = frames.shape[0]
+    windowed = np.empty((num_frames, frame_size))
+    data = np.empty((kept.stop - kept.start, num_frames, num_sensors), dtype=complex)
+    for m in range(num_sensors):
+        np.multiply(frames[:, m], win, out=windowed)
+        data[:, :, m] = np.fft.rfft(windowed, axis=-1)[:, kept].T
+    return SpectralFrames(data=data, band_frequencies=freqs[kept])
 
 
 def apply_weighting(frames):
@@ -152,12 +179,9 @@ def sample_covariance(frames):
 
 
 def band_select(frames, f_min, f_max):
-    """Keep only the bands of the frames with f_min <= f_k <= f_max."""
-    if not f_min < f_max:
-        raise ValueError("f_min must be below f_max")
-    keep = (frames.band_frequencies >= f_min) & (frames.band_frequencies <= f_max)
-    if not np.any(keep):
-        raise ValueError("band selection is empty")
+    """The bands of the frames with f_min <= f_k <= f_max (band_range), as a
+    view of their data."""
+    kept = band_range(frames.band_frequencies, f_min, f_max)
     return SpectralFrames(
-        data=frames.data[keep], band_frequencies=frames.band_frequencies[keep]
+        data=frames.data[kept], band_frequencies=frames.band_frequencies[kept]
     )

@@ -269,6 +269,29 @@ def test_locate_rejects_non_number_settings(tmp_path, geometry_file, two_source_
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"f_min": 3500.0, "f_max": 300.0}, "f_min must be below f_max"),
+        ({"f_min": 300.0, "f_max": 300.0}, "f_min must be below f_max"),
+        ({"f_min": 300.0, "f_max": 310.0}, "band selection is empty"),
+        ({"f_min": 9000.0, "f_max": 12000.0}, "band selection is empty"),
+    ],
+    ids=["inverted", "equal", "between-bands", "above-nyquist"],
+)
+@pytest.mark.parametrize("estimator", ["srp-phat", "music"])
+def test_locate_rejects_empty_or_inverted_band_range(tmp_path, geometry_file, two_source_wav,
+                                                     capsys, config, message, estimator):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"estimator": estimator, **config}))
+    out = tmp_path / "report.json"
+    rc = main(["locate", "--config", str(conf), "--geometry", geometry_file,
+               "--input", two_source_wav, "--output", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("window, code", [("boxcar", 0), ("kaiser", 2)])
 def test_locate_window_setting(tmp_path, geometry_file, two_source_wav, capsys,
                                window, code):

@@ -155,6 +155,19 @@ def test_estimator_covariance_matches_select_after_oracle(estimator):
         assert np.abs(cov.matrices - matrices).max() <= 1e-14 * scale
 
 
+def test_phat_floor_is_the_kept_band_mean():
+    # one sensor, one frame: the dropped bands are loud, so the all-band
+    # mean magnitude (6e5) sets a floor of 6e-7, above the quiet kept bin
+    # (1e-9); the kept-band mean (0.5) sets 5e-13, below it, so PHAT leaves
+    # the quiet bin at unit magnitude like the other
+    data = np.array([1e6, 1e6, 1.0, 1e-9, 1e6], dtype=complex).reshape(5, 1, 1)
+    frames = SpectralFrames(data=data, band_frequencies=np.array([0.0, 100.0, 200.0,
+                                                                  300.0, 400.0]))
+    cov = estimator_covariance(frames, "srp-phat", 200.0, 300.0)
+    np.testing.assert_array_equal(cov.band_frequencies, [200.0, 300.0])
+    np.testing.assert_allclose(cov.matrices[:, 0, 0], [1.0, 1.0], rtol=1e-12)
+
+
 def test_time_scene_shape_and_determinism():
     scene = Scene(GEOM, np.array([[1.0, 0.0, 0.0]]), snr_db=20.0, seed=7,
                   duration=0.25)
@@ -437,6 +450,22 @@ def test_monte_carlo_synthesizes_and_searches_once_per_pairing(monkeypatch):
     # one scene per (SNR, trial), one phasor pass per (SNR, trial, grid) and
     # one pick per (estimator, s, grid, SNR, trial)
     assert calls == {"synth": 2 * 2, "steer": 2 * 2 * 2, "pick": 2 * 2 * 2 * 2 * 2}
+
+
+def test_monte_carlo_builds_each_spec_once_per_trial(monkeypatch):
+    # a spec does not depend on the grid: two estimators, two grids and two
+    # trials build 2 x 2 specs, not one per grid as well
+    calls = []
+
+    def counted(cov, estimator, *args, **kwargs):
+        calls.append(estimator)
+        return build_cost_spec(cov, estimator, *args, **kwargs)
+
+    monkeypatch.setattr(doakit.simulate, "build_cost_spec", counted)
+    result = monte_carlo(_small_config(estimators=("music", "mvdr"), grid_sizes=(100, 400),
+                                       num_trials=2))
+    assert len(result.medians) == 2 * 2
+    assert sorted(calls) == ["music", "music", "mvdr", "mvdr"]
 
 
 def _slow_sweep(monkeypatch, phasor_delay, slow_estimator=None, product_delay=0.0):

@@ -30,7 +30,7 @@ def test_stft_shapes_and_frequencies(rng):
     )
 
 
-@pytest.mark.parametrize(
+STFT_SHAPES = pytest.mark.parametrize(
     "num_samples, num_sensors, frame_size, hop",
     [
         (1000, None, 64, 32),  # 1-D input
@@ -42,6 +42,9 @@ def test_stft_shapes_and_frequencies(rng):
     ],
     ids=["1-d", "one-frame", "hop-above-frame", "ragged-hop", "m-1", "m-12"],
 )
+
+
+@STFT_SHAPES
 def test_stft_matches_gather_oracle(rng, num_samples, num_sensors, frame_size, hop):
     shape = num_samples if num_sensors is None else (num_samples, num_sensors)
     signal = rng.standard_normal(shape)
@@ -49,6 +52,67 @@ def test_stft_matches_gather_oracle(rng, num_samples, num_sensors, frame_size, h
     assert frames.num_frames == 1 + (num_samples - frame_size) // hop
     assert frames.num_sensors == (num_sensors or 1)
     np.testing.assert_array_equal(frames.data, gather_stft(signal, frame_size, hop))
+
+
+@STFT_SHAPES
+def test_stft_kept_bands_are_the_all_band_rows(rng, num_samples, num_sensors, frame_size,
+                                               hop):
+    # a band range keeps rows first..last of the all-band frames, bit for
+    # bit, both ends included when they fall on a band
+    shape = num_samples if num_sensors is None else (num_samples, num_sensors)
+    signal = rng.standard_normal(shape)
+    full = stft(signal, frame_size=frame_size, hop=hop, sample_rate=16000.0)
+    step = 16000.0 / frame_size
+    top = frame_size // 2
+    for first, last, f_min, f_max in [
+        (0, top, 0.0, 8000.0),  # every band, edges on the first and last
+        (3, top // 2, 3 * step, top // 2 * step),  # both edges on a band
+        (3, top // 2, 2.5 * step, (top // 2 + 0.5) * step),  # edges between bands
+        (5, 5, 5 * step, 5.5 * step),  # one band
+        (top, top, top * step, np.inf),  # the last band, no upper edge
+    ]:
+        kept = stft(signal, frame_size=frame_size, hop=hop, sample_rate=16000.0,
+                    f_min=f_min, f_max=f_max)
+        assert kept.data.flags.c_contiguous
+        assert kept.data.tobytes() == full.data[first:last + 1].tobytes()
+        assert kept.band_frequencies.tobytes() == full.band_frequencies[first:last + 1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "f_min, f_max, message",
+    [
+        (3500.0, 300.0, "f_min must be below f_max"),
+        (300.0, 300.0, "f_min must be below f_max"),
+        (np.nan, 3500.0, "f_min must be below f_max"),
+        (300.0, 310.0, "band selection is empty"),  # between two 62.5 Hz bands
+        (8100.0, 9000.0, "band selection is empty"),  # above Nyquist
+    ],
+    ids=["inverted", "equal", "nan", "between-bands", "above-nyquist"],
+)
+def test_stft_and_band_select_reject_the_same_ranges(f_min, f_max, message):
+    signal = np.ones((1024, 2))
+    with pytest.raises(ValueError, match=message):
+        stft(signal, frame_size=256, hop=128, f_min=f_min, f_max=f_max)
+    with pytest.raises(ValueError, match=message):
+        band_select(stft(signal, frame_size=256, hop=128), f_min, f_max)
+
+
+def test_stft_rejects_complex_input(rng):
+    signal = rng.standard_normal((1024, 2)) + 1j * rng.standard_normal((1024, 2))
+    for x in (signal, signal.astype(np.complex64), signal[:, 0], signal.real + 0j):
+        with pytest.raises(ValueError, match="signal must be real"):
+            stft(x, frame_size=256, hop=128)
+
+
+def test_stft_integer_and_float_samples_give_the_same_frames(rng):
+    # the same sample values as int16, float32 and float64 give the same
+    # frames, bit for bit: each is cast to float64 exactly
+    values = rng.integers(-32768, 32768, size=(2000, 3))
+    frames = [stft(values.astype(dtype), frame_size=256, hop=128, f_min=300.0, f_max=3500.0)
+              for dtype in (np.int16, np.float32, np.float64)]
+    assert frames[0].data.tobytes() == frames[1].data.tobytes() == frames[2].data.tobytes()
+    np.testing.assert_array_equal(frames[2].data, stft(values, frame_size=256, hop=128,
+                                                       f_min=300.0, f_max=3500.0).data)
 
 
 def test_stft_zero_input():
@@ -192,10 +256,16 @@ def test_band_select(rng):
     single = band_select(frames, f3 - 1, f3 + 1)
     assert single.num_bands == 1
     np.testing.assert_array_equal(single.data, frames.data[3:4])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="band selection is empty"):
         band_select(frames, 5000.0, 6000.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="f_min must be below f_max"):
         band_select(frames, 100.0, 100.0)
+
+
+def test_band_select_does_not_copy(rng):
+    frames = _random_frames(rng, num_bands=8)
+    for f_min, f_max in [(0.0, 20000.0), (100.0, 1000.0), (250.0, 600.0)]:
+        assert np.shares_memory(band_select(frames, f_min, f_max).data, frames.data)
 
 
 def test_band_select_speech_range():
