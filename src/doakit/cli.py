@@ -291,17 +291,16 @@ def cmd_locate(args):
                                  ("input", _path(config, "input")), ("config", args.config)])
     rate, signal = _read_input(config, geometry.num_sensors)
 
-    f_min, f_max = _number(config, "f_min"), _number(config, "f_max")
     frames = stft(
         signal,
         frame_size=_integer(config, "frame_size"),
         hop=_integer(config, "hop"),
         window=config["window"],
         sample_rate=rate,
-        f_min=f_min,
-        f_max=f_max,
+        f_min=_number(config, "f_min"),
+        f_max=_number(config, "f_max"),
     )
-    cov = estimator_covariance(frames, config["estimator"], f_min, f_max)
+    cov = estimator_covariance(frames, config["estimator"])
     traces = locate_sources(
         cov,
         geometry,

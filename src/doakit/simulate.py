@@ -29,7 +29,6 @@ from .spectral import (
     SpectralFrames,
     apply_weighting,
     band_range,
-    band_select,
     sample_covariance,
 )
 
@@ -58,12 +57,21 @@ def as_integer(value, name):
     return int(value)
 
 
+def _check_number(value, name, rule, holds):
+    """ValueError "<name> must <rule>" unless ``value`` is a number, not a
+    bool, for which ``holds(value)`` is true; NaN holds no rule here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not holds(value):
+        raise ValueError(f"{name} must {rule}, got {value!r}")
+
+
 def _check_snr(snr_db, name="snr_db"):
-    """ValueError naming ``name`` unless snr_db is a number above -inf, which
-    NaN is not."""
-    if (isinstance(snr_db, bool) or not isinstance(snr_db, numbers.Real)
-            or not snr_db > -np.inf):
-        raise ValueError(f"{name} must be a number above -inf, got {snr_db!r}")
+    # the noise of -inf dB would be infinite
+    _check_number(snr_db, name, "be a number above -inf", lambda v: v > -np.inf)
+
+
+def _check_spread(spread_db):
+    _check_number(spread_db, "band_gain_spread_db", "be a finite non-negative number",
+                  lambda v: 0.0 <= v < np.inf)
 
 
 @dataclass
@@ -87,6 +95,7 @@ class Scene:
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise ValueError("source directions must be unit vectors")
         _check_snr(self.snr_db)
+        _check_spread(self.band_gain_spread_db)
         if self.num_sources >= self.geometry.num_sensors:
             warnings.warn(
                 "more sources than sensors minus one; estimators may fail",
@@ -109,14 +118,15 @@ def _noise_variance(snr_db, num_sources):
 
 
 def synth_stft_scene(scene, frame_size=512, num_frames=100, f_min=300.0, f_max=3500.0):
-    """Draw a time-frequency tensor directly from the plane-wave model.
+    """Draw a time-frequency tensor of the bands in [f_min, f_max]
+    (band_range, as ``stft`` keeps them) directly from the plane-wave model.
 
     Source coefficients are i.i.d. complex Gaussian with unit variance on
-    average inside the active band range [f_min, f_max] and zero outside;
-    a nonzero scene.band_gain_spread_db redistributes each source's power
-    across bands (unit mean square preserved). Noise is complex Gaussian at
-    every band with power set from scene.snr_db. Deterministic given
-    scene.seed.
+    average; a nonzero scene.band_gain_spread_db redistributes each source's
+    power across the kept bands (unit mean square preserved). Noise is
+    complex Gaussian with power set from scene.snr_db. Every band is drawn,
+    kept or not, so a kept band's row does not depend on the range.
+    Deterministic given scene.seed.
     """
     geom = scene.geometry
     m = geom.num_sensors
@@ -127,38 +137,39 @@ def synth_stft_scene(scene, frame_size=512, num_frames=100, f_min=300.0, f_max=3
 
     num_bands = frame_size // 2 + 1
     freqs = np.arange(num_bands) * scene.sample_rate / frame_size
-    active = band_range(freqs, f_min, f_max)
+    kept = band_range(freqs, f_min, f_max)
+    freqs = freqs[kept]
     omega = geom.wavenumbers(freqs)
 
-    # (K, M, L) steering tensor
+    # (K, M, L) steering tensor of the kept bands
     tau = geom.sensors @ scene.sources.T  # (M, L)
     steering = np.exp(1j * omega[:, None, None] * tau[None]) / np.sqrt(m)
 
     shape = (num_bands, num_frames, scene.num_sources)
     y = (sig_rng.standard_normal(shape) + 1j * sig_rng.standard_normal(shape)) / np.sqrt(2.0)
+    y = y[kept]
     if scene.band_gain_spread_db > 0.0 and scene.num_sources > 0:
         gains = 10.0 ** (
             scene.band_gain_spread_db
             * gain_rng.standard_normal((num_bands, scene.num_sources))
             / 20.0
-        )
-        gains /= np.sqrt(np.mean(gains[active] ** 2, axis=0, keepdims=True))
+        )[kept]
+        gains /= np.sqrt(np.mean(gains ** 2, axis=0, keepdims=True))
         y = y * gains[:, None, :]
-    y[:active.start] = 0.0
-    y[active.stop:] = 0.0
     x = y @ np.swapaxes(steering, 1, 2)  # (K, N, L) @ (K, L, M)
 
     # unit-norm steering vectors give each source power 1/M at a sensor
     sigma2 = _noise_variance(scene.snr_db, scene.num_sources) / m
     if sigma2 > 0.0:
-        # the real noise draw, then the imaginary one, each scaled in one
-        # reused buffer and added in place: no complex temporaries
+        # the real noise draw of every band, then the imaginary one, into one
+        # reused buffer whose kept rows are scaled and added in place
         scale = np.sqrt(sigma2 / 2.0)
         draw = np.empty((num_bands, num_frames, m))
         for part in (x.real, x.imag):
             noise_rng.standard_normal(out=draw)
-            draw *= scale
-            part += draw
+            noise = draw[kept]
+            noise *= scale
+            part += noise
     return SpectralFrames(data=x, band_frequencies=freqs)
 
 
@@ -316,18 +327,19 @@ class MonteCarloConfig:
             _check_snr(snr_db, "snr_values")
         if not self.num_trials >= 1:
             raise ValueError("num_trials must be at least 1")
-        separation = self.min_source_separation_deg
-        if (isinstance(separation, bool) or not isinstance(separation, numbers.Real)
-                or not 0.0 <= separation <= 180.0):
-            raise ValueError(
-                f"min_source_separation_deg must lie in [0, 180], got {separation!r}"
-            )
+        if self.frame_size < 2:
+            raise ValueError(f"frame_size must be at least 2, got {self.frame_size}")
+        _check_number(self.sample_rate, "sample_rate", "be positive and finite",
+                      lambda v: 0.0 < v < np.inf)
+        _check_spread(self.band_gain_spread_db)
+        _check_number(self.min_source_separation_deg, "min_source_separation_deg",
+                      "lie in [0, 180]", lambda v: 0.0 <= v <= 180.0)
         # every cell's settings up front, so a bad one late in an axis does
         # not wait for the cells before it to run
         for estimator, variant, iters in product(
                 self.estimators, self.variants, self.iteration_counts):
-            _check_settings(estimator, variant, iters, self.rel_tol, self.mvdr_loading,
-                            self.min_separation_deg)
+            _check_settings(estimator, variant, self.num_sources, iters, self.rel_tol,
+                            self.mvdr_loading, self.min_separation_deg)
         # cells are keyed by their values, so a value may appear once per axis
         for name in SWEEP_AXES:
             axis = getattr(self, name)
@@ -384,34 +396,32 @@ def random_sources(rng, num_sources, min_separation_rad):
     )
 
 
-def estimator_covariance(frames, estimator, f_min, f_max):
-    """Sample covariance of the bands in [f_min, f_max] an estimator works
-    on: SRP-PHAT sees PHAT-weighted frames, every other estimator the frames
-    as they are. The selection comes first, so PHAT's floor is the mean
-    magnitude over the kept bands of a frame; frames that hold only the kept
-    bands, as ``stft`` gives them for the same range, are not copied.
-    Raises LinAlgError when SRP-PHAT is given a non-finite entry in a kept
-    band, which PHAT would divide by and spread through its frame's floor."""
-    frames = band_select(frames, f_min, f_max)
+def estimator_covariance(frames, estimator):
+    """Sample covariance of the frames an estimator reads: PHAT-weighted for
+    SRP-PHAT, as they are for the others. The frames hold only the bands in
+    use, as ``stft`` and ``synth_stft_scene`` give them, so PHAT's floor is
+    the mean magnitude over those bands of a frame."""
     if estimator == "srp-phat":
-        if not np.all(np.isfinite(frames.data)):
-            raise np.linalg.LinAlgError(
-                "no usable signal: the frames hold a non-finite value"
-            )
-        frames = apply_weighting(frames)
+        # a NaN or inf entry (inf / inf is NaN) leaves its band's covariance
+        # non-finite, for build_cost_spec to reject
+        with np.errstate(invalid="ignore"):
+            frames = apply_weighting(frames)
     return sample_covariance(frames)
 
 
-def _check_settings(estimator, variant, max_iters, rel_tol, mvdr_loading, min_separation):
+def _check_settings(estimator, variant, num_sources, max_iters, rel_tol, mvdr_loading,
+                    min_separation):
     """The settings check of ``locate_sources``, which MonteCarloConfig also
     runs on every cell before a sweep starts: ValueError naming the setting.
-    The peak separation (in degrees or radians alike) is checked here as
-    well, so a bad one fails before any grid pass rather than in
-    ``pick_peaks`` after it."""
+    The source count and the peak separation (in degrees or radians alike)
+    are checked here as well, so a bad one fails before any grid pass rather
+    than in ``pick_peaks`` after it."""
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
+    if num_sources < 1:
+        raise ValueError(f"num_sources must be at least 1, got {num_sources!r}")
     if max_iters < 0:
         raise ValueError("max_iters must be non-negative")
     for name, value in (("rel_tol", rel_tol), ("mvdr_loading", mvdr_loading),
@@ -421,6 +431,14 @@ def _check_settings(estimator, variant, max_iters, rel_tol, mvdr_loading, min_se
 
 
 def build_cost_spec(cov, estimator, s, num_sources, mvdr_loading=DEFAULT_MVDR_LOADING):
+    """The estimator's cost spec of a covariance from ``estimator_covariance``.
+    Raises LinAlgError ("no usable signal") when the covariance is non-finite
+    or zero in every band, ValueError for an unknown estimator."""
+    band_power = np.trace(cov.matrices, axis1=1, axis2=2).real
+    if not (np.all(np.isfinite(cov.matrices)) and np.any(band_power)):
+        raise np.linalg.LinAlgError(
+            "no usable signal: the covariance is non-finite or zero in every band"
+        )
     if estimator in ("srp", "srp-phat"):
         return srp_cost_spec(cov, s=s)
     if estimator == "music":
@@ -430,34 +448,9 @@ def build_cost_spec(cov, estimator, s, num_sources, mvdr_loading=DEFAULT_MVDR_LO
     raise ValueError(f"unknown estimator {estimator!r}")
 
 
-def _usable_cost_spec(cov, estimator, s, num_sources, mvdr_loading):
-    # build_cost_spec, once the covariance is known to hold a signal
-    band_power = np.trace(cov.matrices, axis1=1, axis2=2).real
-    if not (np.all(np.isfinite(cov.matrices)) and np.any(band_power)):
-        raise np.linalg.LinAlgError(
-            "no usable signal: the covariance is non-finite or zero in every band"
-        )
-    return build_cost_spec(cov, estimator, s, num_sources, mvdr_loading)
-
-
-def search_peaks(cov, geometry, grid, *, estimator, s, num_sources, min_separation_rad,
-                 mvdr_loading=DEFAULT_MVDR_LOADING):
-    """The first stage of ``locate_sources``: build the estimator's cost spec
-    from a covariance of ``estimator_covariance`` and search the grid.
-    Returns (spec, peaks), the peaks as ``grid_search`` gives them. Raises
-    LinAlgError when the covariance is non-finite or zero in every band.
-    The caller checks the settings: ``locate_sources`` and
-    ``MonteCarloConfig`` run ``_check_settings``."""
-    spec = _usable_cost_spec(cov, estimator, s, num_sources, mvdr_loading)
-    peaks = grid_search(
-        spec, geometry, grid, num_sources=num_sources, min_separation=min_separation_rad
-    )
-    return spec, peaks
-
-
 def refine_peaks(spec, geometry, peaks, *, variant, max_iters, rel_tol=1e-10):
-    """The second stage of ``locate_sources``: one RefinementTrace per peak of
-    ``search_peaks``, in peak order, whose last iterate is the direction; an
+    """The last stage of ``locate_sources``: one RefinementTrace per peak of
+    ``grid_search``, in peak order, whose last iterate is the direction; an
     unrefined peak (variant "none" or max_iters 0) gets the one-point trace
     of its grid point. The caller checks the settings: ``locate_sources``
     and ``MonteCarloConfig`` run ``_check_settings``."""
@@ -470,17 +463,19 @@ def refine_peaks(spec, geometry, peaks, *, variant, max_iters, rel_tol=1e-10):
 def locate_sources(cov, geometry, grid, *, estimator, s, num_sources, variant,
                    max_iters, min_separation_rad, rel_tol=1e-10,
                    mvdr_loading=DEFAULT_MVDR_LOADING):
-    """Localize sources in a covariance from ``estimator_covariance``: the
-    grid search of ``search_peaks``, then ``refine_peaks``. Returns one
+    """Localize sources in a covariance from ``estimator_covariance``: build
+    the cost spec, search the grid, then ``refine_peaks``. Returns one
     RefinementTrace per source in peak order, whose last iterate is the
     direction. Raises ValueError naming the setting for an unknown estimator
-    or variant, a negative max_iters, or a rel_tol, mvdr_loading or
-    min_separation_rad outside [0, inf), whatever the estimator and variant,
-    and LinAlgError when the covariance is non-finite or zero in every band."""
-    _check_settings(estimator, variant, max_iters, rel_tol, mvdr_loading, min_separation_rad)
-    spec, peaks = search_peaks(
-        cov, geometry, grid, estimator=estimator, s=s, num_sources=num_sources,
-        min_separation_rad=min_separation_rad, mvdr_loading=mvdr_loading,
+    or variant, a num_sources below 1, a negative max_iters, or a rel_tol,
+    mvdr_loading or min_separation_rad outside [0, inf), whatever the
+    estimator and variant, and LinAlgError when the covariance is non-finite
+    or zero in every band."""
+    _check_settings(estimator, variant, num_sources, max_iters, rel_tol, mvdr_loading,
+                    min_separation_rad)
+    spec = build_cost_spec(cov, estimator, s, num_sources, mvdr_loading)
+    peaks = grid_search(
+        spec, geometry, grid, num_sources=num_sources, min_separation=min_separation_rad
     )
     return refine_peaks(spec, geometry, peaks, variant=variant, max_iters=max_iters,
                         rel_tol=rel_tol)
@@ -535,8 +530,7 @@ def paired_trial(config, snr_index, trial):
     )
     readers = {_front_end(e): e for e in config.estimators}
     covariances = {
-        end: estimator_covariance(frames, estimator, config.f_min, config.f_max)
-        for end, estimator in readers.items()
+        end: estimator_covariance(frames, estimator) for end, estimator in readers.items()
     }
     return PairedTrial(sources, covariances)
 
@@ -550,7 +544,7 @@ def search_grid(config, paired, grid):
     which enters only the power mean. ``steered_band_powers`` gives every
     spec's band powers from one set of steering phasors. Each s then takes
     its power mean and picks its peaks with ``pick_peaks``, which gives what
-    ``search_peaks`` gives with the same spec. A search's seconds are what it
+    ``grid_search`` gives with the same spec. A search's seconds are what it
     would cost on its own: the phasor pass, its estimator's spec build (on
     every grid, though the trial ran it once) and products, and its own
     power mean and pick, never another estimator's share. The band powers
@@ -558,7 +552,7 @@ def search_grid(config, paired, grid):
     for estimator in config.estimators:
         if estimator not in paired.specs:
             start = time.perf_counter()
-            spec = _usable_cost_spec(
+            spec = build_cost_spec(
                 paired.covariances[_front_end(estimator)], estimator, config.s_values[0],
                 config.num_sources, config.mvdr_loading,
             )

@@ -192,8 +192,9 @@ def test_locate_matches_library_pipeline(tmp_path, geometry_file, estimator):
 
     rate, signal = wavfile.read(wav)
     frames = stft(signal.astype(float), frame_size=DEFAULTS["frame_size"],
-                  hop=DEFAULTS["hop"], window=DEFAULTS["window"], sample_rate=float(rate))
-    cov = estimator_covariance(frames, estimator, DEFAULTS["f_min"], DEFAULTS["f_max"])
+                  hop=DEFAULTS["hop"], window=DEFAULTS["window"], sample_rate=float(rate),
+                  f_min=DEFAULTS["f_min"], f_max=DEFAULTS["f_max"])
+    cov = estimator_covariance(frames, estimator)
     traces = locate_sources(
         cov, ArrayGeometry.from_json(geometry_file), fibonacci_grid(200),
         estimator=estimator, s=DEFAULTS["s"], num_sources=2, variant="quadratic",
@@ -233,12 +234,14 @@ def two_source_wav(tmp_path, geometry_file):
         ([], {"estimator": "srp-phat", "loading": float("inf")}, "mvdr_loading"),
         ([], {"estimator": "music", "loading": float("nan")}, "mvdr_loading"),
         ([], {"estimator": "music", "loading": float("inf")}, "mvdr_loading"),
+        (["--sources", "0"], {}, "num_sources must be at least 1"),
+        (["--sources", "-1"], {}, "num_sources must be at least 1"),
     ],
     ids=["s-nan", "loading-nan", "loading-inf", "frame-size-0", "separation-nan",
          "separation-200", "tolerance-nan", "tolerance-negative",
          "unrefined-tolerance-nan", "unrefined-iters-negative", "variant-bogus",
          "srp-phat-loading-nan", "srp-phat-loading-inf", "music-loading-nan",
-         "music-loading-inf"],
+         "music-loading-inf", "sources-0", "sources-negative"],
 )
 def test_locate_rejects_out_of_range_numbers(tmp_path, geometry_file, two_source_wav,
                                              capsys, flags, config, message):
@@ -764,6 +767,16 @@ def test_bench_sweep_must_be_object(tmp_path, capsys, content):
         ({"min_source_separation_deg": 200}, "min_source_separation_deg must lie in [0, 180]"),
         ({"min_source_separation_deg": -5}, "min_source_separation_deg must lie in [0, 180]"),
         ({"min_separation_deg": -1}, "min_separation must be a finite non-negative number"),
+        ({"num_sources": 0}, "num_sources must be at least 1"),
+        ({"num_sources": -1}, "num_sources must be at least 1"),
+        ({"frame_size": 0}, "frame_size must be at least 2"),
+        ({"frame_size": -256}, "frame_size must be at least 2"),
+        ({"sample_rate": 0}, "sample_rate must be positive and finite"),
+        ({"sample_rate": -16000}, "sample_rate must be positive and finite"),
+        ({"band_gain_spread_db": "12"}, "band_gain_spread_db must be a finite non-negative"),
+        ({"band_gain_spread_db": None}, "band_gain_spread_db must be a finite non-negative"),
+        ({"band_gain_spread_db": float("nan")}, "band_gain_spread_db must be a finite"),
+        ({"band_gain_spread_db": -1}, "band_gain_spread_db must be a finite non-negative"),
     ],
     ids=["scalar-axis", "string-axis", "empty-axis", "zero-trials",
          "fractional-iterations", "fractional-grid", "fractional-trials", "rel-tol-nan",
@@ -771,7 +784,10 @@ def test_bench_sweep_must_be_object(tmp_path, capsys, content):
          "loading-string", "snr-string", "snr-null", "snr-minus-inf", "s-string",
          "s-bool", "repeated-estimator", "repeated-grid-size",
          "source-separation-above-180", "source-separation-negative",
-         "peak-separation-negative"],
+         "peak-separation-negative", "zero-sources", "negative-sources",
+         "zero-frame-size", "negative-frame-size", "zero-sample-rate",
+         "negative-sample-rate", "spread-string", "spread-null", "spread-nan",
+         "spread-negative"],
 )
 def test_bench_rejects_bad_axes_and_trials(tmp_path, geometry_file, capsys,
                                            overrides, message):

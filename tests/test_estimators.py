@@ -421,7 +421,7 @@ def test_steered_band_powers_equal_band_powers_bit_for_bit(spacing, num_points):
     frames = synth_stft_scene(scene, frame_size=256, num_frames=40)
     specs = []
     for estimator in ("srp", "srp-phat", "music", "mvdr"):
-        cov = estimator_covariance(frames, estimator, 300.0, 3500.0)
+        cov = estimator_covariance(frames, estimator)
         if spacing == "uneven":
             cov = CovarianceSet(cov.matrices, FREQUENCY_KINDS["uneven"])
         specs.append(build_cost_spec(cov, estimator, -3.0, num_sources=2))

@@ -168,14 +168,14 @@ def test_refine_noise_free_music_large_negative_s(offset_deg):
     # overflow the band weights and break the GTRS eigendecomposition
     from doakit.estimators import music_cost_spec
     from doakit.simulate import Scene, synth_stft_scene
-    from doakit.spectral import band_select, sample_covariance
+    from doakit.spectral import sample_covariance
 
     geom = random_geometry(num_sensors=8, seed=3)
     truth = np.array([0.3, -0.4, 0.866])
     truth /= np.linalg.norm(truth)
     frames = synth_stft_scene(Scene(geom, truth[None], snr_db=np.inf, seed=2),
                               frame_size=256, num_frames=40)
-    cov = sample_covariance(band_select(frames, 300.0, 3500.0))
+    cov = sample_covariance(frames)
     spec = music_cost_spec(cov, 1, s=-10.0)
     axis = np.cross(truth, [0.0, 0.0, 1.0])
     axis /= np.linalg.norm(axis)

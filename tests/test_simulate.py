@@ -26,7 +26,13 @@ from doakit.simulate import (
     synth_stft_scene,
     synth_time_scene,
 )
-from doakit.spectral import SpectralFrames, sample_covariance, stft
+from doakit.spectral import (
+    CovarianceSet,
+    SpectralFrames,
+    band_select,
+    sample_covariance,
+    stft,
+)
 from oracles import covariance_then_select
 
 
@@ -56,19 +62,36 @@ def test_scene_validation(rng):
         Scene(GEOM, np.array([[1.0, 0.0, 0.0]]), snr_db="20")
     with pytest.warns(UserWarning):
         Scene(GEOM, random_sources(rng, 6, 0.1))
+    for spread in ("12", None, True, np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="band_gain_spread_db must be a finite non-neg"):
+            Scene(GEOM, np.array([[1.0, 0.0, 0.0]]), band_gain_spread_db=spread)
     # a source-free scene is a valid noise-only recording
     scene = Scene(GEOM, np.zeros((0, 3)))
     assert scene.num_sources == 0
 
 
 def test_stft_scene_shapes_and_band_support():
+    # the 62.5 Hz bands in [300, 3500], both ends included, as stft keeps them
     scene = Scene(GEOM, np.array([[0.0, 0.0, 1.0]]), snr_db=np.inf, seed=5)
     frames = synth_stft_scene(scene, frame_size=256, num_frames=16)
-    assert frames.data.shape == (129, 16, 6)
-    freqs = frames.band_frequencies
-    outside = (freqs < 300.0) | (freqs > 3500.0)
-    assert np.all(frames.data[outside] == 0)
-    assert np.any(frames.data[~outside] != 0)
+    assert frames.data.shape == (52, 16, 6)
+    np.testing.assert_array_equal(frames.band_frequencies, np.arange(5, 57) * 62.5)
+    assert np.all(np.any(frames.data != 0, axis=(1, 2)))
+
+
+@pytest.mark.parametrize("snr_db", [np.inf, 10.0])
+def test_stft_scene_draws_do_not_depend_on_the_band_range(snr_db):
+    # every band's signal and noise are drawn whatever the range, so the kept
+    # rows are the rows of the scene over every band, bit for bit (a gain
+    # spread is normalized over the kept bands, so it is left flat here)
+    scene = Scene(GEOM, random_sources(np.random.default_rng(4), 2, 0.3), snr_db=snr_db,
+                  seed=9)
+    kept = synth_stft_scene(scene, frame_size=256, num_frames=20, f_min=300.0, f_max=3500.0)
+    every = synth_stft_scene(scene, frame_size=256, num_frames=20, f_min=0.0, f_max=8000.0)
+    assert every.num_bands == 129
+    selected = band_select(every, 300.0, 3500.0)
+    np.testing.assert_array_equal(kept.band_frequencies, selected.band_frequencies)
+    np.testing.assert_array_equal(kept.data, selected.data)
 
 
 def test_stft_scene_noiseless_rank_one():
@@ -134,21 +157,20 @@ def test_stft_scene_band_gains_preserve_power():
     # with spread the per-band powers vary far more than sampling noise
     band_a = np.mean(np.abs(a.data) ** 2, axis=(1, 2))
     band_b = np.mean(np.abs(b.data) ** 2, axis=(1, 2))
-    active = band_a > 0
-    assert np.std(band_b[active]) > 3.0 * np.std(band_a[active])
+    assert np.std(band_b) > 3.0 * np.std(band_a)
 
 
 @pytest.mark.parametrize("estimator", ["srp", "srp-phat", "music", "mvdr"])
 def test_estimator_covariance_matches_select_after_oracle(estimator):
-    # selecting the bands before the batched covariance gives the covariance
-    # of every band by einsum, restricted to the selected bands, on both
-    # frame layouts: the transposed view stft returns and synthesized frames
+    # the covariance of the selected bands of recorded and synthesized frames
+    # is the covariance of every band by einsum, restricted to those bands
     sources = np.array([[0.0, 0.6, 0.8], [1.0, 0.0, 0.0]])
     scene = Scene(GEOM, sources, snr_db=20.0, seed=4, duration=0.25)
     recorded = stft(synth_time_scene(scene), frame_size=256, hop=128)
-    synthesized = synth_stft_scene(scene, frame_size=256, num_frames=30)
+    synthesized = synth_stft_scene(scene, frame_size=256, num_frames=30, f_min=0.0,
+                                   f_max=8000.0)
     for frames in (recorded, synthesized):
-        cov = estimator_covariance(frames, estimator, 300.0, 3500.0)
+        cov = estimator_covariance(band_select(frames, 300.0, 3500.0), estimator)
         matrices, freqs = covariance_then_select(frames, estimator, 300.0, 3500.0)
         np.testing.assert_array_equal(cov.band_frequencies, freqs)
         scale = np.abs(matrices).max()
@@ -163,9 +185,35 @@ def test_phat_floor_is_the_kept_band_mean():
     data = np.array([1e6, 1e6, 1.0, 1e-9, 1e6], dtype=complex).reshape(5, 1, 1)
     frames = SpectralFrames(data=data, band_frequencies=np.array([0.0, 100.0, 200.0,
                                                                   300.0, 400.0]))
-    cov = estimator_covariance(frames, "srp-phat", 200.0, 300.0)
+    cov = estimator_covariance(band_select(frames, 200.0, 300.0), "srp-phat")
     np.testing.assert_array_equal(cov.band_frequencies, [200.0, 300.0])
     np.testing.assert_allclose(cov.matrices[:, 0, 0], [1.0, 1.0], rtol=1e-12)
+
+
+@pytest.mark.parametrize("estimator", ["srp", "music", "mvdr"])
+@pytest.mark.parametrize("value", [0.0, np.nan], ids=["zero", "nan"])
+def test_build_cost_spec_rejects_a_covariance_without_signal(estimator, value):
+    matrices = np.zeros((3, 4, 4), dtype=complex)
+    if np.isnan(value):
+        matrices[:] = np.eye(4)
+        matrices[1, 2, 3] = value
+    cov = CovarianceSet(matrices, [300.0, 400.0, 500.0])
+    with pytest.raises(np.linalg.LinAlgError, match="no usable signal"):
+        build_cost_spec(cov, estimator, -3.0, 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_srp_phat_covariance_of_a_non_finite_entry_is_rejected(bad):
+    # PHAT carries the bad entry into its band's covariance without a
+    # warning, and the spec build names it
+    sources = np.array([[0.0, 0.6, 0.8], [1.0, 0.0, 0.0]])
+    frames = synth_stft_scene(Scene(GEOM, sources, seed=3), frame_size=256, num_frames=20)
+    frames.data[7, 4, 2] = bad
+    with np.errstate(all="raise"):
+        cov = estimator_covariance(frames, "srp-phat")
+    assert not np.all(np.isfinite(cov.matrices[7]))
+    with pytest.raises(np.linalg.LinAlgError, match="no usable signal"):
+        build_cost_spec(cov, "srp-phat", -3.0, 2)
 
 
 def test_time_scene_shape_and_determinism():
@@ -206,7 +254,7 @@ def test_locate_sources_returns_refine_traces_of_grid_peaks():
     sources = np.array([unit([1.0, 0.2, 0.3]), unit([-0.3, 1.0, -0.2])])
     frames = synth_stft_scene(Scene(GEOM, sources, snr_db=20.0, seed=3),
                               frame_size=256, num_frames=50)
-    cov = estimator_covariance(frames, "music", 300.0, 3500.0)
+    cov = estimator_covariance(frames, "music")
     grid = fibonacci_grid(100)
     separation = np.radians(10.0)
     spec = build_cost_spec(cov, "music", -3.0, 2)
@@ -249,7 +297,7 @@ def test_array_and_speed_of_sound_scaled_together_change_nothing(factor):
                               frame_size=256, num_frames=50)
     points = fibonacci_grid(500).points
     for estimator in ("srp-phat", "music", "mvdr"):
-        cov = estimator_covariance(frames, estimator, 300.0, 3500.0)
+        cov = estimator_covariance(frames, estimator)
         spec = build_cost_spec(cov, estimator, -3.0, 2)
         scale = np.trace(spec.matrices, axis1=1, axis2=2).real[:, None] / 8
         difference = band_powers(spec, scaled, points) - band_powers(spec, geom, points)
@@ -272,9 +320,9 @@ def test_sensor_permutation_changes_nothing(estimator, variant, seed):
     frames = synth_stft_scene(Scene(geom, INVARIANCE_SOURCES, snr_db=20.0, seed=seed),
                               frame_size=256, num_frames=50)
     shuffled = SpectralFrames(frames.data[:, :, perm], frames.band_frequencies)
-    got = _located(estimator_covariance(shuffled, estimator, 300.0, 3500.0), permuted,
+    got = _located(estimator_covariance(shuffled, estimator), permuted,
                    estimator, variant)
-    expected = _located(estimator_covariance(frames, estimator, 300.0, 3500.0), geom,
+    expected = _located(estimator_covariance(frames, estimator), geom,
                         estimator, variant)
     assert np.degrees(great_circle_distance(got, expected)).max() < 1e-9
 
@@ -523,8 +571,27 @@ def test_monte_carlo_charges_products_only_to_their_estimator(monkeypatch):
         ({"estimators": "music"}, "estimators"),
         ({"grid_sizes": []}, "grid_sizes"),
         ({"num_trials": 0}, "num_trials"),
+        ({"frame_size": 0}, "frame_size must be at least 2, got 0"),
+        ({"frame_size": 1}, "frame_size must be at least 2, got 1"),
+        ({"frame_size": -256}, "frame_size must be at least 2, got -256"),
+        ({"sample_rate": 0.0}, "sample_rate must be positive and finite, got 0.0"),
+        ({"sample_rate": -16000}, "sample_rate must be positive and finite"),
+        ({"sample_rate": np.inf}, "sample_rate must be positive and finite"),
+        ({"sample_rate": np.nan}, "sample_rate must be positive and finite"),
+        ({"sample_rate": "16000"}, "sample_rate must be positive and finite"),
+        ({"sample_rate": True}, "sample_rate must be positive and finite"),
+        ({"band_gain_spread_db": "12"}, "band_gain_spread_db must be a finite non-negative"),
+        ({"band_gain_spread_db": None}, "band_gain_spread_db must be a finite non-negative"),
+        ({"band_gain_spread_db": True}, "band_gain_spread_db must be a finite non-negative"),
+        ({"band_gain_spread_db": np.nan}, "band_gain_spread_db must be a finite non-negative"),
+        ({"band_gain_spread_db": np.inf}, "band_gain_spread_db must be a finite non-negative"),
+        ({"band_gain_spread_db": -1.0}, "band_gain_spread_db must be a finite non-negative"),
     ],
-    ids=["scalar-axis", "string-axis", "empty-axis", "zero-trials"],
+    ids=["scalar-axis", "string-axis", "empty-axis", "zero-trials", "frame-size-0",
+         "frame-size-1", "frame-size-negative", "sample-rate-0", "sample-rate-negative",
+         "sample-rate-inf", "sample-rate-nan", "sample-rate-string", "sample-rate-bool",
+         "spread-string", "spread-null", "spread-bool", "spread-nan", "spread-inf",
+         "spread-negative"],
 )
 def test_monte_carlo_config_rejects_bad_axes_and_trials(overrides, message):
     with pytest.raises(ValueError, match=message):
@@ -606,9 +673,12 @@ def test_monte_carlo_config_rejects_non_integer_counts(overrides, message):
         ({"rel_tol": float("inf")}, "rel_tol"),
         ({"min_separation_deg": -1.0}, "min_separation must be a finite non-negative"),
         ({"min_separation_deg": float("inf")}, "min_separation must be a finite non-negative"),
+        ({"num_sources": 0}, "num_sources must be at least 1, got 0"),
+        ({"num_sources": -1}, "num_sources must be at least 1, got -1"),
     ],
     ids=["variant", "estimator", "iters-negative", "loading-nan", "loading-string",
-         "rel-tol-negative", "rel-tol-inf", "separation-negative", "separation-inf"],
+         "rel-tol-negative", "rel-tol-inf", "separation-negative", "separation-inf",
+         "sources-0", "sources-negative"],
 )
 def test_monte_carlo_config_rejects_bad_locate_settings(overrides, message):
     # the check locate_sources runs, on every cell before any trial
