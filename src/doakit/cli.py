@@ -7,14 +7,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import numbers
 import os
 import struct
 import sys
 
 import numpy as np
 
-from .manifold import ArrayGeometry, angles_from_doa, fibonacci_grid, fibonacci_points
+from .manifold import (
+    ArrayGeometry,
+    angles_from_doa,
+    check_number,
+    fibonacci_grid,
+    fibonacci_points,
+)
 from .simulate import (
     ESTIMATORS,
     VARIANTS,
@@ -97,10 +102,8 @@ def _integer(config, key):
 def _number(config, key):
     """A real-valued setting of the merged config as a float; a bool or a
     non-number exits 2 with the key in the message."""
-    value = config[key]
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    check_number(config[key], key)
+    return float(config[key])
 
 
 def _path(settings, key):
@@ -257,9 +260,8 @@ def _read_input(config, num_sensors):
     wav = path.lower().endswith(".wav")
     if not wav:
         # raw interleaved float32 at the configured sample rate
-        rate = _number(config, "sample_rate")
-        if not 0.0 < rate < np.inf:
-            raise ValueError(f"sample_rate must be positive and finite, got {rate!r}")
+        rate = config["sample_rate"]
+        check_number(rate, "sample_rate", "be positive and finite", lambda v: 0.0 < v < np.inf)
     try:
         if wav:
             rate, data = _read_wav(path)

@@ -8,13 +8,12 @@ with Hermitian PSD matrices V_k. Estimators that are natively maximizations
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import great_circle_distance
+from .manifold import check_number, great_circle_distance
 from .spectral import CovarianceSet
 
 # floor applied to band powers before negative exponents
@@ -23,12 +22,10 @@ EPS_POWER = 1e-30
 DEFAULT_MVDR_LOADING = 1e-3
 
 
-def _check_exponent(s, name="exponent s"):
+def check_exponent(s, name="exponent s"):
     """ValueError naming ``name`` unless s is a number in (-inf, 1] other
     than 0, an exponent the power mean takes."""
-    if (isinstance(s, bool) or not isinstance(s, numbers.Real)
-            or not -np.inf < s <= 1.0 or s == 0.0):
-        raise ValueError(f"{name} must lie in (-inf, 1], s != 0, got {s!r}")
+    check_number(s, name, "lie in (-inf, 1], s != 0", lambda v: -np.inf < v <= 1.0 and v != 0.0)
 
 
 @dataclass
@@ -40,7 +37,7 @@ class CostSpec(CovarianceSet):
 
     def __post_init__(self):
         super().__post_init__()
-        _check_exponent(self.s)
+        check_exponent(self.s)
 
 
 def gershgorin_shift(c):
@@ -78,8 +75,8 @@ def music_cost_spec(cov, num_sources, s=-1.0):
 
 def mvdr_cost_spec(cov, loading=DEFAULT_MVDR_LOADING, s=-1.0):
     """Inverse-covariance (Capon) cost with relative diagonal loading."""
-    if not 0.0 <= loading < np.inf:
-        raise ValueError("loading must be finite and non-negative")
+    check_number(loading, "loading", "be a finite non-negative number",
+                 lambda v: 0.0 <= v < np.inf)
     m = cov.num_sensors
     traces = np.trace(cov.matrices, axis1=1, axis2=2).real
     loaded = cov.matrices + (loading * (traces / m))[:, None, None] * np.eye(m)
@@ -196,10 +193,9 @@ def pick_peaks(values, grid, num_sources, min_separation):
     ValueError when not even the padding finds ``num_sources`` grid points
     that far apart.
     """
-    if num_sources < 1:
-        raise ValueError("num_sources must be at least 1")
-    if not 0.0 <= min_separation < np.inf:
-        raise ValueError("min_separation must be finite and non-negative")
+    check_number(num_sources, "num_sources", "be at least 1", lambda v: v >= 1)
+    check_number(min_separation, "min_separation", "be a finite non-negative number",
+                 lambda v: 0.0 <= v < np.inf)
 
     nearest = values[grid.neighbors]
     is_local_min = np.all(nearest >= values[:, None], axis=1)

@@ -30,6 +30,14 @@ _LATTICE_OFFSETS = 6
 _LOG_PHI_SQUARED = 2.0 * np.log((1.0 + np.sqrt(5.0)) / 2.0)
 
 
+def check_number(value, name, rule="be a number", holds=lambda v: True):
+    """ValueError "<name> must <rule>, got <value>" unless ``value`` is a
+    real number, not a bool, for which ``holds(value)`` is true; NaN holds
+    no range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not holds(value):
+        raise ValueError(f"{name} must {rule}, got {value!r}")
+
+
 def angles_from_doa(q):
     """Colatitude and azimuth in radians of unit direction vector(s) q, so
     that q = (cos(azimuth) sin(colatitude), sin(azimuth) sin(colatitude),
@@ -83,8 +91,8 @@ class ArrayGeometry:
             raise ValueError("need at least two sensors")
         if not np.all(np.isfinite(self.sensors)):
             raise ValueError("sensor coordinates must be finite")
-        if not 0.0 < self.speed_of_sound < np.inf:
-            raise ValueError("speed of sound must be positive and finite")
+        check_number(self.speed_of_sound, "speed of sound", "be positive and finite",
+                     lambda v: 0.0 < v < np.inf)
 
     @property
     def num_sensors(self):
@@ -103,8 +111,7 @@ class ArrayGeometry:
         if not isinstance(obj, dict):
             raise ValueError("a geometry file must hold a JSON object")
         speed = obj.get("speed_of_sound", SPEED_OF_SOUND)
-        if isinstance(speed, bool) or not isinstance(speed, numbers.Real):
-            raise ValueError(f"speed_of_sound must be a number, got {speed!r}")
+        check_number(speed, "speed_of_sound")
         return cls(sensors=np.asarray(obj["sensors"], dtype=float),
                    speed_of_sound=float(speed))
 

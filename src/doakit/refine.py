@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import EPS_POWER, power_mean
-from .manifold import normalized
+from .manifold import check_number, normalized
 
 GTRS_NORM_TOL = 1e-12
 # relative threshold below which a component is treated as numerically zero
@@ -287,10 +287,9 @@ def refine(spec, geometry, q0, variant="quadratic", max_iters=30, rel_tol=1e-10)
     """
     if variant not in ("quadratic", "linear"):
         raise ValueError(f"unknown variant {variant!r}")
-    if max_iters < 0:
-        raise ValueError("max_iters must be non-negative")
-    if not 0.0 <= rel_tol < np.inf:
-        raise ValueError("rel_tol must be finite and non-negative")
+    check_number(max_iters, "max_iters", "be non-negative", lambda v: v >= 0)
+    check_number(rel_tol, "rel_tol", "be a finite non-negative number",
+                 lambda v: 0.0 <= v < np.inf)
     coeffs = PairCoefficients.from_cost_spec(spec, geometry)
     q = normalized(q0)
     # each objective evaluation's phasors and mean build the next surrogate

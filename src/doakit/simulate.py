@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -14,7 +13,7 @@ import numpy as np
 
 from .estimators import (
     DEFAULT_MVDR_LOADING,
-    _check_exponent,
+    check_exponent,
     grid_search,
     music_cost_spec,
     mvdr_cost_spec,
@@ -23,12 +22,13 @@ from .estimators import (
     srp_cost_spec,
     steered_band_powers,
 )
-from .manifold import ArrayGeometry, fibonacci_grid, great_circle_distance
+from .manifold import ArrayGeometry, check_number, fibonacci_grid, great_circle_distance
 from .refine import RefinementTrace, refine
 from .spectral import (
     SpectralFrames,
     apply_weighting,
     band_range,
+    frame_frequencies,
     sample_covariance,
 )
 
@@ -40,10 +40,11 @@ SWEEP_AXES = ("estimators", "s_values", "grid_sizes", "variants",
 # the estimator and refinement variant names locate_sources knows
 ESTIMATORS = ("srp", "srp-phat", "music", "mvdr")
 VARIANTS = ("quadratic", "linear", "none")
-# the MonteCarloConfig axes and fields that hold integers
+# the MonteCarloConfig axes that hold integers, and the fields that do,
+# each with its least value
 INTEGER_AXES = ("grid_sizes", "iteration_counts")
-INTEGER_FIELDS = ("num_sources", "num_trials", "master_seed", "frame_size",
-                  "num_frames")
+INTEGER_FIELDS = {"num_sources": 1, "num_trials": 1, "master_seed": 0, "frame_size": 2,
+                  "num_frames": 1}
 # draws random_sources makes before it gives up on the separation
 MAX_SOURCE_DRAWS = 10_000
 
@@ -51,27 +52,18 @@ MAX_SOURCE_DRAWS = 10_000
 def as_integer(value, name):
     """``value`` as an int when it is an integer-valued number such as 100 or
     100.0; ValueError naming the setting ``name`` otherwise."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not float(value).is_integer()):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    check_number(value, name, "be an integer", lambda v: float(v).is_integer())
     return int(value)
-
-
-def _check_number(value, name, rule, holds):
-    """ValueError "<name> must <rule>" unless ``value`` is a number, not a
-    bool, for which ``holds(value)`` is true; NaN holds no rule here."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not holds(value):
-        raise ValueError(f"{name} must {rule}, got {value!r}")
 
 
 def _check_snr(snr_db, name="snr_db"):
     # the noise of -inf dB would be infinite
-    _check_number(snr_db, name, "be a number above -inf", lambda v: v > -np.inf)
+    check_number(snr_db, name, "be a number above -inf", lambda v: v > -np.inf)
 
 
 def _check_spread(spread_db):
-    _check_number(spread_db, "band_gain_spread_db", "be a finite non-negative number",
-                  lambda v: 0.0 <= v < np.inf)
+    check_number(spread_db, "band_gain_spread_db", "be a finite non-negative number",
+                 lambda v: 0.0 <= v < np.inf)
 
 
 @dataclass
@@ -135,8 +127,8 @@ def synth_stft_scene(scene, frame_size=512, num_frames=100, f_min=300.0, f_max=3
     noise_rng = np.random.default_rng(noise_ss)
     gain_rng = np.random.default_rng(gain_ss)
 
-    num_bands = frame_size // 2 + 1
-    freqs = np.arange(num_bands) * scene.sample_rate / frame_size
+    freqs = frame_frequencies(frame_size, scene.sample_rate)
+    num_bands = len(freqs)
     kept = band_range(freqs, f_min, f_max)
     freqs = freqs[kept]
     omega = geom.wavenumbers(freqs)
@@ -192,8 +184,13 @@ def synth_time_scene(scene):
 
     Each channel is the sum over sources of the source signal advanced by
     d_m . q / c seconds (plane-wave propagation, windowed-sinc fractional
-    delays), plus white Gaussian noise at the scene SNR.
+    delays), plus white Gaussian noise at the scene SNR. Sources are flat
+    across frequency, so a scene with a band gain spread is refused.
     """
+    check_number(scene.duration, "duration", "be positive and finite",
+                 lambda v: 0.0 < v < np.inf)
+    check_number(scene.band_gain_spread_db, "band_gain_spread_db",
+                 "be 0 in a time-domain scene", lambda v: v == 0.0)
     geom = scene.geometry
     fs = scene.sample_rate
     num_samples = int(round(scene.duration * fs))
@@ -319,21 +316,23 @@ class MonteCarloConfig:
                 raise ValueError(f"{name} must be a non-empty list")
         for name in INTEGER_AXES:
             setattr(self, name, tuple(as_integer(v, name) for v in getattr(self, name)))
-        for name in INTEGER_FIELDS:
-            setattr(self, name, as_integer(getattr(self, name), name))
+        for name, least in INTEGER_FIELDS.items():
+            value = as_integer(getattr(self, name), name)
+            check_number(value, name, f"be at least {least}", lambda v: v >= least)
+            setattr(self, name, value)
         for s in self.s_values:
-            _check_exponent(s, "s_values")
+            check_exponent(s, "s_values")
         for snr_db in self.snr_values:
             _check_snr(snr_db, "snr_values")
-        if not self.num_trials >= 1:
-            raise ValueError("num_trials must be at least 1")
-        if self.frame_size < 2:
-            raise ValueError(f"frame_size must be at least 2, got {self.frame_size}")
-        _check_number(self.sample_rate, "sample_rate", "be positive and finite",
-                      lambda v: 0.0 < v < np.inf)
+        check_number(self.sample_rate, "sample_rate", "be positive and finite",
+                     lambda v: 0.0 < v < np.inf)
+        for name in ("f_min", "f_max"):
+            check_number(getattr(self, name), name)
+        # the band rule synth_stft_scene applies, before any grid is built
+        band_range(frame_frequencies(self.frame_size, self.sample_rate), self.f_min, self.f_max)
         _check_spread(self.band_gain_spread_db)
-        _check_number(self.min_source_separation_deg, "min_source_separation_deg",
-                      "lie in [0, 180]", lambda v: 0.0 <= v <= 180.0)
+        check_number(self.min_source_separation_deg, "min_source_separation_deg",
+                     "lie in [0, 180]", lambda v: 0.0 <= v <= 180.0)
         # every cell's settings up front, so a bad one late in an axis does
         # not wait for the cells before it to run
         for estimator, variant, iters in product(
@@ -420,14 +419,12 @@ def _check_settings(estimator, variant, num_sources, max_iters, rel_tol, mvdr_lo
         raise ValueError(f"unknown estimator {estimator!r}")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if num_sources < 1:
-        raise ValueError(f"num_sources must be at least 1, got {num_sources!r}")
-    if max_iters < 0:
-        raise ValueError("max_iters must be non-negative")
+    check_number(num_sources, "num_sources", "be at least 1", lambda v: v >= 1)
+    check_number(max_iters, "max_iters", "be non-negative", lambda v: v >= 0)
     for name, value in (("rel_tol", rel_tol), ("mvdr_loading", mvdr_loading),
                         ("min_separation", min_separation)):
-        if not (isinstance(value, numbers.Real) and 0.0 <= value < np.inf):
-            raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
+        check_number(value, name, "be a finite non-negative number",
+                     lambda v: 0.0 <= v < np.inf)
 
 
 def build_cost_spec(cov, estimator, s, num_sources, mvdr_loading=DEFAULT_MVDR_LOADING):

@@ -90,6 +90,12 @@ def periodic_window(window, n):
     return w[:-1]
 
 
+def frame_frequencies(frame_size, sample_rate):
+    """The frame_size // 2 + 1 band frequencies in Hz of a real frame_size-point
+    FFT at sample_rate, as ``stft`` and ``synth_stft_scene`` give them."""
+    return np.arange(frame_size // 2 + 1) * sample_rate / frame_size
+
+
 def band_range(frequencies, f_min, f_max):
     """The slice of the strictly increasing ``frequencies`` with
     f_min <= f <= f_max. ValueError unless f_min < f_max and the slice holds
@@ -138,7 +144,7 @@ def stft(signal, frame_size=512, hop=256, window="hann", sample_rate=16000.0,
     if num_samples < frame_size:
         raise ValueError("signal shorter than one frame")
     win = periodic_window(window, frame_size)
-    freqs = np.arange(frame_size // 2 + 1) * sample_rate / frame_size
+    freqs = frame_frequencies(frame_size, sample_rate)
     kept = band_range(freqs, f_min, f_max)
 
     # (N, M, frame) strided view of the samples, framed along time; each

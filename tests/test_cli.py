@@ -472,6 +472,16 @@ def test_bench_rejects_non_string_geometry(tmp_path, capsys, value):
     assert "geometry must be a non-empty file path" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("duration", ["inf", "nan", "0", "-1"])
+def test_simulate_rejects_bad_duration(tmp_path, geometry_file, capsys, duration):
+    wav = tmp_path / "scene.wav"
+    rc = main(["simulate", "--geometry", geometry_file, f"--duration={duration}",
+               "--output", str(wav)])
+    assert rc == 2
+    assert "duration must be positive and finite" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["array.json"]
+
+
 @pytest.mark.parametrize(
     "config",
     [{"sample_rate": 16000.9}, {"sample_rate": 0.5, "duration": 4},
@@ -777,6 +787,17 @@ def test_bench_sweep_must_be_object(tmp_path, capsys, content):
         ({"band_gain_spread_db": None}, "band_gain_spread_db must be a finite non-negative"),
         ({"band_gain_spread_db": float("nan")}, "band_gain_spread_db must be a finite"),
         ({"band_gain_spread_db": -1}, "band_gain_spread_db must be a finite non-negative"),
+        ({"rel_tol": True}, "rel_tol must be a finite non-negative number, got True"),
+        ({"mvdr_loading": True}, "mvdr_loading must be a finite non-negative number, got True"),
+        ({"min_separation_deg": True}, "min_separation must be a finite non-negative number"),
+        ({"f_min": "300"}, "f_min must be a number, got '300'"),
+        ({"f_min": None}, "f_min must be a number, got None"),
+        ({"f_min": True}, "f_min must be a number, got True"),
+        ({"f_max": "3500"}, "f_max must be a number, got '3500'"),
+        ({"f_min": 3500, "f_max": 300}, "f_min must be below f_max"),
+        ({"num_frames": 0}, "num_frames must be at least 1, got 0"),
+        ({"num_frames": -5}, "num_frames must be at least 1, got -5"),
+        ({"master_seed": -1}, "master_seed must be at least 0, got -1"),
     ],
     ids=["scalar-axis", "string-axis", "empty-axis", "zero-trials",
          "fractional-iterations", "fractional-grid", "fractional-trials", "rel-tol-nan",
@@ -787,7 +808,9 @@ def test_bench_sweep_must_be_object(tmp_path, capsys, content):
          "peak-separation-negative", "zero-sources", "negative-sources",
          "zero-frame-size", "negative-frame-size", "zero-sample-rate",
          "negative-sample-rate", "spread-string", "spread-null", "spread-nan",
-         "spread-negative"],
+         "spread-negative", "rel-tol-bool", "loading-bool", "peak-separation-bool",
+         "f-min-string", "f-min-null", "f-min-bool", "f-max-string", "inverted-band-range",
+         "zero-frames", "negative-frames", "negative-seed"],
 )
 def test_bench_rejects_bad_axes_and_trials(tmp_path, geometry_file, capsys,
                                            overrides, message):

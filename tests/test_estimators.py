@@ -140,7 +140,7 @@ def test_music_rejects_too_many_sources():
         music_cost_spec(cov, num_sources=3)
 
 
-@pytest.mark.parametrize("loading", [np.nan, np.inf, -1e-3])
+@pytest.mark.parametrize("loading", [np.nan, np.inf, -1e-3, True, "1e-3", None])
 def test_mvdr_rejects_non_finite_or_negative_loading(loading):
     cov = CovarianceSet(np.stack([np.eye(2, dtype=complex)]), np.array([500.0]))
     with pytest.raises(ValueError, match="loading"):
@@ -484,7 +484,7 @@ def test_grid_search_selection_matches_pair_loop(num_sources, separation):
     np.testing.assert_array_equal([p[1] for p in peaks], values[expected])
 
 
-@pytest.mark.parametrize("separation", [np.nan, np.inf, -0.1])
+@pytest.mark.parametrize("separation", [np.nan, np.inf, -0.1, True, "0.1", None])
 def test_grid_search_rejects_bad_separation(separation):
     geom = random_geometry(num_sensors=6, seed=8)
     with pytest.raises(ValueError, match="min_separation"):

@@ -71,7 +71,7 @@ def test_geometry_rejects_non_finite_sensors(bad):
         ArrayGeometry(sensors)
 
 
-@pytest.mark.parametrize("speed", [np.inf, np.nan, 0.0, -343.0])
+@pytest.mark.parametrize("speed", [np.inf, np.nan, 0.0, -343.0, True, "343", None])
 def test_geometry_rejects_bad_speed_of_sound(speed):
     with pytest.raises(ValueError, match="speed of sound must be positive and finite"):
         ArrayGeometry(np.eye(3), speed_of_sound=speed)

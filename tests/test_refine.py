@@ -436,10 +436,12 @@ def test_refine_rejects_bad_args():
         refine(spec, geom, np.array([1.0, 0, 0]), variant="cubic")
     with pytest.raises(ValueError):
         refine(spec, geom, np.array([1.0, 0, 0]), max_iters=-1)
+    with pytest.raises(ValueError, match="max_iters must be non-negative, got True"):
+        refine(spec, geom, np.array([1.0, 0, 0]), max_iters=True)
 
 
-@pytest.mark.parametrize("rel_tol", [float("nan"), -1.0, float("inf")],
-                         ids=["nan", "negative", "inf"])
+@pytest.mark.parametrize("rel_tol", [float("nan"), -1.0, float("inf"), True, "1e-10", None],
+                         ids=["nan", "negative", "inf", "bool", "string", "null"])
 def test_refine_rejects_bad_rel_tol(rel_tol):
     spec, geom = random_spec(seed=7)
     with pytest.raises(ValueError, match="rel_tol"):

@@ -1,3 +1,4 @@
+import re
 import time
 from itertools import permutations
 
@@ -224,6 +225,25 @@ def test_time_scene_shape_and_determinism():
     np.testing.assert_array_equal(x, synth_time_scene(scene))
     with pytest.raises(ValueError):
         synth_time_scene(Scene(GEOM, np.array([[1.0, 0.0, 0.0]]), duration=0.0))
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"duration": np.inf}, "duration must be positive and finite, got inf"),
+        ({"duration": np.nan}, "duration must be positive and finite, got nan"),
+        ({"duration": -1.0}, "duration must be positive and finite"),
+        ({"duration": True}, "duration must be positive and finite, got True"),
+        ({"band_gain_spread_db": 12.0},
+         "band_gain_spread_db must be 0 in a time-domain scene, got 12.0"),
+    ],
+    ids=["duration-inf", "duration-nan", "duration-negative", "duration-bool", "spread"],
+)
+def test_time_scene_rejects_bad_duration_and_spread(fields, message):
+    # a band gain spread would be rendered flat without a word
+    scene = Scene(GEOM, np.array([[1.0, 0.0, 0.0]]), **{"duration": 0.1, **fields})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        synth_time_scene(scene)
 
 
 def test_time_scene_integer_lag():
@@ -586,12 +606,24 @@ def test_monte_carlo_charges_products_only_to_their_estimator(monkeypatch):
         ({"band_gain_spread_db": np.nan}, "band_gain_spread_db must be a finite non-negative"),
         ({"band_gain_spread_db": np.inf}, "band_gain_spread_db must be a finite non-negative"),
         ({"band_gain_spread_db": -1.0}, "band_gain_spread_db must be a finite non-negative"),
+        ({"f_min": "300"}, "f_min must be a number, got '300'"),
+        ({"f_min": None}, "f_min must be a number, got None"),
+        ({"f_min": True}, "f_min must be a number, got True"),
+        ({"f_max": "3500"}, "f_max must be a number, got '3500'"),
+        ({"f_min": 3500.0, "f_max": 300.0}, "f_min must be below f_max"),
+        ({"f_min": np.nan}, "f_min must be below f_max"),
+        ({"f_min": 9000.0, "f_max": 12000.0}, "band selection is empty"),
+        ({"num_frames": 0}, "num_frames must be at least 1, got 0"),
+        ({"num_frames": -5}, "num_frames must be at least 1, got -5"),
+        ({"master_seed": -1}, "master_seed must be at least 0, got -1"),
     ],
     ids=["scalar-axis", "string-axis", "empty-axis", "zero-trials", "frame-size-0",
          "frame-size-1", "frame-size-negative", "sample-rate-0", "sample-rate-negative",
          "sample-rate-inf", "sample-rate-nan", "sample-rate-string", "sample-rate-bool",
          "spread-string", "spread-null", "spread-bool", "spread-nan", "spread-inf",
-         "spread-negative"],
+         "spread-negative", "f-min-string", "f-min-null", "f-min-bool", "f-max-string",
+         "band-range-inverted", "f-min-nan", "band-range-empty", "frames-0",
+         "frames-negative", "seed-negative"],
 )
 def test_monte_carlo_config_rejects_bad_axes_and_trials(overrides, message):
     with pytest.raises(ValueError, match=message):
@@ -675,10 +707,14 @@ def test_monte_carlo_config_rejects_non_integer_counts(overrides, message):
         ({"min_separation_deg": float("inf")}, "min_separation must be a finite non-negative"),
         ({"num_sources": 0}, "num_sources must be at least 1, got 0"),
         ({"num_sources": -1}, "num_sources must be at least 1, got -1"),
+        ({"rel_tol": True}, "rel_tol must be a finite non-negative number, got True"),
+        ({"mvdr_loading": True}, "mvdr_loading must be a finite non-negative number, got True"),
+        ({"min_separation_deg": True}, "min_separation must be a finite non-negative number"),
     ],
     ids=["variant", "estimator", "iters-negative", "loading-nan", "loading-string",
          "rel-tol-negative", "rel-tol-inf", "separation-negative", "separation-inf",
-         "sources-0", "sources-negative"],
+         "sources-0", "sources-negative", "rel-tol-bool", "loading-bool",
+         "separation-bool"],
 )
 def test_monte_carlo_config_rejects_bad_locate_settings(overrides, message):
     # the check locate_sources runs, on every cell before any trial
