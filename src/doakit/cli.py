@@ -328,6 +328,7 @@ def cmd_locate(args):
                 "objective": float(trace.objectives[-1]),
                 "objective_trace": [float(x) for x in trace.objectives],
                 "steps": len(trace.objectives) - 1,
+                "evaluations": trace.evaluations,
                 "converged_at": trace.converged_at,
             }
         )

@@ -6,7 +6,9 @@ current iterate, combined with the tangent plane of the concave power mean,
 yields a quadratic surrogate q^T D q - 2 v^T q minimized exactly on the
 sphere (a generalized trust region subproblem). Bounding D by lambda_max(D) I
 linearizes the surrogate, giving a closed-form update. Both updates decrease
-the objective monotonically and keep every iterate on the sphere.
+the objective monotonically and keep every iterate on the sphere. ``refine``
+speeds up their linear convergence with safeguarded SQUAREM extrapolation,
+which keeps both properties.
 """
 
 from __future__ import annotations
@@ -107,10 +109,12 @@ def phasor_table(omega, x, step):
 
 @dataclass
 class RefinementTrace:
-    iterates: list  # unit 3-vectors q_0 .. q_T
+    iterates: list  # unit 3-vectors q_0 .. q_T, one per accepted step
     objectives: list  # objective value at each iterate
     # the step at which the tolerance test stopped; None at the step cap
     converged_at: int | None = None
+    # objective evaluations, rejected extrapolations included
+    evaluations: int = 0
 
 
 def pair_band_powers(coeffs, q):
@@ -276,42 +280,86 @@ def linear_update(D, v, q_hat):
     return g / n
 
 
+def _squarem_point(q0, q1, q2):
+    """The SqS3 extrapolation (Varadhan & Roland 2008) of two MM maps
+    q0 -> q1 -> q2, normalized onto the sphere: normalize(q0 - 2 alpha r +
+    alpha^2 v) with r = q1 - q0, v = q2 - 2 q1 + q0 and
+    alpha = -||r|| / ||v||. None unless alpha < -1 (alpha = -1 gives q2).
+
+    The point is formed divided by alpha^2, as k^2 q0 + 2 k r + v with
+    k = -1 / alpha in (0, 1), which is the same direction and stays finite
+    however small v is."""
+    r = q1 - q0
+    v = q2 - q1 - r
+    r_norm, v_norm = math.sqrt(r @ r), math.sqrt(v @ v)
+    if not 0.0 < v_norm < r_norm:
+        return None
+    k = v_norm / r_norm
+    x = (k * k) * q0 + (2.0 * k) * r + v
+    n = math.sqrt(x @ x)
+    return x / n if n > 0.0 else None
+
+
 def refine(spec, geometry, q0, variant="quadratic", max_iters=30, rel_tol=1e-10):
     """Iteratively refine a DOA estimate from q0.
 
-    variant "quadratic" solves the trust-region subproblem each step;
-    "linear" uses the closed-form normalized-gradient-like update. Stops
-    after ``max_iters`` steps or once the relative objective decrease falls
-    below ``rel_tol`` on two consecutive iterations; ``rel_tol`` = 0 stops
-    only once the objective no longer decreases.
+    Each MM map builds the surrogate at the current iterate; variant
+    "quadratic" solves its trust-region subproblem, "linear" takes the
+    closed-form normalized-gradient-like update. Every two maps
+    q0 -> q1 -> q2 close a SQUAREM cycle: the extrapolation of
+    :func:`_squarem_point` is evaluated once and accepted only if its
+    objective is no higher than q2's, and the next cycle starts from q2 or
+    from the accepted point. A cycle whose last map already decreased the
+    objective by less than ``rel_tol`` is not extrapolated.
+
+    A step is an MM map or an accepted extrapolation; the trace records
+    every step, so its objectives never rise, and holds at most
+    ``max_iters`` of them. Stops there or once the relative objective
+    decrease falls below ``rel_tol`` on two consecutive steps; ``rel_tol``
+    = 0 stops only once the objective no longer decreases. ``evaluations``
+    counts every objective evaluation, rejected extrapolations included.
     """
     if variant not in ("quadratic", "linear"):
         raise ValueError(f"unknown variant {variant!r}")
     check_number(max_iters, "max_iters", "be non-negative", lambda v: v >= 0)
+    check_number(max_iters, "max_iters", "be an integer", lambda v: v % 1 == 0)
     check_number(rel_tol, "rel_tol", "be a finite non-negative number",
                  lambda v: 0.0 <= v < np.inf)
     coeffs = PairCoefficients.from_cost_spec(spec, geometry)
     q = normalized(q0)
     # each objective evaluation's phasors and mean build the next surrogate
     evaluated = pair_band_powers(coeffs, q)
-    iterates, objectives = [q], [evaluated[2]]
-    converged_at = None
+    trace = RefinementTrace(iterates=[q], objectives=[evaluated[2]], evaluations=1)
+    cycle = [q]  # the iterates of the current SQUAREM cycle
     slow = 0
-    for t in range(max_iters):
-        D, v = surrogate_system(coeffs, q, evaluated)
-        if variant == "quadratic":
-            q = solve_gtrs(D, v)[0]
+    while len(trace.iterates) <= max_iters:
+        point = None
+        if len(cycle) == 3:
+            if slow == 0:
+                point = _squarem_point(*cycle)
+            cycle = cycle[2:]
+        if point is not None:
+            tried = pair_band_powers(coeffs, point)
+            trace.evaluations += 1
+            if not tried[2] <= evaluated[2]:
+                continue
+            q, evaluated = point, tried
+            cycle = [q]
         else:
-            q = linear_update(D, v, q)
-        evaluated = pair_band_powers(coeffs, q)
-        obj, new_obj = objectives[-1], evaluated[2]
-        iterates.append(q)
-        objectives.append(new_obj)
+            D, v = surrogate_system(coeffs, q, evaluated)
+            if variant == "quadratic":
+                q = solve_gtrs(D, v)[0]
+            else:
+                q = linear_update(D, v, q)
+            evaluated = pair_band_powers(coeffs, q)
+            trace.evaluations += 1
+            cycle.append(q)
+        obj, new_obj = trace.objectives[-1], evaluated[2]
+        trace.iterates.append(q)
+        trace.objectives.append(new_obj)
         decrease = (obj - new_obj) / max(abs(obj), _TINY)
         slow = slow + 1 if decrease < rel_tol else 0
         if slow >= 2:
-            converged_at = t + 1
+            trace.converged_at = len(trace.objectives) - 1
             break
-    return RefinementTrace(
-        iterates=iterates, objectives=objectives, converged_at=converged_at
-    )
+    return trace

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .manifold import check_number
+
 # relative magnitude floor applied by PHAT weighting on near-silent bins
 PHAT_FLOOR = 1e-12
 
@@ -118,8 +120,8 @@ def stft(signal, frame_size=512, hop=256, window="hann", sample_rate=16000.0,
     ----------
     signal : (T,) or (T, M) real array, integer or floating; the samples
         are cast to float64 a channel at a time, as they are read
-    frame_size : even frame length in samples
-    hop : hop size in samples
+    frame_size : even frame length in samples, at least 2
+    hop : hop size in samples, at least 1
     window : "hann" (periodic Hann) or "boxcar" (rectangular); see
         periodic_window. Any other name raises ValueError.
     sample_rate : sampling rate in Hz
@@ -129,7 +131,9 @@ def stft(signal, frame_size=512, hop=256, window="hann", sample_rate=16000.0,
     Returns C-contiguous (K, N, M) frames with N = 1 + floor((T - frame_size)
     / hop) frames, whose K bands are the one-sided bands k * fs / frame_size,
     k = 0 .. frame_size / 2, that lie in the range. The forward DFT is
-    unnormalized. ValueError for complex samples.
+    unnormalized. ValueError for complex samples, and naming the setting
+    for a numeric setting that is not a number (a bool included) or is out
+    of range.
     """
     signal = np.asarray(signal)
     if np.iscomplexobj(signal):
@@ -137,10 +141,14 @@ def stft(signal, frame_size=512, hop=256, window="hann", sample_rate=16000.0,
     if signal.ndim == 1:
         signal = signal[:, None]
     num_samples, num_sensors = signal.shape
-    if frame_size < 2 or frame_size % 2 != 0:
-        raise ValueError("frame_size must be a positive even number")
-    if hop < 1:
-        raise ValueError("hop must be at least 1")
+    check_number(frame_size, "frame_size", "be a positive even integer",
+                 lambda v: v >= 2 and v % 2 == 0)
+    check_number(hop, "hop", "be a positive integer", lambda v: v >= 1 and v % 1 == 0)
+    check_number(sample_rate, "sample_rate", "be positive and finite",
+                 lambda v: 0.0 < v < np.inf)
+    check_number(f_min, "f_min")
+    check_number(f_max, "f_max")
+    frame_size, hop = int(frame_size), int(hop)
     if num_samples < frame_size:
         raise ValueError("signal shorter than one frame")
     win = periodic_window(window, frame_size)

@@ -9,6 +9,15 @@ import numpy as np
 from scipy.signal import get_window
 
 from doakit.estimators import band_powers, power_mean
+from doakit.manifold import normalized
+from doakit.refine import (
+    PairCoefficients,
+    RefinementTrace,
+    linear_update,
+    pair_band_powers,
+    solve_gtrs,
+    surrogate_system,
+)
 from doakit.spectral import apply_weighting
 
 _TWO_PI = 2.0 * np.pi
@@ -145,3 +154,28 @@ def objective(spec, geometry, q):
     band powers a_k(q)^H V_k a_k(q); the refinement evaluates it from pair
     phasors instead."""
     return power_mean(band_powers(spec, geometry, np.reshape(q, (1, 3)))[:, 0], spec.s)
+
+
+def plain_mm(spec, geometry, q0, variant="quadratic", max_iters=30, rel_tol=1e-10):
+    """Reference for ``refine``: the MM maps alone, no extrapolation, with
+    the same stopping rule (relative decrease below ``rel_tol`` on two
+    consecutive steps)."""
+    coeffs = PairCoefficients.from_cost_spec(spec, geometry)
+    q = normalized(q0)
+    evaluated = pair_band_powers(coeffs, q)
+    trace = RefinementTrace(iterates=[q], objectives=[evaluated[2]], evaluations=1)
+    slow = 0
+    for step in range(1, max_iters + 1):
+        D, v = surrogate_system(coeffs, q, evaluated)
+        q = solve_gtrs(D, v)[0] if variant == "quadratic" else linear_update(D, v, q)
+        evaluated = pair_band_powers(coeffs, q)
+        obj = trace.objectives[-1]
+        decrease = (obj - evaluated[2]) / max(abs(obj), np.finfo(float).tiny)
+        trace.iterates.append(q)
+        trace.objectives.append(evaluated[2])
+        trace.evaluations += 1
+        slow = slow + 1 if decrease < rel_tol else 0
+        if slow >= 2:
+            trace.converged_at = step
+            break
+    return trace

@@ -16,8 +16,11 @@ from doakit.manifold import (
     great_circle_distance,
     random_geometry,
 )
-from doakit.simulate import estimator_covariance, locate_sources
+from doakit.estimators import grid_search
+from doakit.refine import refine
+from doakit.simulate import build_cost_spec, estimator_covariance, locate_sources
 from doakit.spectral import stft
+from oracles import plain_mm
 
 @pytest.fixture
 def geometry_file(tmp_path):
@@ -208,6 +211,44 @@ def test_locate_matches_library_pipeline(tmp_path, geometry_file, estimator):
     assert [s["converged_at"] for s in sources] == [t.converged_at for t in traces]
 
 
+def test_locate_ends_at_the_limit_within_the_step_cap(tmp_path, geometry_file):
+    # CI's scene, MUSIC, two sources: plain MM leaves one source 0.066 deg
+    # short of its limit at the default 30 steps; with the extrapolation the
+    # 30-step answer is the limit, to the ~1e-4 deg its flat objective
+    # resolves (its rel_tol = 0 limit and plain MM's lie 4e-5 deg apart)
+    wav = str(tmp_path / "scene.wav")
+    assert main(["simulate", "--geometry", geometry_file, "--sources", "2",
+                 "--seed", "5", "--duration", "0.5", "--output", wav]) == 0
+    out = tmp_path / "report.json"
+    assert main(["locate", "--geometry", geometry_file, "--input", wav,
+                 "--estimator", "music", "--sources", "2", "--iters", "30",
+                 "--output", str(out)]) == 0
+    sources = json.loads(out.read_text())["sources"]
+
+    from scipy.io import wavfile
+
+    rate, signal = wavfile.read(wav)
+    frames = stft(signal, frame_size=DEFAULTS["frame_size"], hop=DEFAULTS["hop"],
+                  sample_rate=float(rate), f_min=DEFAULTS["f_min"], f_max=DEFAULTS["f_max"])
+    geometry = ArrayGeometry.from_json(geometry_file)
+    spec = build_cost_spec(estimator_covariance(frames, "music"), "music", DEFAULTS["s"], 2)
+    peaks = grid_search(spec, geometry, fibonacci_grid(DEFAULTS["grid"]), num_sources=2,
+                        min_separation=np.radians(DEFAULTS["min_separation_deg"]))
+
+    def degrees(a, b):
+        return float(np.degrees(great_circle_distance(np.asarray(a), b)))
+
+    shortfalls = []
+    for source, (q0, _) in zip(sources, peaks):
+        assert source["steps"] <= 30
+        limit = refine(spec, geometry, q0, max_iters=10_000, rel_tol=0.0).iterates[-1]
+        reference = plain_mm(spec, geometry, q0, max_iters=10_000, rel_tol=0.0).iterates[-1]
+        assert degrees(source["doa"], limit) < 1e-4
+        assert degrees(source["doa"], reference) < 2e-4
+        shortfalls.append(degrees(plain_mm(spec, geometry, q0).iterates[-1], limit))
+    assert max(shortfalls) > 0.05
+
+
 @pytest.fixture
 def two_source_wav(tmp_path, geometry_file):
     wav = str(tmp_path / "two.wav")
@@ -319,11 +360,13 @@ def test_locate_reports_steps_and_convergence(tmp_path, geometry_file, two_sourc
         reports[iters] = json.loads(out.read_text())["sources"]
     for source in reports["1"]:
         assert source["steps"] == 1
+        assert source["evaluations"] == 2
         assert source["converged_at"] is None
     converged = [s for s in reports["30"] if s["converged_at"] is not None]
     assert converged
     for source in reports["30"]:
-        assert source["steps"] == len(source["objective_trace"]) - 1
+        assert source["steps"] == len(source["objective_trace"]) - 1 <= 30
+        assert source["evaluations"] >= source["steps"] + 1
     for source in converged:
         assert source["converged_at"] == source["steps"]
 

@@ -7,28 +7,39 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from doakit.estimators import CostSpec, power_mean, srp_cost_spec
+from doakit.estimators import CostSpec, grid_search, power_mean, srp_cost_spec
 from doakit.manifold import (
     ArrayGeometry,
+    fibonacci_grid,
     fibonacci_points,
     great_circle_distance,
     random_geometry,
 )
 from doakit.refine import (
     PairCoefficients,
+    _squarem_point,
     linear_update,
     pair_band_powers,
     refine,
     solve_gtrs,
     surrogate_system,
 )
-from doakit.simulate import MonteCarloConfig, monte_carlo
+from doakit.simulate import (
+    MonteCarloConfig,
+    Scene,
+    build_cost_spec,
+    estimator_covariance,
+    monte_carlo,
+    random_sources,
+    synth_stft_scene,
+)
 from doakit.spectral import CovarianceSet
 from oracles import (
     cosine_surrogate_coeffs,
     gtrs_coefficients,
     hertz,
     objective,
+    plain_mm,
     quadratic_monomials,
     steering_vector,
     unnormalized_sinc,
@@ -440,6 +451,16 @@ def test_refine_rejects_bad_args():
         refine(spec, geom, np.array([1.0, 0, 0]), max_iters=True)
 
 
+def test_refine_takes_integer_valued_max_iters_only():
+    # the step cap is a count: 2.5 is refused (it would cap at 2), 3.0 is 3
+    spec, geom = random_spec(seed=7)
+    q0 = np.array([1.0, 0, 0])
+    with pytest.raises(ValueError, match="max_iters must be an integer, got 2.5"):
+        refine(spec, geom, q0, max_iters=2.5)
+    assert refine(spec, geom, q0, max_iters=3.0).objectives == refine(
+        spec, geom, q0, max_iters=3).objectives
+
+
 @pytest.mark.parametrize("rel_tol", [float("nan"), -1.0, float("inf"), True, "1e-10", None],
                          ids=["nan", "negative", "inf", "bool", "string", "null"])
 def test_refine_rejects_bad_rel_tol(rel_tol):
@@ -520,8 +541,9 @@ def test_refine_convergence_flag(rng):
 
 
 @pytest.mark.parametrize("variant", ["quadratic", "linear"])
-def test_refine_evaluates_one_power_mean_per_iterate(monkeypatch, rng, variant):
-    # the surrogate at an iterate reuses the mean its evaluation produced
+def test_refine_evaluates_one_power_mean_per_evaluation(monkeypatch, rng, variant):
+    # the surrogate at an iterate reuses the mean its evaluation produced, and
+    # a rejected extrapolation costs one evaluation and nothing more
     calls = []
 
     def counting_power_mean(values, s):
@@ -532,7 +554,80 @@ def test_refine_evaluates_one_power_mean_per_iterate(monkeypatch, rng, variant):
     spec, geom = random_spec(num_sensors=6, num_bands=4, s=-1.0, seed=13)
     trace = refine(spec, geom, random_unit(rng), variant=variant, max_iters=20)
     assert len(trace.objectives) > 2
-    assert len(calls) == len(trace.objectives)
+    assert len(calls) == trace.evaluations >= len(trace.objectives)
+
+
+def test_squarem_point_extrapolates_a_linear_sequence(rng):
+    # maps that shrink the error by the same factor each time: the SqS3
+    # point lands on their limit, up to the sphere's curvature at the step
+    limit, error = random_unit(rng), 1e-3 * random_unit(rng)
+    q0, q1, q2 = (limit + 0.8 ** n * error for n in range(3))
+    q0, q1, q2 = (q / np.linalg.norm(q) for q in (q0, q1, q2))
+    x = _squarem_point(q0, q1, q2)
+    assert abs(np.linalg.norm(x) - 1.0) < 1e-15
+    assert great_circle_distance(x, limit) < 1e-2 * great_circle_distance(q2, limit)
+
+
+def test_squarem_point_needs_alpha_below_minus_one(rng):
+    q = random_unit(rng)
+    assert _squarem_point(q, q, q) is None  # no move
+    # q2 back at q0: ||v|| = 2 ||r||, alpha = -1/2
+    other = random_unit(rng)
+    assert _squarem_point(q, other, q) is None
+    # equal steps along a line, exact in binary: v = 0, alpha = -inf
+    start, step = np.array([1.0, 0.0, 0.0]), np.array([0.0, 2.0 ** -10, 0.0])
+    assert _squarem_point(start, start + step, start + 2.0 * step) is None
+
+
+def _scene_starts(estimator, seed=0):
+    """A two-source 12-mic scene's cost spec at s = -3 and its 100-point grid
+    peaks: the starts a coarse locate refines."""
+    geom = random_geometry(num_sensors=12, radius=0.1, seed=seed)
+    sources = random_sources(np.random.default_rng(seed), 2, np.radians(15.0))
+    scene = Scene(geom, sources, snr_db=10.0, seed=seed, band_gain_spread_db=12.0)
+    frames = synth_stft_scene(scene, frame_size=256, num_frames=100)
+    spec = build_cost_spec(estimator_covariance(frames, estimator), estimator, -3.0, 2)
+    peaks = grid_search(spec, geom, fibonacci_grid(100), num_sources=2,
+                        min_separation=np.radians(10.0))
+    return spec, geom, [q0 for q0, _ in peaks]
+
+
+@pytest.mark.parametrize("variant", ["quadratic", "linear"])
+@pytest.mark.parametrize("estimator", ["music", "srp-phat", "mvdr"])
+def test_refine_limit_matches_plain_mm(estimator, variant):
+    # the extrapolation changes the path, not where it ends: run to
+    # rel_tol = 0, the accelerated refine and the plain MM loop stop at the
+    # same point, and the accelerated one never needs more MM steps to get
+    # within 1e-3 deg of it
+    spec, geom, starts = _scene_starts(estimator)
+    for q0 in starts:
+        fast = refine(spec, geom, q0, variant=variant, max_iters=10_000, rel_tol=0.0)
+        slow = plain_mm(spec, geom, q0, variant=variant, max_iters=10_000, rel_tol=0.0)
+        assert fast.converged_at is not None and slow.converged_at is not None
+        limit = slow.iterates[-1]
+        assert np.degrees(great_circle_distance(fast.iterates[-1], limit)) < 1e-5
+
+        def steps_to_limit(trace):
+            off = np.degrees(great_circle_distance(np.array(trace.iterates), limit))
+            return int(np.argmax(off < 1e-3))
+
+        assert steps_to_limit(fast) <= steps_to_limit(slow)
+
+
+def test_refine_steps_are_maps_and_accepted_extrapolations(rng):
+    # every recorded step lowers the objective (or keeps it), the cap
+    # counts steps, not evaluations, and a refine that hits the cap reports
+    # no convergence
+    spec, geom, starts = _scene_starts("music")
+    for max_iters in (1, 2, 3, 7, 30):
+        for q0 in starts:
+            trace = refine(spec, geom, q0, max_iters=max_iters)
+            steps = len(trace.objectives) - 1
+            assert len(trace.iterates) == steps + 1
+            assert steps <= max_iters and trace.evaluations >= steps + 1
+            assert (trace.converged_at is None) == (steps == max_iters)
+            objs = np.array(trace.objectives)
+            assert np.all(np.diff(objs) <= 1e-9 * np.abs(objs[:-1]))
 
 
 def test_iteration_cost_scales_with_pairs_and_bands(rng):

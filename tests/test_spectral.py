@@ -147,6 +147,44 @@ def test_stft_rejects_frame_size_below_two(frame_size):
         stft(np.zeros(1024), frame_size=frame_size, hop=128)
 
 
+EVEN = "be a positive even integer"
+POSITIVE = "be a positive integer"
+RATE = "be positive and finite"
+
+
+@pytest.mark.parametrize(
+    "name, value, rule",
+    [
+        ("frame_size", True, EVEN),
+        ("frame_size", 255, EVEN),
+        ("frame_size", "256", EVEN),
+        ("hop", True, POSITIVE),
+        ("hop", 0, POSITIVE),
+        ("hop", 1.5, POSITIVE),
+        ("hop", None, POSITIVE),
+        ("sample_rate", True, RATE),
+        ("sample_rate", 0.0, RATE),
+        ("sample_rate", np.inf, RATE),
+        ("sample_rate", np.nan, RATE),
+        ("f_min", True, "be a number"),
+        ("f_min", "300", "be a number"),
+        ("f_max", None, "be a number"),
+    ],
+)
+def test_stft_rejects_bad_numeric_settings(name, value, rule):
+    # a bool is not a number here: hop=True used to run as hop 1
+    settings = {"frame_size": 256, "hop": 128, name: value}
+    with pytest.raises(ValueError) as raised:
+        stft(np.zeros((2048, 2)), **settings)
+    assert str(raised.value) == f"{name} must {rule}, got {value!r}"
+
+
+def test_stft_takes_integer_valued_float_sizes():
+    signal = np.random.default_rng(0).standard_normal((2048, 2))
+    frames = stft(signal, frame_size=256.0, hop=128.0)
+    assert frames.data.tobytes() == stft(signal, frame_size=256, hop=128).data.tobytes()
+
+
 def test_stft_sinusoid_bin_concentration():
     # closed-form DFT: an exact-bin sinusoid with a rectangular window fills
     # only its own bin
