@@ -21,6 +21,10 @@ EPS_POWER = 1e-30
 
 DEFAULT_MVDR_LOADING = 1e-3
 
+# wavenumbers within this many ulps of an arithmetic progression count as
+# evenly spaced, so the band recurrence reproduces exp(j omega_k x)
+_SPACING_ULPS = 8
+
 
 def check_exponent(s, name="exponent s"):
     """ValueError naming ``name`` unless s is a number in (-inf, 1] other
@@ -115,17 +119,48 @@ def power_mean(values, s):
     return c[0] * mean ** (1.0 / s)
 
 
+def common_step(omega):
+    """Spacing of the wavenumbers omega if every omega_k lies within a few
+    ulps of omega_0 + k * step, so the band recurrence
+    exp(j omega_(k+1) x) = exp(j omega_k x) exp(j step x) reproduces
+    exp(j omega_k x) to rounding; None otherwise."""
+    step = (omega[-1] - omega[0]) / max(omega.size - 1, 1)
+    drift = np.max(np.abs(omega - (omega[0] + step * np.arange(omega.size))))
+    return float(step) if drift <= _SPACING_ULPS * np.finfo(float).eps * omega[-1] else None
+
+
+def phasor_table(omega, x, step):
+    """exp(j omega_k x) for every band, shape (K, x.size); meant for a small
+    x, such as the sensor delays of one direction.
+
+    With evenly spaced omega (``step`` from :func:`common_step`) each band
+    is the previous one times exp(j step x): two exp calls and one
+    cumulative product over the bands. Otherwise one exp per entry.
+    """
+    omega = np.asarray(omega, dtype=float)
+    if step is None:
+        return np.exp(np.multiply.outer(1j * omega, x))
+    first, rotate = np.exp(np.multiply.outer((1j * omega[0], 1j * step), x))
+    table = np.empty((omega.size, x.size), dtype=complex)
+    table[0] = first
+    table[1:] = rotate
+    return np.multiply.accumulate(table, axis=0, out=table)
+
+
 def steered_band_powers(specs, geometry, points):
     """Band powers of several cost specs on one (G, 3) batch of directions,
     from one steering pass.
 
-    One band at a time, so memory stays O(G M) beside the outputs: the
-    band's (G, M) steering phasors, built once as cos and sin of omega_k tau
-    written into one reused complex buffer (cheaper than the complex exp of
-    a purely imaginary argument), then for each spec one BLAS product
-    b = a V_k^T and the row sums Re sum_m conj(a_m) b_m. The 1/M of the
-    unit-norm steering vectors is applied once at the end. The specs must
-    share their band frequencies.
+    One band at a time, so memory stays O(G M) beside the outputs. The
+    band's (G, M) steering phasors a = exp(j omega_k tau) live in one reused
+    buffer. On evenly spaced bands (:func:`common_step`, the rule the pair
+    form of ``refine`` reads too) band 0 and the rotation exp(j step tau)
+    are each filled once with cos and sin (cheaper than the complex exp of a
+    purely imaginary argument), and every later band is a *= rot. On other
+    bands every band is its own cos and sin fill. For each spec then one
+    BLAS product b = a V_k^T and the row sums Re sum_m conj(a_m) b_m. The
+    1/M of the unit-norm steering vectors is applied once at the end. The
+    specs must share their band frequencies.
 
     Returns (powers, seconds): powers[i] is the (K, G) band powers of
     specs[i], bit for bit what ``band_powers`` gives for it alone;
@@ -133,6 +168,8 @@ def steered_band_powers(specs, geometry, points):
     of specs[i]'s products, clocked apart inside the band loop, so a caller
     can charge each spec what it would cost alone.
     """
+    if not specs:
+        raise ValueError("steered_band_powers needs at least one cost spec")
     frequencies = specs[0].band_frequencies
     if not all(np.array_equal(spec.band_frequencies, frequencies) for spec in specs):
         raise ValueError("the cost specs must share their band frequencies")
@@ -149,11 +186,23 @@ def steered_band_powers(specs, geometry, points):
     tau = points @ geometry.sensors.T  # (G, M)
     powers = [np.empty((len(omega), tau.shape[0])) for _ in specs]
     phase = np.empty_like(tau)
+
+    def fill(out, w):  # out = exp(j w tau), written as its cos and sin
+        np.multiply(tau, w, out=phase)
+        np.cos(phase, out=out.real)
+        np.sin(phase, out=out.imag)
+
     a = np.empty(tau.shape, dtype=complex)
-    for k in range(len(omega)):
-        np.multiply(tau, omega[k], out=phase)
-        np.cos(phase, out=a.real)
-        np.sin(phase, out=a.imag)
+    step = common_step(omega)
+    rot = None
+    if step is not None and len(omega) > 1:
+        rot = np.empty_like(a)
+        fill(rot, step)
+    for k, w in enumerate(omega):
+        if k and rot is not None:
+            a *= rot
+        else:
+            fill(a, w)
         lap(0)
         for i, (spec, out) in enumerate(zip(specs, powers), 1):
             b = a @ spec.matrices[k].T

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import EPS_POWER, power_mean
+from .estimators import EPS_POWER, common_step, phasor_table, power_mean
 from .manifold import check_number, normalized
 
 GTRS_NORM_TOL = 1e-12
@@ -30,10 +30,6 @@ _TINY = np.finfo(float).tiny
 # about 1e-10 of a power at this level, so switching there cannot break the
 # 1e-9 relative descent guarantee
 _NULL_RTOL = 1e-5
-# wavenumbers within this many ulps of an arithmetic progression count as
-# evenly spaced, so the phasor recurrence of phasor_table reproduces
-# exp(j omega_k x)
-_SPACING_ULPS = 8
 
 
 @dataclass
@@ -75,36 +71,9 @@ class PairCoefficients:
             magnitudes=np.abs(entries),
             diagonal=traces / geometry.num_sensors,
             omega=omega,
-            band_step=_common_step(omega),
+            band_step=common_step(omega),
             s=spec.s,
         )
-
-
-def _common_step(omega):
-    """Spacing of omega if every omega_k lies within a few ulps of
-    omega_0 + k * step, so the phasor recurrence reproduces exp(j omega_k x)
-    to rounding; None otherwise."""
-    step = (omega[-1] - omega[0]) / max(omega.size - 1, 1)
-    drift = np.max(np.abs(omega - (omega[0] + step * np.arange(omega.size))))
-    return float(step) if drift <= _SPACING_ULPS * np.finfo(float).eps * omega[-1] else None
-
-
-def phasor_table(omega, x, step):
-    """exp(j omega_k x) for every band, shape (K, x.size); meant for a small
-    x, such as the sensor delays of one direction.
-
-    With evenly spaced omega (``step`` from :func:`_common_step`) each band
-    is the previous one times exp(j step x): two exp calls and one
-    cumulative product over the bands. Otherwise one exp per entry.
-    """
-    omega = np.asarray(omega, dtype=float)
-    if step is None:
-        return np.exp(np.multiply.outer(1j * omega, x))
-    first, rotate = np.exp(np.multiply.outer((1j * omega[0], 1j * step), x))
-    table = np.empty((omega.size, x.size), dtype=complex)
-    table[0] = first
-    table[1:] = rotate
-    return np.multiply.accumulate(table, axis=0, out=table)
 
 
 @dataclass

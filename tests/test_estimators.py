@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,12 @@ import doakit.estimators
 from doakit.estimators import (
     CostSpec,
     band_powers,
+    common_step,
     gershgorin_shift,
     grid_search,
     music_cost_spec,
     mvdr_cost_spec,
+    pick_peaks,
     power_mean,
     srp_cost_spec,
     steered_band_powers,
@@ -361,9 +365,9 @@ def test_grid_search_two_sources():
 
 
 # evenly spaced STFT bands (16 kHz; 256-point frames in 300-3500 Hz and
-# every band of 2048-point frames) and sorted random ones: band_powers takes
-# one exp per band whatever the spacing, the pair expansion's phasor table
-# (test_refine) takes the band recurrence on the evenly spaced ones
+# every band of 2048-point frames) and sorted random ones: band_powers and
+# the pair expansion's phasor table (test_refine) take the band recurrence on
+# the evenly spaced ones and one cos and sin (or exp) per band on the others
 FREQUENCY_KINDS = {
     "stft-52": np.arange(5, 57) * 62.5,
     "stft-1025": np.arange(1025) * 16000.0 / 2048,
@@ -398,7 +402,8 @@ def test_band_powers_matches_steering_loop(kind, num_points):
 
 
 def _band_powers_band_by_band(spec, geometry, points):
-    # reference: one spec's band loop written out, conj(a) taken per band
+    # reference: one spec's band loop written out, cos and sin of every band
+    # and conj(a) taken per band
     omega = geometry.wavenumbers(spec.band_frequencies)
     tau = points @ geometry.sensors.T
     out = np.empty((spec.num_bands, points.shape[0]))
@@ -414,7 +419,8 @@ def _band_powers_band_by_band(spec, geometry, points):
 @pytest.mark.parametrize("num_points", [100, 1000])
 def test_steered_band_powers_equal_band_powers_bit_for_bit(spacing, num_points):
     # one steering pass for srp, srp-phat, music and mvdr gives each spec the
-    # bits band_powers gives it alone
+    # bits band_powers gives it alone, and the per-band cos and sin reference
+    # to rounding, which the band recurrence changes
     geom = random_geometry(num_sensors=12, seed=0)
     scene = Scene(geom, random_sources(np.random.default_rng(3), 2, np.radians(30.0)),
                   snr_db=10.0, seed=3)
@@ -430,7 +436,9 @@ def test_steered_band_powers_equal_band_powers_bit_for_bit(spacing, num_points):
     assert len(powers) == 4 and len(seconds) == 5 and min(seconds) > 0.0
     for spec, got in zip(specs, powers):
         assert np.array_equal(got, band_powers(spec, geom, points))
-        assert np.array_equal(got, _band_powers_band_by_band(spec, geom, points))
+        scale = np.trace(spec.matrices, axis1=1, axis2=2).real / geom.num_sensors
+        expected = _band_powers_band_by_band(spec, geom, points)
+        assert np.max(np.abs(got - expected) / scale[:, None]) <= 1e-12
 
 
 def test_steered_band_powers_rejects_specs_on_other_bands():
@@ -439,6 +447,45 @@ def test_steered_band_powers_rejects_specs_on_other_bands():
     b = CostSpec(np.eye(4, dtype=complex)[None], [200.0], s=-1.0)
     with pytest.raises(ValueError, match="share their band frequencies"):
         steered_band_powers([a, b], geom, fibonacci_grid(10).points)
+
+
+def test_steered_band_powers_needs_a_spec():
+    with pytest.raises(ValueError, match="at least one cost spec"):
+        steered_band_powers([], random_geometry(num_sensors=4, seed=0),
+                            fibonacci_grid(10).points)
+
+
+@functools.cache
+def _scene_covariances(num_sources):
+    # one fixed 12-mic scene per source count, the front ends of every estimator
+    geom = random_geometry(num_sensors=12, seed=0)
+    scene = Scene(geom, random_sources(np.random.default_rng(40 + num_sources), num_sources,
+                                       np.radians(30.0)), snr_db=10.0, seed=num_sources)
+    frames = synth_stft_scene(scene, frame_size=256, num_frames=40)
+    return geom, {e: estimator_covariance(frames, e) for e in ("srp-phat", "music", "mvdr")}
+
+
+@pytest.mark.parametrize("num_sources", [1, 2, 3])
+@pytest.mark.parametrize("estimator", ["srp-phat", "music", "mvdr"])
+def test_grid_search_picks_what_per_band_cos_and_sin_picks(estimator, num_sources):
+    # the band recurrence moves band powers by rounding only, so grid_search
+    # picks the grid points the per-band cos and sin reference picks; the
+    # srp-phat L = 1 scene is also searched on uneven bands, cos and sin's path
+    geom, covariances = _scene_covariances(num_sources)
+    cov = covariances[estimator]
+    spacings = {"even": cov.band_frequencies}
+    if (estimator, num_sources) == ("srp-phat", 1):
+        spacings["uneven"] = FREQUENCY_KINDS["uneven"]
+    for spacing, freqs in spacings.items():
+        assert (common_step(geom.wavenumbers(freqs)) is None) == (spacing == "uneven")
+        spec = build_cost_spec(CovarianceSet(cov.matrices, freqs), estimator, -3.0,
+                               num_sources=num_sources)
+        for size in (100, 1000, 10_000):
+            grid = fibonacci_grid(size)
+            reference = power_mean(_band_powers_band_by_band(spec, geom, grid.points), spec.s)
+            expected = pick_peaks(reference, grid, num_sources, np.radians(10.0))
+            peaks = grid_search(spec, geom, grid, num_sources=num_sources)
+            np.testing.assert_array_equal([p[0] for p in peaks], [p[0] for p in expected])
 
 
 def _select_by_pair_loop(values, grid, num_sources, min_separation):
