@@ -58,9 +58,10 @@ class PairCoefficients:
         pairs = np.array(np.triu_indices(geometry.num_sensors, k=1))
         deltas = geometry.sensors[pairs[0]] - geometry.sensors[pairs[1]]
         omega = geometry.wavenumbers(spec.band_frequencies)
-        # fancy indexing leaves the band axis innermost; (K, P) rows keep the
-        # per-step arithmetic on contiguous memory
-        entries = np.ascontiguousarray(spec.matrices[:, pairs[0], pairs[1]])
+        # fancy indexing leaves the band axis innermost, as it does for the
+        # pair phasors of pair_band_powers; in that one layout the per-step
+        # products with the entries run on contiguous memory
+        entries = spec.matrices[:, pairs[0], pairs[1]]
         traces = np.trace(spec.matrices, axis1=1, axis2=2).real
         return cls(
             sensors=geometry.sensors,
@@ -144,10 +145,14 @@ def surrogate_system(coeffs, q_hat, evaluated):
     beta = _band_weights(powers, coeffs.s, mean)  # (K,) >= 0
 
     sin_part = phasors.imag  # u sin(phi0)
-    phi0 = np.arctan2(sin_part, phasors.real)
+    # arctan2 and the division run on contiguous copies of the interleaved
+    # views, in half the time; the product with scale below keeps the view,
+    # since BLAS would sum a contiguous copy in another order
+    sin_copy = sin_part.copy(order="K")
+    phi0 = np.arctan2(sin_copy, phasors.real.copy(order="K"))
     # phi0 = 0 only where u sin(phi0) = 0 too; there sinc(0) = 1 gives u_hat = u
     with np.errstate(invalid="ignore"):
-        u_hat = sin_part / phi0
+        u_hat = sin_copy / phi0
     np.copyto(u_hat, coeffs.magnitudes, where=phi0 == 0.0)
 
     # the cosine expansion carries 2/M and the cosine bound carries 1/2; with
@@ -287,6 +292,10 @@ def refine(spec, geometry, q0, variant="quadratic", max_iters=30, rel_tol=1e-10)
     decrease falls below ``rel_tol`` on two consecutive steps; ``rel_tol``
     = 0 stops only once the objective no longer decreases. ``evaluations``
     counts every objective evaluation, rejected extrapolations included.
+
+    ``spec`` is a cost spec or its :class:`PairCoefficients` on this
+    geometry, which a caller refining several starts of one spec builds
+    once.
     """
     if variant not in ("quadratic", "linear"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -294,7 +303,8 @@ def refine(spec, geometry, q0, variant="quadratic", max_iters=30, rel_tol=1e-10)
     check_number(max_iters, "max_iters", "be an integer", lambda v: v % 1 == 0)
     check_number(rel_tol, "rel_tol", "be a finite non-negative number",
                  lambda v: 0.0 <= v < np.inf)
-    coeffs = PairCoefficients.from_cost_spec(spec, geometry)
+    coeffs = (spec if isinstance(spec, PairCoefficients)
+              else PairCoefficients.from_cost_spec(spec, geometry))
     q = normalized(q0)
     # each objective evaluation's phasors and mean build the next surrogate
     evaluated = pair_band_powers(coeffs, q)

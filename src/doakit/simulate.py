@@ -23,7 +23,7 @@ from .estimators import (
     steered_band_powers,
 )
 from .manifold import ArrayGeometry, check_number, fibonacci_grid, great_circle_distance
-from .refine import RefinementTrace, refine
+from .refine import PairCoefficients, RefinementTrace, refine
 from .spectral import (
     SpectralFrames,
     apply_weighting,
@@ -453,7 +453,8 @@ def refine_peaks(spec, geometry, peaks, *, variant, max_iters, rel_tol=1e-10):
     and ``MonteCarloConfig`` run ``_check_settings``."""
     if variant == "none" or max_iters == 0:
         return [RefinementTrace(iterates=[q0], objectives=[value]) for q0, value in peaks]
-    return [refine(spec, geometry, q0, variant=variant, max_iters=max_iters, rel_tol=rel_tol)
+    coeffs = PairCoefficients.from_cost_spec(spec, geometry)
+    return [refine(coeffs, geometry, q0, variant=variant, max_iters=max_iters, rel_tol=rel_tol)
             for q0, _ in peaks]
 
 

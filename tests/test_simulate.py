@@ -13,7 +13,7 @@ from doakit.manifold import (
     great_circle_distance,
     random_geometry,
 )
-from doakit.refine import refine
+from doakit.refine import PairCoefficients, refine
 from doakit.simulate import (
     CELL_FIELDS,
     MonteCarloConfig,
@@ -295,6 +295,24 @@ def test_locate_sources_returns_refine_traces_of_grid_peaks():
         np.testing.assert_array_equal(trace.iterates, [q0])
         np.testing.assert_array_equal(trace.objectives, [value])
         assert trace.converged_at is None
+
+
+def test_refine_peaks_builds_one_pair_form_for_all_peaks(monkeypatch):
+    builds = []
+    build = PairCoefficients.from_cost_spec.__func__
+
+    def counted(cls, spec, geometry):
+        builds.append(spec)
+        return build(cls, spec, geometry)
+
+    monkeypatch.setattr(PairCoefficients, "from_cost_spec", classmethod(counted))
+    sources = np.array([unit([1.0, 0.2, 0.3]), unit([-0.3, 1.0, -0.2]), unit([0.1, -0.4, 1.0])])
+    frames = synth_stft_scene(Scene(GEOM, sources, snr_db=20.0, seed=4),
+                              frame_size=256, num_frames=50)
+    traces = locate_sources(estimator_covariance(frames, "srp-phat"), GEOM, fibonacci_grid(100),
+                            estimator="srp-phat", s=-3.0, num_sources=3, variant="linear",
+                            max_iters=5, min_separation_rad=np.radians(10.0))
+    assert len(traces) == 3 and len(builds) == 1
 
 
 def _located(cov, geometry, estimator, variant):
