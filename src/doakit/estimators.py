@@ -8,7 +8,6 @@ with Hermitian PSD matrices V_k. Estimators that are natively maximizations
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,10 +65,10 @@ def srp_cost_spec(cov, s=-3.0):
 def music_cost_spec(cov, num_sources, s=-1.0):
     """Noise-subspace projector cost (MUSIC)."""
     m = cov.num_sensors
-    if not 1 <= num_sources < m:
-        raise ValueError("num_sources must satisfy 1 <= L < M")
+    check_number(num_sources, "num_sources", f"be an integer with 1 <= L < M = {m}",
+                 lambda v: 1 <= v < m and v % 1 == 0)
     _, vecs = np.linalg.eigh(cov.matrices)  # ascending eigenvalues, per band
-    noise = vecs[..., : m - num_sources]
+    noise = vecs[..., : m - int(num_sources)]
     return CostSpec(
         matrices=noise @ np.swapaxes(noise.conj(), 1, 2),
         band_frequencies=cov.band_frequencies,
@@ -147,44 +146,23 @@ def phasor_table(omega, x, step):
     return np.multiply.accumulate(table, axis=0, out=table)
 
 
-def steered_band_powers(specs, geometry, points):
-    """Band powers of several cost specs on one (G, 3) batch of directions,
-    from one steering pass.
+def band_powers(spec, geometry, points):
+    """Quadratic forms a_k(q)^H V_k a_k(q), shape (K, G), for a (G, 3) batch
+    of directions: the one grid pass of locate, Monte Carlo and the tests.
 
-    One band at a time, so memory stays O(G M) beside the outputs. The
-    band's (G, M) steering phasors a = exp(j omega_k tau) live in one reused
-    buffer. On evenly spaced bands (:func:`common_step`, the rule the pair
-    form of ``refine`` reads too) band 0 and the rotation exp(j step tau)
-    are each filled once with cos and sin (cheaper than the complex exp of a
-    purely imaginary argument), and every later band is a *= rot. On other
-    bands every band is its own cos and sin fill. For each spec then one
-    BLAS product b = a V_k^T and the row sums Re sum_m conj(a_m) b_m. The
-    1/M of the unit-norm steering vectors is applied once at the end. The
-    specs must share their band frequencies.
-
-    Returns (powers, seconds): powers[i] is the (K, G) band powers of
-    specs[i], bit for bit what ``band_powers`` gives for it alone;
-    seconds[0] is the time of the phasor pass and seconds[1 + i] the time
-    of specs[i]'s products, clocked apart inside the band loop, so a caller
-    can charge each spec what it would cost alone.
+    One band at a time, so memory stays O(G M) beside the output. The band's
+    (G, M) steering phasors a = exp(j omega_k tau) live in one reused buffer.
+    On evenly spaced bands (:func:`common_step`, the rule the pair form of
+    ``refine`` reads too) band 0 and the rotation exp(j step tau) are each
+    filled once with cos and sin (cheaper than the complex exp of a purely
+    imaginary argument), and every later band is a *= rot. On other bands
+    every band is its own cos and sin fill. Then one BLAS product
+    b = a V_k^T and the row sums Re sum_m conj(a_m) b_m. The 1/M of the
+    unit-norm steering vectors is applied once at the end.
     """
-    if not specs:
-        raise ValueError("steered_band_powers needs at least one cost spec")
-    frequencies = specs[0].band_frequencies
-    if not all(np.array_equal(spec.band_frequencies, frequencies) for spec in specs):
-        raise ValueError("the cost specs must share their band frequencies")
-    seconds = [0.0] * (1 + len(specs))
-    last = time.perf_counter()
-
-    def lap(i):  # charge the time since the last lap to seconds[i]
-        nonlocal last
-        now = time.perf_counter()
-        seconds[i] += now - last
-        last = now
-
-    omega = geometry.wavenumbers(frequencies)
+    omega = geometry.wavenumbers(spec.band_frequencies)
     tau = points @ geometry.sensors.T  # (G, M)
-    powers = [np.empty((len(omega), tau.shape[0])) for _ in specs]
+    powers = np.empty((len(omega), tau.shape[0]))
     phase = np.empty_like(tau)
 
     def fill(out, w):  # out = exp(j w tau), written as its cos and sin
@@ -203,21 +181,9 @@ def steered_band_powers(specs, geometry, points):
             a *= rot
         else:
             fill(a, w)
-        lap(0)
-        for i, (spec, out) in enumerate(zip(specs, powers), 1):
-            b = a @ spec.matrices[k].T
-            out[k] = np.einsum("gm,gm->g", a.conj(), b).real
-            lap(i)
-    for i, out in enumerate(powers, 1):
-        out /= geometry.num_sensors
-        lap(i)
-    return powers, seconds
-
-
-def band_powers(spec, geometry, points):
-    """Quadratic forms a_k(q)^H V_k a_k(q), shape (K, G), for a (G, 3) batch
-    of directions: ``steered_band_powers`` of the one spec."""
-    (powers,), _ = steered_band_powers([spec], geometry, points)
+        b = a @ spec.matrices[k].T
+        powers[k] = np.einsum("gm,gm->g", a.conj(), b).real
+    powers /= geometry.num_sensors
     return powers
 
 
@@ -243,6 +209,7 @@ def pick_peaks(values, grid, num_sources, min_separation):
     that far apart.
     """
     check_number(num_sources, "num_sources", "be at least 1", lambda v: v >= 1)
+    check_number(num_sources, "num_sources", "be an integer", lambda v: v % 1 == 0)
     check_number(min_separation, "min_separation", "be a finite non-negative number",
                  lambda v: 0.0 <= v < np.inf)
 

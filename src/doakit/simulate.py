@@ -13,6 +13,7 @@ import numpy as np
 
 from .estimators import (
     DEFAULT_MVDR_LOADING,
+    band_powers,
     check_exponent,
     grid_search,
     music_cost_spec,
@@ -20,7 +21,6 @@ from .estimators import (
     pick_peaks,
     power_mean,
     srp_cost_spec,
-    steered_band_powers,
 )
 from .manifold import ArrayGeometry, check_number, fibonacci_grid, great_circle_distance
 from .refine import PairCoefficients, RefinementTrace, refine
@@ -421,6 +421,8 @@ def _check_settings(estimator, variant, num_sources, max_iters, rel_tol, mvdr_lo
         raise ValueError(f"unknown variant {variant!r}")
     check_number(num_sources, "num_sources", "be at least 1", lambda v: v >= 1)
     check_number(max_iters, "max_iters", "be non-negative", lambda v: v >= 0)
+    for name, value in (("num_sources", num_sources), ("max_iters", max_iters)):
+        check_number(value, name, "be an integer", lambda v: v % 1 == 0)
     for name, value in (("rel_tol", rel_tol), ("mvdr_loading", mvdr_loading),
                         ("min_separation", min_separation)):
         check_number(value, name, "be a finite non-negative number",
@@ -465,7 +467,8 @@ def locate_sources(cov, geometry, grid, *, estimator, s, num_sources, variant,
     the cost spec, search the grid, then ``refine_peaks``. Returns one
     RefinementTrace per source in peak order, whose last iterate is the
     direction. Raises ValueError naming the setting for an unknown estimator
-    or variant, a num_sources below 1, a negative max_iters, or a rel_tol,
+    or variant, a num_sources below 1, a negative max_iters, a count that is
+    not an integer (2 and 2.0 are, 2.5 is not), or a rel_tol,
     mvdr_loading or min_separation_rad outside [0, inf), whatever the
     estimator and variant, and LinAlgError when the covariance is non-finite
     or zero in every band."""
@@ -534,19 +537,19 @@ def paired_trial(config, snr_index, trial):
 
 
 def search_grid(config, paired, grid):
-    """Every (estimator, s) search of a paired trial on one grid, from one
-    steering pass; fills ``paired.searches`` for each.
+    """Every (estimator, s) search of a paired trial on one grid; fills
+    ``paired.searches`` for each.
 
     Each estimator's cost spec is built once per trial, on its first grid,
     and kept in ``paired.specs``: a spec depends on neither the grid nor s,
-    which enters only the power mean. ``steered_band_powers`` gives every
-    spec's band powers from one set of steering phasors. Each s then takes
-    its power mean and picks its peaks with ``pick_peaks``, which gives what
+    which enters only the power mean. One ``band_powers`` call per
+    estimator gives its band powers on the grid, and each s takes their
+    power mean and picks its peaks with ``pick_peaks``, which gives what
     ``grid_search`` gives with the same spec. A search's seconds are what it
-    would cost on its own: the phasor pass, its estimator's spec build (on
-    every grid, though the trial ran it once) and products, and its own
-    power mean and pick, never another estimator's share. The band powers
-    are dropped on return."""
+    would cost on its own: its estimator's spec build (on every grid, though
+    the trial ran it once) and ``band_powers`` call, and its own power mean
+    and pick. The band powers are dropped on return."""
+    separation = np.radians(config.min_separation_deg)
     for estimator in config.estimators:
         if estimator not in paired.specs:
             start = time.perf_counter()
@@ -555,17 +558,15 @@ def search_grid(config, paired, grid):
                 config.num_sources, config.mvdr_loading,
             )
             paired.specs[estimator] = (spec, time.perf_counter() - start)
-    specs, build_seconds = zip(*(paired.specs[e] for e in config.estimators))
-    powers, seconds = steered_band_powers(specs, config.geometry, grid.points)
-    for estimator, spec, spec_powers, built, products in zip(
-            config.estimators, specs, powers, build_seconds, seconds[1:]):
+        spec, built = paired.specs[estimator]
+        start = time.perf_counter()
+        powers = band_powers(spec, config.geometry, grid.points)
+        shared = built + time.perf_counter() - start
         for s in config.s_values:
             start = time.perf_counter()
-            peaks = pick_peaks(power_mean(spec_powers, s), grid, config.num_sources,
-                               np.radians(config.min_separation_deg))
+            peaks = pick_peaks(power_mean(powers, s), grid, config.num_sources, separation)
             paired.searches[(estimator, s, grid.size)] = (
-                replace(spec, s=s), peaks,
-                seconds[0] + built + products + time.perf_counter() - start,
+                replace(spec, s=s), peaks, shared + time.perf_counter() - start,
             )
 
 

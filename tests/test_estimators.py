@@ -15,7 +15,6 @@ from doakit.estimators import (
     pick_peaks,
     power_mean,
     srp_cost_spec,
-    steered_band_powers,
 )
 from doakit.manifold import (
     ArrayGeometry,
@@ -142,6 +141,14 @@ def test_music_rejects_too_many_sources():
     cov = CovarianceSet(np.stack([np.eye(3, dtype=complex)]), np.array([500.0]))
     with pytest.raises(ValueError):
         music_cost_spec(cov, num_sources=3)
+
+
+@pytest.mark.parametrize("num_sources", [1.5, np.float64(2.5), np.inf, True])
+def test_music_rejects_a_non_integer_source_count(num_sources):
+    cov = CovarianceSet(np.stack([np.eye(4, dtype=complex)]), np.array([500.0]))
+    with pytest.raises(ValueError, match="num_sources must be an integer with 1 <= L < M"):
+        music_cost_spec(cov, num_sources=num_sources)
+    assert music_cost_spec(cov, num_sources=2.0).matrices.shape == (1, 4, 4)
 
 
 @pytest.mark.parametrize("loading", [np.nan, np.inf, -1e-3, True, "1e-3", None])
@@ -417,9 +424,8 @@ def _band_powers_band_by_band(spec, geometry, points):
 
 @pytest.mark.parametrize("spacing", ["even", "uneven"])
 @pytest.mark.parametrize("num_points", [100, 1000])
-def test_steered_band_powers_equal_band_powers_bit_for_bit(spacing, num_points):
-    # one steering pass for srp, srp-phat, music and mvdr gives each spec the
-    # bits band_powers gives it alone; on uneven bands, one cos and sin per
+def test_band_powers_equal_band_by_band_reference(spacing, num_points):
+    # for srp, srp-phat, music and mvdr: on uneven bands, one cos and sin per
     # band, the bits of the per-band cos and sin reference, and on evenly
     # spaced bands that reference to rounding, which the band recurrence
     # changes
@@ -427,37 +433,19 @@ def test_steered_band_powers_equal_band_powers_bit_for_bit(spacing, num_points):
     scene = Scene(geom, random_sources(np.random.default_rng(3), 2, np.radians(30.0)),
                   snr_db=10.0, seed=3)
     frames = synth_stft_scene(scene, frame_size=256, num_frames=40)
-    specs = []
+    points = fibonacci_grid(num_points).points
     for estimator in ("srp", "srp-phat", "music", "mvdr"):
         cov = estimator_covariance(frames, estimator)
         if spacing == "uneven":
             cov = CovarianceSet(cov.matrices, FREQUENCY_KINDS["uneven"])
-        specs.append(build_cost_spec(cov, estimator, -3.0, num_sources=2))
-    points = fibonacci_grid(num_points).points
-    powers, seconds = steered_band_powers(specs, geom, points)
-    assert len(powers) == 4 and len(seconds) == 5 and min(seconds) > 0.0
-    for spec, got in zip(specs, powers):
-        assert np.array_equal(got, band_powers(spec, geom, points))
+        spec = build_cost_spec(cov, estimator, -3.0, num_sources=2)
+        got = band_powers(spec, geom, points)
         expected = _band_powers_band_by_band(spec, geom, points)
         if spacing == "uneven":
             assert np.array_equal(got, expected)
         else:
             scale = np.trace(spec.matrices, axis1=1, axis2=2).real / geom.num_sensors
             assert np.max(np.abs(got - expected) / scale[:, None]) <= 1e-12
-
-
-def test_steered_band_powers_rejects_specs_on_other_bands():
-    geom = random_geometry(num_sensors=4, seed=0)
-    a = CostSpec(np.eye(4, dtype=complex)[None], [100.0], s=-1.0)
-    b = CostSpec(np.eye(4, dtype=complex)[None], [200.0], s=-1.0)
-    with pytest.raises(ValueError, match="share their band frequencies"):
-        steered_band_powers([a, b], geom, fibonacci_grid(10).points)
-
-
-def test_steered_band_powers_needs_a_spec():
-    with pytest.raises(ValueError, match="at least one cost spec"):
-        steered_band_powers([], random_geometry(num_sensors=4, seed=0),
-                            fibonacci_grid(10).points)
 
 
 @functools.cache
@@ -534,6 +522,14 @@ def test_grid_search_selection_matches_pair_loop(num_sources, separation):
     peaks = grid_search(spec, geom, grid, num_sources=num_sources, min_separation=min_sep)
     np.testing.assert_array_equal([p[0] for p in peaks], grid.points[expected])
     np.testing.assert_array_equal([p[1] for p in peaks], values[expected])
+
+
+@pytest.mark.parametrize("num_sources", [2.5, np.float64(1.5), np.inf])
+def test_grid_search_rejects_a_non_integer_source_count(num_sources):
+    geom = random_geometry(num_sensors=6, seed=8)
+    with pytest.raises(ValueError, match="num_sources must be an integer"):
+        grid_search(_three_band_spec(), geom, fibonacci_grid(100), num_sources=num_sources)
+    assert len(grid_search(_three_band_spec(), geom, fibonacci_grid(100), num_sources=2.0)) == 2
 
 
 @pytest.mark.parametrize("separation", [np.nan, np.inf, -0.1, True, "0.1", None])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import doakit.simulate
-from doakit.estimators import band_powers, grid_search, pick_peaks, steered_band_powers
+from doakit.estimators import band_powers, grid_search, pick_peaks
 from doakit.manifold import (
     ArrayGeometry,
     fibonacci_grid,
@@ -315,6 +315,30 @@ def test_refine_peaks_builds_one_pair_form_for_all_peaks(monkeypatch):
     assert len(traces) == 3 and len(builds) == 1
 
 
+@pytest.mark.parametrize(
+    "estimator, variant, name, value",
+    [
+        ("srp-phat", "quadratic", "num_sources", 2.5),
+        ("music", "quadratic", "num_sources", 2.5),
+        ("mvdr", "linear", "num_sources", np.float64(1.5)),
+        ("music", "none", "max_iters", 2.5),
+    ],
+)
+def test_locate_sources_rejects_non_integer_counts(estimator, variant, name, value):
+    # 2.5 sources is neither 2 nor 3 traces, whatever the estimator, and an
+    # unrefined variant takes no fractional step count either; 2.0 is 2
+    frames = synth_stft_scene(Scene(GEOM, INVARIANCE_SOURCES, snr_db=20.0, seed=3),
+                              frame_size=256, num_frames=20)
+    cov = estimator_covariance(frames, estimator)
+    settings = dict(estimator=estimator, s=-3.0, num_sources=2, variant=variant, max_iters=3,
+                    min_separation_rad=np.radians(10.0))
+    grid = fibonacci_grid(100)
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        locate_sources(cov, GEOM, grid, **{**settings, name: value})
+    traces = locate_sources(cov, GEOM, grid, **{**settings, name: float(settings[name])})
+    assert len(traces) == 2
+
+
 def _located(cov, geometry, estimator, variant):
     traces = locate_sources(cov, geometry, fibonacci_grid(200), estimator=estimator,
                             s=-3.0, num_sources=2, variant=variant, max_iters=30,
@@ -502,20 +526,31 @@ def test_monte_carlo_rows_and_determinism():
 
 def test_monte_carlo_cell_rows_do_not_depend_on_the_rest_of_the_sweep():
     # a cell scores the same scenes, and so writes the same rows, whatever
-    # else the sweep holds at its SNR
+    # else the sweep holds at its SNR: every cell of a three-estimator sweep
+    # writes the rows it writes in its estimator's sweep alone, so no state
+    # leaks from one estimator's search to the next, and one cell writes the
+    # rows of a sweep of that cell alone
+    def rows(result, key):
+        return [r for r in result.rows if tuple(r[f] for f in CELL_FIELDS) == key]
+
+    axes = dict(num_sources=2, s_values=(1.0, -3.0), grid_sizes=(100, 400),
+                variants=("none", "linear", "quadratic"), iteration_counts=(0, 10))
+    crowded = monte_carlo(_small_config(estimators=("music", "srp-phat", "mvdr"), **axes))
+    assert len(crowded.medians) == 72
+    for estimator in ("music", "srp-phat", "mvdr"):
+        alone = monte_carlo(_small_config(estimators=(estimator,), **axes))
+        assert len(alone.medians) == 24
+        for key, median in alone.medians.items():
+            assert rows(crowded, key) == rows(alone, key)
+            assert crowded.medians[key] == median
     key = ("srp-phat", -3.0, 400, "quadratic", 10, 20.0)
-    alone = monte_carlo(_small_config(num_sources=2))
-    crowded = monte_carlo(_small_config(
-        num_sources=2, estimators=("music", "srp-phat"), s_values=(1.0, -3.0),
-        grid_sizes=(100, 400), variants=("none", "linear", "quadratic"),
-        iteration_counts=(0, 10)))
-    assert len(crowded.medians) == 48
-    assert [r for r in crowded.rows if tuple(r[f] for f in CELL_FIELDS) == key] == alone.rows
-    assert crowded.medians[key] == alone.medians[key]
+    single = monte_carlo(_small_config(num_sources=2))
+    assert rows(crowded, key) == single.rows
+    assert crowded.medians[key] == single.medians[key]
 
 
 def test_monte_carlo_synthesizes_and_searches_once_per_pairing(monkeypatch):
-    calls = {"synth": 0, "steer": 0, "pick": 0}
+    calls = {"synth": 0, "powers": 0, "pick": 0}
 
     def counted(name, function):
         def wrapper(*args, **kwargs):
@@ -524,8 +559,7 @@ def test_monte_carlo_synthesizes_and_searches_once_per_pairing(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(doakit.simulate, "synth_stft_scene", counted("synth", synth_stft_scene))
-    monkeypatch.setattr(doakit.simulate, "steered_band_powers",
-                        counted("steer", steered_band_powers))
+    monkeypatch.setattr(doakit.simulate, "band_powers", counted("powers", band_powers))
     monkeypatch.setattr(doakit.simulate, "pick_peaks", counted("pick", pick_peaks))
     config = _small_config(
         estimators=("srp-phat", "mvdr"), s_values=(-3.0, 1.0), grid_sizes=(100, 200),
@@ -533,9 +567,9 @@ def test_monte_carlo_synthesizes_and_searches_once_per_pairing(monkeypatch):
         snr_values=(10.0, 20.0), num_trials=2)
     result = monte_carlo(config)
     assert len(result.medians) == 2 * 2 * 2 * 3 * 2 * 2
-    # one scene per (SNR, trial), one phasor pass per (SNR, trial, grid) and
-    # one pick per (estimator, s, grid, SNR, trial)
-    assert calls == {"synth": 2 * 2, "steer": 2 * 2 * 2, "pick": 2 * 2 * 2 * 2 * 2}
+    # one scene per (SNR, trial), one band_powers call per (SNR, trial, grid,
+    # estimator) and one pick per (estimator, s, grid, SNR, trial)
+    assert calls == {"synth": 2 * 2, "powers": 2 * 2 * 2 * 2, "pick": 2 * 2 * 2 * 2 * 2}
 
 
 def test_monte_carlo_builds_each_spec_once_per_trial(monkeypatch):
