@@ -284,13 +284,13 @@ def refine(spec, geometry, q0, variant="quadratic", max_iters=30, rel_tol=1e-10)
     :func:`_squarem_point` is evaluated once and accepted only if its
     objective is no higher than q2's, and the next cycle starts from q2 or
     from the accepted point. A cycle whose last map already decreased the
-    objective by less than ``rel_tol`` is not extrapolated.
+    objective by no more than ``rel_tol`` is not extrapolated.
 
     A step is an MM map or an accepted extrapolation; the trace records
     every step, so its objectives never rise, and holds at most
     ``max_iters`` of them. Stops there or once the relative objective
-    decrease falls below ``rel_tol`` on two consecutive steps; ``rel_tol``
-    = 0 stops only once the objective no longer decreases. ``evaluations``
+    decrease is at most ``rel_tol`` on two consecutive steps; ``rel_tol``
+    = 0 stops once the objective no longer decreases. ``evaluations``
     counts every objective evaluation, rejected extrapolations included.
 
     ``spec`` is a cost spec or its :class:`PairCoefficients` on this
@@ -337,7 +337,7 @@ def refine(spec, geometry, q0, variant="quadratic", max_iters=30, rel_tol=1e-10)
         trace.iterates.append(q)
         trace.objectives.append(new_obj)
         decrease = (obj - new_obj) / max(abs(obj), _TINY)
-        slow = slow + 1 if decrease < rel_tol else 0
+        slow = slow + 1 if decrease <= rel_tol else 0
         if slow >= 2:
             trace.converged_at = len(trace.objectives) - 1
             break

@@ -116,19 +116,19 @@ def synth_stft_scene(scene, frame_size=512, num_frames=100, f_min=300.0, f_max=3
     Source coefficients are i.i.d. complex Gaussian with unit variance on
     average; a nonzero scene.band_gain_spread_db redistributes each source's
     power across the kept bands (unit mean square preserved). Noise is
-    complex Gaussian with power set from scene.snr_db. Every band is drawn,
-    kept or not, so a kept band's row does not depend on the range.
+    complex Gaussian with power set from scene.snr_db.
+
+    The signal, noise and gain streams are each read band by band, from band
+    0 up to the last kept band and no further, with a band's real and
+    imaginary parts side by side. So a band's draws depend only on the seed
+    and its index, and a kept band's row does not depend on the range.
     Deterministic given scene.seed.
     """
     geom = scene.geometry
-    m = geom.num_sensors
+    m, num_sources = geom.num_sensors, scene.num_sources
     sig_ss, noise_ss, gain_ss = np.random.SeedSequence(scene.seed).spawn(3)
-    sig_rng = np.random.default_rng(sig_ss)
-    noise_rng = np.random.default_rng(noise_ss)
-    gain_rng = np.random.default_rng(gain_ss)
 
     freqs = frame_frequencies(frame_size, scene.sample_rate)
-    num_bands = len(freqs)
     kept = band_range(freqs, f_min, f_max)
     freqs = freqs[kept]
     omega = geom.wavenumbers(freqs)
@@ -137,31 +137,33 @@ def synth_stft_scene(scene, frame_size=512, num_frames=100, f_min=300.0, f_max=3
     tau = geom.sensors @ scene.sources.T  # (M, L)
     steering = np.exp(1j * omega[:, None, None] * tau[None]) / np.sqrt(m)
 
-    shape = (num_bands, num_frames, scene.num_sources)
-    y = (sig_rng.standard_normal(shape) + 1j * sig_rng.standard_normal(shape)) / np.sqrt(2.0)
-    y = y[kept]
-    if scene.band_gain_spread_db > 0.0 and scene.num_sources > 0:
+    # bands 0 .. kept.stop - 1 of each stream, each row read as complex
+    drawn = (kept.stop, num_frames)
+    sig_rng = np.random.default_rng(sig_ss)
+    y = sig_rng.standard_normal((*drawn, 2 * num_sources)).view(complex)[kept]
+    y /= np.sqrt(2.0)
+    if scene.band_gain_spread_db > 0.0 and num_sources > 0:
+        gain_rng = np.random.default_rng(gain_ss)
         gains = 10.0 ** (
-            scene.band_gain_spread_db
-            * gain_rng.standard_normal((num_bands, scene.num_sources))
+            scene.band_gain_spread_db * gain_rng.standard_normal((kept.stop, num_sources))[kept]
             / 20.0
-        )[kept]
+        )
         gains /= np.sqrt(np.mean(gains ** 2, axis=0, keepdims=True))
-        y = y * gains[:, None, :]
-    x = y @ np.swapaxes(steering, 1, 2)  # (K, N, L) @ (K, L, M)
+        y *= gains[:, None, :]
+    signal = y @ np.swapaxes(steering, 1, 2)  # (K, N, L) @ (K, L, M)
 
     # unit-norm steering vectors give each source power 1/M at a sensor
-    sigma2 = _noise_variance(scene.snr_db, scene.num_sources) / m
-    if sigma2 > 0.0:
-        # the real noise draw of every band, then the imaginary one, into one
-        # reused buffer whose kept rows are scaled and added in place
-        scale = np.sqrt(sigma2 / 2.0)
-        draw = np.empty((num_bands, num_frames, m))
-        for part in (x.real, x.imag):
-            noise_rng.standard_normal(out=draw)
-            noise = draw[kept]
-            noise *= scale
-            part += noise
+    sigma2 = _noise_variance(scene.snr_db, num_sources) / m
+    if sigma2 == 0.0:
+        return SpectralFrames(data=signal, band_frequencies=freqs)
+    # the noise is drawn into the output's own buffer, whose kept rows are
+    # scaled and take the signal in place
+    noise_rng = np.random.default_rng(noise_ss)
+    buffer = np.empty((*drawn, 2 * m))
+    noise_rng.standard_normal(out=buffer)
+    x = buffer.view(complex)[kept]
+    x *= np.sqrt(sigma2 / 2.0)
+    x += signal
     return SpectralFrames(data=x, band_frequencies=freqs)
 
 

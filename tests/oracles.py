@@ -9,7 +9,7 @@ import numpy as np
 from scipy.signal import get_window
 
 from doakit.estimators import band_powers, power_mean
-from doakit.manifold import normalized
+from doakit.manifold import great_circle_distance, normalized
 from doakit.refine import (
     PairCoefficients,
     RefinementTrace,
@@ -21,6 +21,9 @@ from doakit.refine import (
 from doakit.spectral import apply_weighting
 
 _TWO_PI = 2.0 * np.pi
+# the step angle in radians below which plain_mm at rel_tol = 0 counts an
+# MM map as having stopped moving
+STILL_RAD = 1e-12
 
 
 def hertz(omega, speed_of_sound=343.0):
@@ -158,8 +161,11 @@ def objective(spec, geometry, q):
 
 def plain_mm(spec, geometry, q0, variant="quadratic", max_iters=30, rel_tol=1e-10):
     """Reference for ``refine``: the MM maps alone, no extrapolation, with
-    the same stopping rule (relative decrease below ``rel_tol`` on two
-    consecutive steps)."""
+    the same stopping rule (relative decrease at most ``rel_tol`` on two
+    consecutive steps). At ``rel_tol`` = 0 it is the limit the refinement
+    is checked against, so a step counts only if its map has also stopped
+    moving (by less than ``STILL_RAD``): near a flat minimum the objective
+    stops decreasing in floating point while the maps still crawl."""
     coeffs = PairCoefficients.from_cost_spec(spec, geometry)
     q = normalized(q0)
     evaluated = pair_band_powers(coeffs, q)
@@ -167,6 +173,7 @@ def plain_mm(spec, geometry, q0, variant="quadratic", max_iters=30, rel_tol=1e-1
     slow = 0
     for step in range(1, max_iters + 1):
         D, v = surrogate_system(coeffs, q, evaluated)
+        last = q
         q = solve_gtrs(D, v)[0] if variant == "quadratic" else linear_update(D, v, q)
         evaluated = pair_band_powers(coeffs, q)
         obj = trace.objectives[-1]
@@ -174,7 +181,8 @@ def plain_mm(spec, geometry, q0, variant="quadratic", max_iters=30, rel_tol=1e-1
         trace.iterates.append(q)
         trace.objectives.append(evaluated[2])
         trace.evaluations += 1
-        slow = slow + 1 if decrease < rel_tol else 0
+        still = rel_tol > 0 or great_circle_distance(last, q) < STILL_RAD
+        slow = slow + 1 if decrease <= rel_tol and still else 0
         if slow >= 2:
             trace.converged_at = step
             break

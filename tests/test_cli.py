@@ -215,7 +215,7 @@ def test_locate_ends_at_the_limit_within_the_step_cap(tmp_path, geometry_file):
     # CI's scene, MUSIC, two sources: plain MM leaves one source 0.066 deg
     # short of its limit at the default 30 steps; with the extrapolation the
     # 30-step answer is the limit, to the ~1e-4 deg its flat objective
-    # resolves (its rel_tol = 0 limit and plain MM's lie 4e-5 deg apart)
+    # resolves (its rel_tol = 0 limit and plain MM's lie 3e-7 deg apart)
     wav = str(tmp_path / "scene.wav")
     assert main(["simulate", "--geometry", geometry_file, "--sources", "2",
                  "--seed", "5", "--duration", "0.5", "--output", wav]) == 0

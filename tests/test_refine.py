@@ -614,6 +614,22 @@ def test_refine_limit_matches_plain_mm(estimator, variant):
         assert steps_to_limit(fast) <= steps_to_limit(slow)
 
 
+@pytest.mark.parametrize("estimator, seed, variant", [
+    ("music", 3, "linear"), ("mvdr", 3, "quadratic"), ("srp-phat", 0, "quadratic"),
+])
+def test_refine_at_zero_tolerance_stops_once_the_objective_stops_decreasing(
+        estimator, seed, variant):
+    # a start of each scene reaches its final objective within 30 steps and
+    # then holds it exactly; rel_tol = 0 stops after two steps that do not
+    # decrease the objective, not at the step cap
+    spec, geom, starts = _scene_starts(estimator, seed=seed)
+    for q0 in starts:
+        trace = refine(spec, geom, q0, variant=variant, max_iters=2000, rel_tol=0.0)
+        objs = trace.objectives
+        assert trace.converged_at is not None and trace.converged_at < 100
+        assert not objs[-1] < objs[-2] and not objs[-2] < objs[-3]
+
+
 def test_refine_steps_are_maps_and_accepted_extrapolations(rng):
     # every recorded step lowers the objective (or keeps it), the cap
     # counts steps, not evaluations, and a refine that hits the cap reports

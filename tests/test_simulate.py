@@ -82,17 +82,56 @@ def test_stft_scene_shapes_and_band_support():
 
 @pytest.mark.parametrize("snr_db", [np.inf, 10.0])
 def test_stft_scene_draws_do_not_depend_on_the_band_range(snr_db):
-    # every band's signal and noise are drawn whatever the range, so the kept
-    # rows are the rows of the scene over every band, bit for bit (a gain
+    # each stream is read band by band from band 0, so a band's signal and
+    # noise depend on the seed and its index alone, and the kept rows of any
+    # range are the rows of the scene over every band, bit for bit (a gain
     # spread is normalized over the kept bands, so it is left flat here)
     scene = Scene(GEOM, random_sources(np.random.default_rng(4), 2, 0.3), snr_db=snr_db,
                   seed=9)
-    kept = synth_stft_scene(scene, frame_size=256, num_frames=20, f_min=300.0, f_max=3500.0)
     every = synth_stft_scene(scene, frame_size=256, num_frames=20, f_min=0.0, f_max=8000.0)
     assert every.num_bands == 129
-    selected = band_select(every, 300.0, 3500.0)
-    np.testing.assert_array_equal(kept.band_frequencies, selected.band_frequencies)
-    np.testing.assert_array_equal(kept.data, selected.data)
+    for f_min, f_max in ((300.0, 3500.0), (0.0, 3500.0), (1000.0, 8000.0)):
+        kept = synth_stft_scene(scene, frame_size=256, num_frames=20, f_min=f_min,
+                                f_max=f_max)
+        selected = band_select(every, f_min, f_max)
+        np.testing.assert_array_equal(kept.band_frequencies, selected.band_frequencies)
+        np.testing.assert_array_equal(kept.data, selected.data)
+
+
+@pytest.mark.parametrize("snr_db", [np.inf, 10.0])
+@pytest.mark.parametrize("spread_db", [0.0, 12.0])
+@pytest.mark.parametrize("f_min, f_max, stop", [
+    (300.0, 3500.0, 57), (0.0, 3500.0, 57), (1000.0, 8000.0, 129),
+])
+def test_stft_scene_reads_no_stream_past_the_last_kept_band(monkeypatch, snr_db, spread_db,
+                                                           f_min, f_max, stop):
+    # the signal stream yields 2 L normals per band and frame, the noise
+    # stream 2 M (finite SNR only) and the gain stream L per band (a spread
+    # only), each for bands 0 .. stop - 1 and no further
+    normals = {}
+    default_rng = np.random.default_rng
+
+    class CountingGenerator:
+        def __init__(self, seed):
+            self.stream = ("signal", "noise", "gains")[seed.spawn_key[-1]]
+            self.generator = default_rng(seed)
+
+        def standard_normal(self, *args, **kwargs):
+            out = self.generator.standard_normal(*args, **kwargs)
+            normals[self.stream] = normals.get(self.stream, 0) + out.size
+            return out
+
+    monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+    scene = Scene(GEOM, random_sources(default_rng(4), 2, 0.3), snr_db=snr_db, seed=9,
+                  band_gain_spread_db=spread_db)
+    frames = synth_stft_scene(scene, frame_size=256, num_frames=20, f_min=f_min, f_max=f_max)
+    assert frames.band_frequencies[-1] == 62.5 * (stop - 1)
+    expected = {"signal": stop * 20 * 2 * 2}
+    if snr_db < np.inf:
+        expected["noise"] = stop * 20 * 2 * GEOM.num_sensors
+    if spread_db > 0.0:
+        expected["gains"] = stop * 2
+    assert {name: n for name, n in normals.items() if n} == expected
 
 
 def test_stft_scene_noiseless_rank_one():
@@ -588,11 +627,13 @@ def test_monte_carlo_builds_each_spec_once_per_trial(monkeypatch):
     assert sorted(calls) == ["music", "music", "mvdr", "mvdr"]
 
 
-def _slow_sweep(monkeypatch, phasor_delay, slow_estimator=None, product_delay=0.0):
+def _sweep_with_slow_band_powers(monkeypatch, call_delay, slow_estimator=None,
+                                 product_delay=0.0):
     """Median seconds per estimator of a sweep without refinement, whose
-    phasor pass sleeps ``phasor_delay`` (the geometry's wavenumbers are read
-    inside it) and whose ``slow_estimator`` sleeps ``product_delay`` per band
-    in its products (its matrices are read band by band there)."""
+    ``band_powers`` calls each sleep ``call_delay`` (every call reads the
+    geometry's wavenumbers once) and whose ``slow_estimator`` sleeps
+    ``product_delay`` per band in its products (its matrices are read band
+    by band there)."""
 
     class SlowMatrices(np.ndarray):
         def __getitem__(self, key):
@@ -600,7 +641,7 @@ def _slow_sweep(monkeypatch, phasor_delay, slow_estimator=None, product_delay=0.
             return np.asarray(self)[key]
 
     def slow_wavenumbers(self, frequencies):
-        time.sleep(phasor_delay)
+        time.sleep(call_delay)
         return wavenumbers(self, frequencies)
 
     def slow_build(cov, estimator, *args, **kwargs):
@@ -620,17 +661,19 @@ def _slow_sweep(monkeypatch, phasor_delay, slow_estimator=None, product_delay=0.
     return {(c["estimator"], c["s"]): c["median_seconds"] for c in cells}
 
 
-def test_monte_carlo_charges_a_shared_search_to_every_cell(monkeypatch):
-    # every cell carries the phasor pass it shares with the others
-    seconds = _slow_sweep(monkeypatch, phasor_delay=0.02)
+def test_monte_carlo_charges_every_cell_its_own_band_powers_call(monkeypatch):
+    # each cell carries the band_powers call of its estimator, which every
+    # exponent of that estimator reads
+    seconds = _sweep_with_slow_band_powers(monkeypatch, call_delay=0.02)
     assert all(value >= 0.02 for value in seconds.values())
 
 
 def test_monte_carlo_charges_products_only_to_their_estimator(monkeypatch):
     # mvdr's products sleep 2 ms in each of the 52 bands, about 0.1 s; srp-phat
-    # is charged none of it, and both still carry the 20 ms phasor pass
-    seconds = _slow_sweep(monkeypatch, phasor_delay=0.02, slow_estimator="mvdr",
-                          product_delay=0.002)
+    # is charged none of it, and every cell still carries its own 20 ms
+    # band_powers call
+    seconds = _sweep_with_slow_band_powers(monkeypatch, call_delay=0.02,
+                                           slow_estimator="mvdr", product_delay=0.002)
     for s in (-3.0, 1.0):
         assert seconds[("mvdr", s)] >= 0.02 + 52 * 0.002
         assert 0.02 <= seconds[("srp-phat", s)] < 0.02 + 0.05
