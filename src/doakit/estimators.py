@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import check_number, great_circle_distance
+from .manifold import check_number, great_circle_distance, is_integer
 from .spectral import CovarianceSet
 
 # floor applied to band powers before negative exponents
@@ -66,7 +66,7 @@ def music_cost_spec(cov, num_sources, s=-1.0):
     """Noise-subspace projector cost (MUSIC)."""
     m = cov.num_sensors
     check_number(num_sources, "num_sources", f"be an integer with 1 <= L < M = {m}",
-                 lambda v: 1 <= v < m and v % 1 == 0)
+                 lambda v: 1 <= v < m and is_integer(v))
     _, vecs = np.linalg.eigh(cov.matrices)  # ascending eigenvalues, per band
     noise = vecs[..., : m - int(num_sources)]
     return CostSpec(
@@ -187,16 +187,10 @@ def band_powers(spec, geometry, points):
     return powers
 
 
-def grid_search(spec, geometry, grid, num_sources=1, min_separation=np.deg2rad(10.0)):
-    """``pick_peaks`` of the spec's objective, the power mean of its band
-    powers, at the grid points."""
-    values = power_mean(band_powers(spec, geometry, grid.points), spec.s)
-    return pick_peaks(values, grid, num_sources, min_separation)
-
-
-def pick_peaks(values, grid, num_sources, min_separation):
+def grid_search(values, grid, num_sources, min_separation):
     """Pick ``num_sources`` well separated local minima of the objective
-    ``values`` at the grid points.
+    ``values`` at the grid points, such as the power mean of a spec's
+    ``band_powers`` there.
 
     A point is a local minimum when its value is no higher than those of its
     k nearest grid points and of every point that counts it among theirs.
@@ -209,7 +203,7 @@ def pick_peaks(values, grid, num_sources, min_separation):
     that far apart.
     """
     check_number(num_sources, "num_sources", "be at least 1", lambda v: v >= 1)
-    check_number(num_sources, "num_sources", "be an integer", lambda v: v % 1 == 0)
+    check_number(num_sources, "num_sources", "be an integer", is_integer)
     check_number(min_separation, "min_separation", "be a finite non-negative number",
                  lambda v: 0.0 <= v < np.inf)
 

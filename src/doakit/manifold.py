@@ -38,6 +38,12 @@ def check_number(value, name, rule="be a number", holds=lambda v: True):
         raise ValueError(f"{name} must {rule}, got {value!r}")
 
 
+def is_integer(value):
+    """True for an integer-valued real number such as 100, 100.0 or an int
+    too large for a float; False for 2.5, inf and NaN, without a warning."""
+    return isinstance(value, numbers.Integral) or float(value).is_integer()
+
+
 def angles_from_doa(q):
     """Colatitude and azimuth in radians of unit direction vector(s) q, so
     that q = (cos(azimuth) sin(colatitude), sin(azimuth) sin(colatitude),

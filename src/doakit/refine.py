@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import EPS_POWER, common_step, phasor_table, power_mean
-from .manifold import check_number, normalized
+from .manifold import check_number, is_integer, normalized
 
 GTRS_NORM_TOL = 1e-12
 # relative threshold below which a component is treated as numerically zero
@@ -300,7 +300,7 @@ def refine(spec, geometry, q0, variant="quadratic", max_iters=30, rel_tol=1e-10)
     if variant not in ("quadratic", "linear"):
         raise ValueError(f"unknown variant {variant!r}")
     check_number(max_iters, "max_iters", "be non-negative", lambda v: v >= 0)
-    check_number(max_iters, "max_iters", "be an integer", lambda v: v % 1 == 0)
+    check_number(max_iters, "max_iters", "be an integer", is_integer)
     check_number(rel_tol, "rel_tol", "be a finite non-negative number",
                  lambda v: 0.0 <= v < np.inf)
     coeffs = (spec if isinstance(spec, PairCoefficients)

@@ -18,11 +18,16 @@ from .estimators import (
     grid_search,
     music_cost_spec,
     mvdr_cost_spec,
-    pick_peaks,
     power_mean,
     srp_cost_spec,
 )
-from .manifold import ArrayGeometry, check_number, fibonacci_grid, great_circle_distance
+from .manifold import (
+    ArrayGeometry,
+    check_number,
+    fibonacci_grid,
+    great_circle_distance,
+    is_integer,
+)
 from .refine import PairCoefficients, RefinementTrace, refine
 from .spectral import (
     SpectralFrames,
@@ -52,7 +57,7 @@ MAX_SOURCE_DRAWS = 10_000
 def as_integer(value, name):
     """``value`` as an int when it is an integer-valued number such as 100 or
     100.0; ValueError naming the setting ``name`` otherwise."""
-    check_number(value, name, "be an integer", lambda v: float(v).is_integer())
+    check_number(value, name, "be an integer", is_integer)
     return int(value)
 
 
@@ -416,7 +421,7 @@ def _check_settings(estimator, variant, num_sources, max_iters, rel_tol, mvdr_lo
     runs on every cell before a sweep starts: ValueError naming the setting.
     The source count and the peak separation (in degrees or radians alike)
     are checked here as well, so a bad one fails before any grid pass rather
-    than in ``pick_peaks`` after it."""
+    than in ``grid_search`` after it."""
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
     if variant not in VARIANTS:
@@ -424,7 +429,7 @@ def _check_settings(estimator, variant, num_sources, max_iters, rel_tol, mvdr_lo
     check_number(num_sources, "num_sources", "be at least 1", lambda v: v >= 1)
     check_number(max_iters, "max_iters", "be non-negative", lambda v: v >= 0)
     for name, value in (("num_sources", num_sources), ("max_iters", max_iters)):
-        check_number(value, name, "be an integer", lambda v: v % 1 == 0)
+        check_number(value, name, "be an integer", is_integer)
     for name, value in (("rel_tol", rel_tol), ("mvdr_loading", mvdr_loading),
                         ("min_separation", min_separation)):
         check_number(value, name, "be a finite non-negative number",
@@ -477,9 +482,8 @@ def locate_sources(cov, geometry, grid, *, estimator, s, num_sources, variant,
     _check_settings(estimator, variant, num_sources, max_iters, rel_tol, mvdr_loading,
                     min_separation_rad)
     spec = build_cost_spec(cov, estimator, s, num_sources, mvdr_loading)
-    peaks = grid_search(
-        spec, geometry, grid, num_sources=num_sources, min_separation=min_separation_rad
-    )
+    values = power_mean(band_powers(spec, geometry, grid.points), s)
+    peaks = grid_search(values, grid, num_sources, min_separation_rad)
     return refine_peaks(spec, geometry, peaks, variant=variant, max_iters=max_iters,
                         rel_tol=rel_tol)
 
@@ -489,28 +493,21 @@ def _front_end(estimator):
     return "phat" if estimator == "srp-phat" else "raw"
 
 
-@dataclass
-class PairedTrial:
-    """One trial's recording at one SNR, which every cell at that SNR scores:
-    the true sources, one covariance per front end the sweep's estimators
-    read, each estimator's cost spec once a search has built it, keyed by
-    estimator as (spec, seconds of its build), and the grid searches run on
-    it so far, keyed by (estimator, s, grid size), each as (spec, peaks,
-    seconds)."""
+def trial_searches(config, snr_index, trial, grids):
+    """Trial ``trial`` at the SNR ``config.snr_values[snr_index]``, drawn
+    and searched on every grid: returns its true sources and its searches,
+    keyed by (estimator, s, grid size), each as (spec, peaks, seconds).
 
-    sources: np.ndarray
-    covariances: dict
-    specs: dict = field(default_factory=dict)
-    searches: dict = field(default_factory=dict)
-
-
-def paired_trial(config, snr_index, trial):
-    """The recording of trial ``trial`` at the SNR ``config.snr_values[snr_index]``.
-
-    Its sources and noise come from SeedSequence([master_seed, snr_index,
+    The sources and noise come from SeedSequence([master_seed, snr_index,
     trial]) alone, so a cell's scenes do not depend on which other
     estimators, exponents, grid sizes, variants or iteration counts the
-    sweep holds. The frames are dropped once the covariances are taken."""
+    sweep holds. The frames give one covariance per front end. Each
+    estimator's cost spec is built once, for every grid (a spec depends on
+    neither the grid nor s, which enters only the power mean); each grid
+    takes one ``band_powers`` call per spec, and each s the power mean of
+    those band powers and its ``grid_search``. A search's seconds are what
+    it would cost on its own: its spec build and ``band_powers`` call, each
+    timed as one call, and its own power mean and pick."""
     seed_seq = np.random.SeedSequence([config.master_seed, snr_index, trial])
     rng = np.random.default_rng(seed_seq)
     sources = random_sources(
@@ -535,81 +532,62 @@ def paired_trial(config, snr_index, trial):
     covariances = {
         end: estimator_covariance(frames, estimator) for end, estimator in readers.items()
     }
-    return PairedTrial(sources, covariances)
-
-
-def search_grid(config, paired, grid):
-    """Every (estimator, s) search of a paired trial on one grid; fills
-    ``paired.searches`` for each.
-
-    Each estimator's cost spec is built once per trial, on its first grid,
-    and kept in ``paired.specs``: a spec depends on neither the grid nor s,
-    which enters only the power mean. One ``band_powers`` call per
-    estimator gives its band powers on the grid, and each s takes their
-    power mean and picks its peaks with ``pick_peaks``, which gives what
-    ``grid_search`` gives with the same spec. A search's seconds are what it
-    would cost on its own: its estimator's spec build (on every grid, though
-    the trial ran it once) and ``band_powers`` call, and its own power mean
-    and pick. The band powers are dropped on return."""
     separation = np.radians(config.min_separation_deg)
+    searches = {}
     for estimator in config.estimators:
-        if estimator not in paired.specs:
-            start = time.perf_counter()
-            spec = build_cost_spec(
-                paired.covariances[_front_end(estimator)], estimator, config.s_values[0],
-                config.num_sources, config.mvdr_loading,
-            )
-            paired.specs[estimator] = (spec, time.perf_counter() - start)
-        spec, built = paired.specs[estimator]
         start = time.perf_counter()
-        powers = band_powers(spec, config.geometry, grid.points)
-        shared = built + time.perf_counter() - start
-        for s in config.s_values:
+        spec = build_cost_spec(
+            covariances[_front_end(estimator)], estimator, config.s_values[0],
+            config.num_sources, config.mvdr_loading,
+        )
+        built = time.perf_counter() - start
+        for grid in grids:
             start = time.perf_counter()
-            peaks = pick_peaks(power_mean(powers, s), grid, config.num_sources, separation)
-            paired.searches[(estimator, s, grid.size)] = (
-                replace(spec, s=s), peaks, shared + time.perf_counter() - start,
-            )
+            powers = band_powers(spec, config.geometry, grid.points)
+            shared = built + time.perf_counter() - start
+            for s in config.s_values:
+                start = time.perf_counter()
+                peaks = grid_search(power_mean(powers, s), grid, config.num_sources, separation)
+                searches[(estimator, s, grid.size)] = (
+                    replace(spec, s=s), peaks, shared + time.perf_counter() - start,
+                )
+    return sources, searches
 
 
-def run_trial(config, cell_key, paired, grid):
-    """One Monte Carlo cell on one paired trial; returns (per-source errors,
-    localization time).
-
-    The first cell of a trial that needs a grid runs ``search_grid``, the
-    searches of every estimator and exponent on that grid, and later cells
-    reuse them. The time is the cell's search as ``search_grid`` charges it,
-    whichever cell ran it, plus this cell's refinement, so it counts what
-    one cell costs on its own."""
-    estimator, s, grid_size, variant, iters, _ = cell_key
-    if (estimator, s, grid_size) not in paired.searches:
-        search_grid(config, paired, grid)
-    spec, peaks, search_seconds = paired.searches[(estimator, s, grid_size)]
+def run_trial(config, cell_key, search, sources):
+    """One Monte Carlo cell on one trial: refines the peaks of the cell's
+    ``search`` from ``trial_searches`` and scores them against ``sources``.
+    Returns (per-source errors, localization time), the time being the
+    search's seconds plus this cell's refinement, what one cell costs on
+    its own."""
+    variant, iters = cell_key[3:5]
+    spec, peaks, search_seconds = search
     start = time.perf_counter()
     traces = refine_peaks(
         spec, config.geometry, peaks, variant=variant, max_iters=iters, rel_tol=config.rel_tol
     )
     elapsed = search_seconds + time.perf_counter() - start
-    return evaluate([t.iterates[-1] for t in traces], paired.sources), elapsed
+    return evaluate([t.iterates[-1] for t in traces], sources), elapsed
 
 
 def monte_carlo(config):
     """Run the full sweep; deterministic given config.master_seed.
 
     Trials run outer and cells inner: each (trial, SNR) recording is drawn
-    once (``paired_trial``) and scored by every cell at that SNR. Rows come
-    out cell by cell, trials in order within a cell."""
-    grids = {g: fibonacci_grid(g) for g in config.grid_sizes}
+    and searched once (``trial_searches``), and every cell at that SNR
+    refines and scores its search (``run_trial``). Rows come out cell by
+    cell, trials in order within a cell."""
+    grids = [fibonacci_grid(g) for g in config.grid_sizes]
     cells = list(product(*(getattr(config, name) for name in SWEEP_AXES)))
     rows = {cell: [] for cell in cells}
     times = {cell: [] for cell in cells}
     for trial, (snr_index, snr_db) in product(range(config.num_trials),
                                               enumerate(config.snr_values)):
-        paired = paired_trial(config, snr_index, trial)
+        sources, searches = trial_searches(config, snr_index, trial, grids)
         for cell in cells:
             if cell[-1] != snr_db:
                 continue
-            err, elapsed = run_trial(config, cell, paired, grids[cell[2]])
+            err, elapsed = run_trial(config, cell, searches[cell[:3]], sources)
             times[cell].append(elapsed)
             rows[cell].extend(
                 dict(zip(CELL_FIELDS, cell), trial=trial, src_index=i, error_deg=float(e))

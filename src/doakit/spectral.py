@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .manifold import check_number
+from .manifold import check_number, is_integer
 
 # relative magnitude floor applied by PHAT weighting on near-silent bins
 PHAT_FLOOR = 1e-12
@@ -142,8 +142,8 @@ def stft(signal, frame_size=512, hop=256, window="hann", sample_rate=16000.0,
         signal = signal[:, None]
     num_samples, num_sensors = signal.shape
     check_number(frame_size, "frame_size", "be a positive even integer",
-                 lambda v: v >= 2 and v % 2 == 0)
-    check_number(hop, "hop", "be a positive integer", lambda v: v >= 1 and v % 1 == 0)
+                 lambda v: v >= 2 and is_integer(v) and v % 2 == 0)
+    check_number(hop, "hop", "be a positive integer", lambda v: v >= 1 and is_integer(v))
     check_number(sample_rate, "sample_rate", "be positive and finite",
                  lambda v: 0.0 < v < np.inf)
     check_number(f_min, "f_min")

@@ -16,7 +16,7 @@ from doakit.manifold import (
     great_circle_distance,
     random_geometry,
 )
-from doakit.estimators import grid_search
+from doakit.estimators import band_powers, grid_search, power_mean
 from doakit.refine import refine
 from doakit.simulate import build_cost_spec, estimator_covariance, locate_sources
 from doakit.spectral import stft
@@ -232,8 +232,9 @@ def test_locate_ends_at_the_limit_within_the_step_cap(tmp_path, geometry_file):
                   sample_rate=float(rate), f_min=DEFAULTS["f_min"], f_max=DEFAULTS["f_max"])
     geometry = ArrayGeometry.from_json(geometry_file)
     spec = build_cost_spec(estimator_covariance(frames, "music"), "music", DEFAULTS["s"], 2)
-    peaks = grid_search(spec, geometry, fibonacci_grid(DEFAULTS["grid"]), num_sources=2,
-                        min_separation=np.radians(DEFAULTS["min_separation_deg"]))
+    grid = fibonacci_grid(DEFAULTS["grid"])
+    peaks = grid_search(power_mean(band_powers(spec, geometry, grid.points), spec.s), grid, 2,
+                        np.radians(DEFAULTS["min_separation_deg"]))
 
     def degrees(a, b):
         return float(np.degrees(great_circle_distance(np.asarray(a), b)))
@@ -387,6 +388,22 @@ def test_locate_rejects_non_integer_settings(tmp_path, geometry_file, two_source
     assert rc == 2
     assert f"{key} must be an integer" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_counts_too_large_for_a_float_exit_2(tmp_path, geometry_file, two_source_wav, capsys):
+    # float() of a 401-digit count overflows; the count is an integer, and
+    # no grid or band layout that large can be built, so both commands exit 2
+    huge = "1" + "0" * 400
+    out = tmp_path / "report.json"
+    rc = main(["locate", "--geometry", geometry_file, "--input", two_source_wav,
+               "--grid", huge, "--output", str(out)])
+    assert rc == 2 and not out.exists()
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(f'{{"geometry": {json.dumps(geometry_file)}, "frame_size": {huge}}}')
+    rc = main(["bench", "--sweep", str(sweep), "--output", str(tmp_path / "bench")])
+    assert rc == 2
+    assert capsys.readouterr().err.count("error: ") == 2
+    assert not any(tmp_path.glob("bench*"))
 
 
 def test_locate_accepts_integer_valued_floats(tmp_path, geometry_file, two_source_wav):
@@ -883,7 +900,9 @@ def test_bench_rejects_bad_cell_before_running(tmp_path, geometry_file, capsys,
     def no_trial(*args, **kwargs):
         raise AssertionError("a trial ran before the sweep was checked")
 
-    monkeypatch.setattr(doakit.simulate, "run_trial", no_trial)
+    # drawing a trial's scene is its first stage, refining a cell its last
+    for stage in ("synth_stft_scene", "run_trial"):
+        monkeypatch.setattr(doakit.simulate, stage, no_trial)
     sweep = tmp_path / "sweep.json"
     sweep.write_text(json.dumps({
         "geometry": geometry_file,

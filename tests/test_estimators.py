@@ -3,7 +3,6 @@ import functools
 import numpy as np
 import pytest
 
-import doakit.estimators
 from doakit.estimators import (
     CostSpec,
     band_powers,
@@ -12,7 +11,6 @@ from doakit.estimators import (
     grid_search,
     music_cost_spec,
     mvdr_cost_spec,
-    pick_peaks,
     power_mean,
     srp_cost_spec,
 )
@@ -38,6 +36,12 @@ from oracles import hertz, objective, steering_vector, symmetric_neighbors
 def rng():
     # a generator per test, so its inputs do not depend on which tests ran first
     return np.random.default_rng(2024)
+
+
+def search(spec, geometry, grid, num_sources=1, min_separation=np.radians(10.0)):
+    # the grid stage of locate_sources: band powers, their power mean, the pick
+    values = power_mean(band_powers(spec, geometry, grid.points), spec.s)
+    return grid_search(values, grid, num_sources, min_separation)
 
 
 def random_unit(rng, n=None):
@@ -268,8 +272,8 @@ def test_objective_scale_covariance(rng):
     grid = fibonacci_grid(300)
     q = random_unit(rng)
     assert abs(objective(scaled, geom, q) - 7.5 * objective(spec, geom, q)) < 1e-9
-    a = grid_search(spec, geom, grid, num_sources=2)
-    b = grid_search(scaled, geom, grid, num_sources=2)
+    a = search(spec, geom, grid, num_sources=2)
+    b = search(scaled, geom, grid, num_sources=2)
     for (qa, _), (qb, _) in zip(a, b):
         np.testing.assert_array_equal(qa, qb)
 
@@ -280,7 +284,7 @@ def test_grid_search_single_source(rng):
     cov = rank_one_cov(geom, [1000.0], qstar)
     spec = srp_cost_spec(cov, s=0.5)
     grid = fibonacci_grid(10_000)
-    peaks = grid_search(spec, geom, grid, num_sources=1)
+    peaks = search(spec, geom, grid, num_sources=1)
     assert len(peaks) == 1
     covering = 2.0 * np.sqrt(4.0 * np.pi / grid.size)
     assert great_circle_distance(peaks[0][0], qstar) < covering
@@ -291,7 +295,7 @@ def test_grid_search_flat_landscape():
     mats = np.stack([np.eye(4, dtype=complex)] * 2)
     spec = CostSpec(mats, hertz([10.0, 20.0]), s=-1.0)
     grid = fibonacci_grid(500)
-    peaks = grid_search(spec, geom, grid, num_sources=3, min_separation=np.radians(20))
+    peaks = search(spec, geom, grid, num_sources=3, min_separation=np.radians(20))
     assert len(peaks) == 3
     values = [v for _, v in peaks]
     assert np.ptp(values) < 1e-12
@@ -317,21 +321,18 @@ def test_grid_search_local_minima_match_loop(rng):
     values = power_mean(band_powers(spec, geom, grid.points), spec.s)
     minima = _local_minima_by_loop(values, grid)
     assert len(minima) > 1
-    peaks = grid_search(spec, geom, grid, num_sources=len(minima), min_separation=0.0)
+    peaks = grid_search(values, grid, len(minima), 0.0)
     expected = sorted(minima, key=lambda i: values[i])
     np.testing.assert_array_equal([p[0] for p in peaks], grid.points[expected])
     np.testing.assert_array_equal([p[1] for p in peaks], values[expected])
 
 
 @pytest.mark.parametrize("kind", ["random", "ties", "nan"])
-def test_grid_search_local_minima_match_loop_across_sizes(kind, monkeypatch):
+def test_grid_search_local_minima_match_loop_across_sizes(kind):
     # grid values drawn directly, from three levels for "ties", so a point
     # often equals some of its neighbors, and with one in ten NaN for "nan",
-    # which is never a minimum and spoils its neighbors'; the flat spec only
-    # sets the shapes
+    # which is never a minimum and spoils its neighbors'
     local = np.random.default_rng(11)
-    geom = random_geometry(num_sensors=4, seed=6)
-    spec = CostSpec(np.eye(4, dtype=complex)[None], hertz([10.0]), s=-1.0)
     for count in [*range(4, 200), *range(200, 3001, 97), 10_000]:
         grid = fibonacci_grid(count)
         if kind == "ties":
@@ -340,11 +341,10 @@ def test_grid_search_local_minima_match_loop_across_sizes(kind, monkeypatch):
             values = local.standard_normal(count)
         if kind == "nan":
             values[local.random(count) < 0.1] = np.nan
-        monkeypatch.setattr(doakit.estimators, "power_mean", lambda *args: values)
         minima = _local_minima_by_loop(values, grid)
         if not minima:  # a small grid can be all NaN next to each point
             continue
-        peaks = grid_search(spec, geom, grid, num_sources=len(minima), min_separation=0.0)
+        peaks = grid_search(values, grid, len(minima), 0.0)
         expected = sorted(minima, key=lambda i: values[i])
         np.testing.assert_array_equal([p[0] for p in peaks], grid.points[expected])
 
@@ -363,7 +363,7 @@ def test_grid_search_two_sources():
     cov = CovarianceSet(np.stack(mats), np.asarray(freqs))
     spec = srp_cost_spec(cov, s=0.5)
     grid = fibonacci_grid(10_000)
-    peaks = grid_search(spec, geom, grid, num_sources=2, min_separation=np.radians(20))
+    peaks = search(spec, geom, grid, num_sources=2, min_separation=np.radians(20))
     assert len(peaks) == 2
     covering = 2.0 * np.sqrt(4.0 * np.pi / grid.size)
     found = [p[0] for p in peaks]
@@ -476,8 +476,8 @@ def test_grid_search_picks_what_per_band_cos_and_sin_picks(estimator, num_source
         for size in (100, 1000, 10_000):
             grid = fibonacci_grid(size)
             reference = power_mean(_band_powers_band_by_band(spec, geom, grid.points), spec.s)
-            expected = pick_peaks(reference, grid, num_sources, np.radians(10.0))
-            peaks = grid_search(spec, geom, grid, num_sources=num_sources)
+            expected = grid_search(reference, grid, num_sources, np.radians(10.0))
+            peaks = search(spec, geom, grid, num_sources=num_sources)
             np.testing.assert_array_equal([p[0] for p in peaks], [p[0] for p in expected])
 
 
@@ -519,7 +519,7 @@ def test_grid_search_selection_matches_pair_loop(num_sources, separation):
     else:
         min_sep = {"none": 0.0, "10deg": np.radians(10.0), "40deg": np.radians(40.0)}[separation]
     expected = _select_by_pair_loop(values, grid, num_sources, min_sep)
-    peaks = grid_search(spec, geom, grid, num_sources=num_sources, min_separation=min_sep)
+    peaks = grid_search(values, grid, num_sources, min_sep)
     np.testing.assert_array_equal([p[0] for p in peaks], grid.points[expected])
     np.testing.assert_array_equal([p[1] for p in peaks], values[expected])
 
@@ -528,16 +528,22 @@ def test_grid_search_selection_matches_pair_loop(num_sources, separation):
 def test_grid_search_rejects_a_non_integer_source_count(num_sources):
     geom = random_geometry(num_sensors=6, seed=8)
     with pytest.raises(ValueError, match="num_sources must be an integer"):
-        grid_search(_three_band_spec(), geom, fibonacci_grid(100), num_sources=num_sources)
-    assert len(grid_search(_three_band_spec(), geom, fibonacci_grid(100), num_sources=2.0)) == 2
+        search(_three_band_spec(), geom, fibonacci_grid(100), num_sources=num_sources)
+    assert len(search(_three_band_spec(), geom, fibonacci_grid(100), num_sources=2.0)) == 2
+
+
+def test_grid_search_refuses_an_infinite_source_count_without_a_warning():
+    # inf % 1 warns "invalid value" for a numpy float; RuntimeWarnings are errors here
+    with pytest.raises(ValueError, match="num_sources must be an integer"):
+        grid_search(np.zeros(100), fibonacci_grid(100), np.float64(np.inf), 0.1)
 
 
 @pytest.mark.parametrize("separation", [np.nan, np.inf, -0.1, True, "0.1", None])
 def test_grid_search_rejects_bad_separation(separation):
     geom = random_geometry(num_sensors=6, seed=8)
     with pytest.raises(ValueError, match="min_separation"):
-        grid_search(_three_band_spec(), geom, fibonacci_grid(100), num_sources=2,
-                    min_separation=separation)
+        search(_three_band_spec(), geom, fibonacci_grid(100), num_sources=2,
+               min_separation=separation)
 
 
 @pytest.mark.parametrize(
@@ -549,5 +555,5 @@ def test_grid_search_raises_when_it_cannot_fill(num_sources, separation_deg, fou
     # tetrahedron's vertices) are pairwise 100 deg apart
     geom = random_geometry(num_sensors=6, seed=8)
     with pytest.raises(ValueError, match=f"only {found} of {num_sources} "):
-        grid_search(_three_band_spec(), geom, fibonacci_grid(100),
-                    num_sources=num_sources, min_separation=np.radians(separation_deg))
+        search(_three_band_spec(), geom, fibonacci_grid(100),
+               num_sources=num_sources, min_separation=np.radians(separation_deg))

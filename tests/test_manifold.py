@@ -8,6 +8,7 @@ from doakit.manifold import (
     fibonacci_grid,
     fibonacci_points,
     great_circle_distance,
+    is_integer,
     random_geometry,
 )
 from oracles import doa_from_angles, steering_vector, symmetric_neighbors
@@ -75,6 +76,17 @@ def test_geometry_rejects_non_finite_sensors(bad):
 def test_geometry_rejects_bad_speed_of_sound(speed):
     with pytest.raises(ValueError, match="speed of sound must be positive and finite"):
         ArrayGeometry(np.eye(3), speed_of_sound=speed)
+
+
+@pytest.mark.parametrize("value, expected", [
+    (100, True), (100.0, True), (np.int64(-3), True), (np.float64(4.0), True),
+    (10 ** 400, True), (2.5, False), (np.float64(1.5), False), (np.inf, False),
+    (np.float64(np.inf), False), (-np.inf, False), (np.nan, False),
+])
+def test_is_integer(value, expected):
+    # one rule for every count: an int too large for a float is an integer,
+    # and a numpy inf is refused without an "invalid value" warning
+    assert is_integer(value) is expected
 
 
 def test_geometry_wavenumbers():

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from doakit.estimators import CostSpec, grid_search, power_mean, srp_cost_spec
+from doakit.estimators import CostSpec, band_powers, grid_search, power_mean, srp_cost_spec
 from doakit.manifold import (
     ArrayGeometry,
     fibonacci_grid,
@@ -457,6 +457,8 @@ def test_refine_takes_integer_valued_max_iters_only():
     q0 = np.array([1.0, 0, 0])
     with pytest.raises(ValueError, match="max_iters must be an integer, got 2.5"):
         refine(spec, geom, q0, max_iters=2.5)
+    with pytest.raises(ValueError, match="max_iters must be an integer"):
+        refine(spec, geom, q0, max_iters=np.float64(np.inf))
     assert refine(spec, geom, q0, max_iters=3.0).objectives == refine(
         spec, geom, q0, max_iters=3).objectives
 
@@ -587,8 +589,9 @@ def _scene_starts(estimator, seed=0):
     scene = Scene(geom, sources, snr_db=10.0, seed=seed, band_gain_spread_db=12.0)
     frames = synth_stft_scene(scene, frame_size=256, num_frames=100)
     spec = build_cost_spec(estimator_covariance(frames, estimator), estimator, -3.0, 2)
-    peaks = grid_search(spec, geom, fibonacci_grid(100), num_sources=2,
-                        min_separation=np.radians(10.0))
+    grid = fibonacci_grid(100)
+    peaks = grid_search(power_mean(band_powers(spec, geom, grid.points), spec.s), grid, 2,
+                        np.radians(10.0))
     return spec, geom, [q0 for q0, _ in peaks]
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import doakit.simulate
-from doakit.estimators import band_powers, grid_search, pick_peaks
+from doakit.estimators import band_powers, grid_search, power_mean
 from doakit.manifold import (
     ArrayGeometry,
     fibonacci_grid,
@@ -317,7 +317,8 @@ def test_locate_sources_returns_refine_traces_of_grid_peaks():
     grid = fibonacci_grid(100)
     separation = np.radians(10.0)
     spec = build_cost_spec(cov, "music", -3.0, 2)
-    peaks = grid_search(spec, GEOM, grid, num_sources=2, min_separation=separation)
+    peaks = grid_search(power_mean(band_powers(spec, GEOM, grid.points), spec.s), grid, 2,
+                        separation)
     settings = dict(estimator="music", s=-3.0, num_sources=2, max_iters=15,
                     min_separation_rad=separation)
     for variant in ("quadratic", "linear"):
@@ -361,6 +362,8 @@ def test_refine_peaks_builds_one_pair_form_for_all_peaks(monkeypatch):
         ("music", "quadratic", "num_sources", 2.5),
         ("mvdr", "linear", "num_sources", np.float64(1.5)),
         ("music", "none", "max_iters", 2.5),
+        ("srp-phat", "quadratic", "num_sources", np.float64(np.inf)),
+        ("mvdr", "linear", "max_iters", np.float64(np.inf)),
     ],
 )
 def test_locate_sources_rejects_non_integer_counts(estimator, variant, name, value):
@@ -589,7 +592,7 @@ def test_monte_carlo_cell_rows_do_not_depend_on_the_rest_of_the_sweep():
 
 
 def test_monte_carlo_synthesizes_and_searches_once_per_pairing(monkeypatch):
-    calls = {"synth": 0, "powers": 0, "pick": 0}
+    calls = {"synth": 0, "powers": 0, "search": 0}
 
     def counted(name, function):
         def wrapper(*args, **kwargs):
@@ -599,7 +602,7 @@ def test_monte_carlo_synthesizes_and_searches_once_per_pairing(monkeypatch):
 
     monkeypatch.setattr(doakit.simulate, "synth_stft_scene", counted("synth", synth_stft_scene))
     monkeypatch.setattr(doakit.simulate, "band_powers", counted("powers", band_powers))
-    monkeypatch.setattr(doakit.simulate, "pick_peaks", counted("pick", pick_peaks))
+    monkeypatch.setattr(doakit.simulate, "grid_search", counted("search", grid_search))
     config = _small_config(
         estimators=("srp-phat", "mvdr"), s_values=(-3.0, 1.0), grid_sizes=(100, 200),
         variants=("quadratic", "linear", "none"), iteration_counts=(0, 5),
@@ -607,8 +610,32 @@ def test_monte_carlo_synthesizes_and_searches_once_per_pairing(monkeypatch):
     result = monte_carlo(config)
     assert len(result.medians) == 2 * 2 * 2 * 3 * 2 * 2
     # one scene per (SNR, trial), one band_powers call per (SNR, trial, grid,
-    # estimator) and one pick per (estimator, s, grid, SNR, trial)
-    assert calls == {"synth": 2 * 2, "powers": 2 * 2 * 2 * 2, "pick": 2 * 2 * 2 * 2 * 2}
+    # estimator) and one grid_search per (estimator, s, grid, SNR, trial)
+    assert calls == {"synth": 2 * 2, "powers": 2 * 2 * 2 * 2, "search": 2 * 2 * 2 * 2 * 2}
+
+
+def test_run_trial_only_refines_and_scores(monkeypatch):
+    # a trial is drawn and searched before its cells run, so no cell's
+    # run_trial builds a spec, takes band powers or searches a grid
+    calls, stack = [], []  # (name, whether a run_trial was running) per call
+
+    def watched(name, function):
+        def wrapper(*args, **kwargs):
+            calls.append((name, "run_trial" in stack))
+            stack.append(name)
+            try:
+                return function(*args, **kwargs)
+            finally:
+                stack.pop()
+        return wrapper
+
+    for name in ("build_cost_spec", "band_powers", "grid_search", "run_trial"):
+        monkeypatch.setattr(doakit.simulate, name, watched(name, getattr(doakit.simulate, name)))
+    result = monte_carlo(_small_config(estimators=("srp-phat", "mvdr"), grid_sizes=(100, 200),
+                                       variants=("quadratic", "none"), num_trials=2))
+    assert len(result.medians) == 2 * 2 * 2
+    assert [name for name, _ in calls].count("run_trial") == 2 * 2 * 2 * 2
+    assert [name for name, inside in calls if inside] == []
 
 
 def test_monte_carlo_builds_each_spec_once_per_trial(monkeypatch):
@@ -839,6 +866,19 @@ def test_monte_carlo_config_accepts_integer_valued_floats():
     a = monte_carlo(config)
     b = monte_carlo(_small_config())
     assert a.rows == b.rows
+
+
+def test_monte_carlo_takes_a_count_too_large_for_a_float():
+    # 10**400 overflows float(); as a step cap it lets every refinement run
+    # until it converges, as a cap of 10 000 steps does
+    huge = 10 ** 400
+    config = _small_config(iteration_counts=(huge,))
+    assert config.iteration_counts == (huge,)
+    capped = monte_carlo(_small_config(iteration_counts=(10_000,)))
+    assert [r["error_deg"] for r in monte_carlo(config).rows] == [
+        r["error_deg"] for r in capped.rows]
+    with pytest.raises(ValueError):  # numpy cannot lay out the frame's bands
+        _small_config(frame_size=huge)
 
 
 def test_monte_carlo_zero_iters_matches_none_variant():

@@ -158,10 +158,12 @@ RATE = "be positive and finite"
         ("frame_size", True, EVEN),
         ("frame_size", 255, EVEN),
         ("frame_size", "256", EVEN),
+        ("frame_size", np.float64(np.inf), EVEN),
         ("hop", True, POSITIVE),
         ("hop", 0, POSITIVE),
         ("hop", 1.5, POSITIVE),
         ("hop", None, POSITIVE),
+        ("hop", np.float64(np.inf), POSITIVE),
         ("sample_rate", True, RATE),
         ("sample_rate", 0.0, RATE),
         ("sample_rate", np.inf, RATE),
