@@ -140,10 +140,12 @@ def random_geometry(num_sensors=12, radius=0.1, seed=0):
 
 
 def fibonacci_points(count):
-    """Near-uniform spherical point set on the Fibonacci spiral lattice."""
-    if count < 4:
-        raise ValueError("need at least 4 grid points")
+    """Near-uniform spherical point set on the Fibonacci spiral lattice; ValueError
+    naming ``count`` unless it is an integer of at least 4 with that many rows."""
+    rule = "be an integer of at least 4 that numpy can index"
+    check_number(count, "grid size", rule, lambda v: is_integer(v) and 4 <= v < 2**63)
     i = np.arange(count)
+    check_number(count, "grid size", rule, lambda v: i.size == v)
     z = 1.0 - (2.0 * i + 1.0) / count
     rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
     phi = i * _GOLDEN_ANGLE

@@ -114,6 +114,14 @@ def _noise_variance(snr_db, num_sources):
     return max(num_sources, 1) * 10.0 ** (-snr_db / 10.0)
 
 
+def plane_wave_response(geometry, sources, frequencies):
+    """(K, M, L) phasors exp(j w_k d_m . q_l) at sensors d_m of plane waves from
+    unit directions q_l, w_k the wavenumber of ``frequencies[k]`` in Hz."""
+    omega = geometry.wavenumbers(frequencies)
+    tau = geometry.sensors @ np.asarray(sources, dtype=float).T  # (M, L)
+    return np.exp(1j * omega[:, None, None] * tau[None])
+
+
 def synth_stft_scene(scene, frame_size=512, num_frames=100, f_min=300.0, f_max=3500.0):
     """Draw a time-frequency tensor of the bands in [f_min, f_max]
     (band_range, as ``stft`` keeps them) directly from the plane-wave model.
@@ -136,11 +144,8 @@ def synth_stft_scene(scene, frame_size=512, num_frames=100, f_min=300.0, f_max=3
     freqs = frame_frequencies(frame_size, scene.sample_rate)
     kept = band_range(freqs, f_min, f_max)
     freqs = freqs[kept]
-    omega = geom.wavenumbers(freqs)
 
-    # (K, M, L) steering tensor of the kept bands
-    tau = geom.sensors @ scene.sources.T  # (M, L)
-    steering = np.exp(1j * omega[:, None, None] * tau[None]) / np.sqrt(m)
+    steering = plane_wave_response(geom, scene.sources, freqs) / np.sqrt(m)  # unit norm
 
     # bands 0 .. kept.stop - 1 of each stream, each row read as complex
     drawn = (kept.stop, num_frames)
@@ -172,59 +177,36 @@ def synth_stft_scene(scene, frame_size=512, num_frames=100, f_min=300.0, f_max=3
     return SpectralFrames(data=x, band_frequencies=freqs)
 
 
-def _fractional_delay(signal, delay_samples, half_width=32):
-    """Windowed-sinc fractional delay of a 1-D signal (non-causal, interior
-    samples only are valid; callers must pad)."""
-    n0 = int(np.round(delay_samples))
-    frac = delay_samples - n0
-    i = np.arange(-half_width, half_width + 1)
-    x = i - frac
-    taper = np.cos(0.5 * np.pi * x / (half_width + 1)) ** 2
-    kernel = np.sinc(x) * np.where(np.abs(x) <= half_width + 1, taper, 0.0)
-    conv = np.convolve(signal, kernel)
-    # conv[n + half_width - n0] interpolates signal at time n - delay_samples
-    return conv, half_width - n0
-
-
 def synth_time_scene(scene):
     """Render the scene as a real multichannel time-domain signal.
 
-    Each channel is the sum over sources of the source signal advanced by
-    d_m . q / c seconds (plane-wave propagation, windowed-sinc fractional
-    delays), plus white Gaussian noise at the scene SNR. Sources are flat
-    across frequency, so a scene with a band gain spread is refused.
+    Channel m holds each white Gaussian source advanced by d_m . q / c
+    seconds, an exact circular delay: the rfft of the source times its
+    ``plane_wave_response`` (the phasors ``synth_stft_scene`` steers with),
+    plus white Gaussian noise at the scene SNR. Sources are flat across
+    frequency, so a scene with a band gain spread is refused.
     """
     check_number(scene.duration, "duration", "be positive and finite",
                  lambda v: 0.0 < v < np.inf)
     check_number(scene.band_gain_spread_db, "band_gain_spread_db",
                  "be 0 in a time-domain scene", lambda v: v == 0.0)
-    geom = scene.geometry
-    fs = scene.sample_rate
-    num_samples = int(round(scene.duration * fs))
+    num_samples = int(round(scene.duration * scene.sample_rate))
     if num_samples < 1:
         raise ValueError("scene duration too short")
     ss = np.random.SeedSequence(scene.seed).spawn(scene.num_sources + 1)
-    half_width = 32
-    lags = np.abs(geom.sensors @ scene.sources.T) * fs / geom.speed_of_sound
-    max_shift = int(np.ceil(lags.max())) + 1 if lags.size else 0
-    margin = half_width + max_shift + 1
+    freqs = np.fft.rfftfreq(num_samples, 1.0 / scene.sample_rate)
 
-    out = np.zeros((num_samples, geom.num_sensors))
-    for ell in range(scene.num_sources):
-        rng = np.random.default_rng(ss[ell])
-        src = rng.standard_normal(num_samples + 2 * margin)
-        for m in range(geom.num_sensors):
-            # channel m is delayed by -d_m . q / c (arrives early when
-            # the sensor leans toward the source)
-            delay = -(geom.sensors[m] @ scene.sources[ell]) * fs / geom.speed_of_sound
-            conv, offset = _fractional_delay(src, delay, half_width)
-            idx = np.arange(num_samples) + margin + offset
-            out[:, m] += conv[idx]
+    # the channels' spectrum, summed one source at a time so that no
+    # (F, M, L) response is held, then transformed back in its place
+    out = np.zeros((freqs.size, scene.geometry.num_sensors), dtype=complex)
+    for q, seq in zip(scene.sources, ss):
+        src = np.fft.rfft(np.random.default_rng(seq).standard_normal(num_samples))
+        out += plane_wave_response(scene.geometry, q[None], freqs)[:, :, 0] * src[:, None]
+    out = np.fft.irfft(out, n=num_samples, axis=0)
 
     sigma2 = _noise_variance(scene.snr_db, scene.num_sources)
     if sigma2 > 0.0:
-        noise_rng = np.random.default_rng(ss[-1])
-        out = out + np.sqrt(sigma2) * noise_rng.standard_normal(out.shape)
+        out += np.sqrt(sigma2) * np.random.default_rng(ss[-1]).standard_normal(out.shape)
     return out
 
 

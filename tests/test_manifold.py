@@ -211,6 +211,19 @@ def test_fibonacci_grid_rejects_tiny():
         fibonacci_grid(3)
 
 
+@pytest.mark.parametrize("count", [2**63, 2**63 - 1, 2**64, 4.5, 3, np.nan, np.inf, True],
+                         ids=["2**63", "2**63-1", "2**64", "4.5", "3", "nan", "inf", "bool"])
+def test_fibonacci_points_rejects_a_count_it_cannot_lay_out(count):
+    # np.arange(2**63) is empty and np.arange(4.5) has 5 rows, neither on the
+    # lattice of their count
+    with pytest.raises(ValueError, match=rf"grid size must .*, got {count!r}$"):
+        fibonacci_points(count)
+
+
+def test_fibonacci_points_takes_an_integer_valued_float():
+    np.testing.assert_array_equal(fibonacci_points(100.0), fibonacci_points(100))
+
+
 def test_fibonacci_covering_radius():
     # dense random sampling oracle for the covering radius bound
     points = fibonacci_points(10_000)

@@ -778,3 +778,51 @@ def test_pair_band_powers_flat_at_exact_null():
         np.testing.assert_array_equal(
             pair_band_powers(coeffs, q / np.linalg.norm(q))[0], at_null
         )
+
+
+@pytest.fixture(scope="module")
+def many_sensor_specs():
+    """The srp, music and mvdr cost specs at s = -1 of a two-source 64-mic
+    scene over all 257 bands of 512-point frames: the many-sensor,
+    many-band edge of the input domain."""
+    geom = random_geometry(num_sensors=64, radius=0.1, seed=5)
+    sources = random_sources(np.random.default_rng(5), 2, np.radians(15.0))
+    frames = synth_stft_scene(Scene(geom, sources, snr_db=10.0, seed=5), frame_size=512,
+                              num_frames=80, f_min=0.0, f_max=8000.0)
+    return geom, {estimator: build_cost_spec(estimator_covariance(frames, estimator),
+                                             estimator, -1.0, 2)
+                  for estimator in ("srp", "music", "mvdr")}
+
+
+@pytest.mark.parametrize("variant", ["quadratic", "linear"])
+@pytest.mark.parametrize("estimator", ["srp", "music", "mvdr"])
+def test_refine_descends_on_the_sphere_with_many_sensors_and_bands(many_sensor_specs,
+                                                                   estimator, variant):
+    # criterion 3's checks at M = 64 and K = 257
+    geom, specs = many_sensor_specs
+    spec = specs[estimator]
+    assert geom.num_sensors == 64 and spec.band_frequencies.size == 257
+    q0 = random_unit(np.random.default_rng(64))
+    trace = refine(spec, geom, q0, variant=variant, max_iters=30, rel_tol=0.0)
+    objs = np.array(trace.objectives)
+    assert objs.size > 2
+    assert np.all(np.diff(objs) <= 1e-9 * np.abs(objs[:-1]))
+    assert np.max(np.abs(np.linalg.norm(trace.iterates, axis=1) - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("estimator", ["srp", "music", "mvdr"])
+def test_band_powers_do_not_move_with_the_array(many_sensor_specs, estimator):
+    # moving the array by t turns every sensor's plane-wave phasor by the
+    # same exp(j w t . q), which each band's quadratic form cancels: the
+    # grid pass and the pair form read the same band powers, to rounding
+    geom, specs = many_sensor_specs
+    spec = specs[estimator]
+    moved = ArrayGeometry(geom.sensors + np.array([2.0, -3.0, 1.5]), geom.speed_of_sound)
+    scale = np.trace(spec.matrices, axis1=1, axis2=2).real[:, None] / geom.num_sensors
+    points = fibonacci_points(200)
+    at, there = band_powers(spec, geom, points), band_powers(spec, moved, points)
+    assert np.max(np.abs(there - at) / scale) <= 1e-12
+    coeffs, moved_coeffs = (PairCoefficients.from_cost_spec(spec, g) for g in (geom, moved))
+    at, there = (np.stack([pair_band_powers(c, q)[0] for q in points[::20]], axis=1)
+                 for c in (coeffs, moved_coeffs))
+    assert np.max(np.abs(there - at) / scale) <= 1e-12

@@ -302,6 +302,24 @@ def test_time_scene_integer_lag():
     assert lags[int(np.argmax(corr))] == 1
 
 
+@pytest.mark.parametrize("num_samples", [1600, 1601], ids=["even", "odd"])
+def test_time_scene_delays_are_exact(num_samples):
+    # one noiseless source: on every bin strictly between DC and Nyquist each
+    # channel's spectrum is channel 0's times its plane-wave phase lead
+    fs = 16000.0
+    q = unit([0.3, -0.5, 0.8])
+    scene = Scene(GEOM, q[None], snr_db=np.inf, seed=3, sample_rate=fs,
+                  duration=num_samples / fs)
+    x = synth_time_scene(scene)
+    assert x.shape == (num_samples, GEOM.num_sensors)
+    inner = slice(1, (num_samples + 1) // 2)
+    spectra = np.fft.rfft(x, axis=0)[inner]
+    omega = GEOM.wavenumbers(np.fft.rfftfreq(num_samples, 1.0 / fs)[inner])
+    lead = (GEOM.sensors - GEOM.sensors[0]) @ q
+    want = spectra[:, :1] * np.exp(1j * omega[:, None] * lead[None])
+    assert np.abs(spectra - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_time_scene_noise_only():
     scene = Scene(GEOM, np.zeros((0, 3)), snr_db=0.0, seed=4, duration=0.5)
     x = synth_time_scene(scene)
