@@ -24,6 +24,12 @@ DEFAULT_MVDR_LOADING = 1e-3
 # evenly spaced, so the band recurrence reproduces exp(j omega_k x)
 _SPACING_ULPS = 8
 
+# bytes of one (r, M) complex block buffer of band_powers: r = 2048 rows at
+# M = 12, and the pass's four complex and two real block buffers then take
+# about 1.9 MiB, within a 2 MiB L2 cache (96 KiB to 1.5 MiB were measured;
+# this was fastest or within noise of it at M = 12, 32 and 64)
+_BLOCK_BYTES = 384 * 1024
+
 
 def check_exponent(s, name="exponent s"):
     """ValueError naming ``name`` unless s is a number in (-inf, 1] other
@@ -103,18 +109,20 @@ def power_mean(values, s):
     For s < 0 the values are floored at EPS_POWER before exponentiation so
     exact zeros (e.g. MUSIC on noiseless data) stay finite. Evaluated as
     c * M_s(y / c) with c the smallest value for s < 0 and the largest for
-    s > 0, so every (y / c)^s lies in [0, 1] and cannot overflow.
+    s > 0, so every (y / c)^s lies in [0, 1] and cannot overflow. The
+    input is not modified; the one temporary as large as it is the clamped
+    copy, which then holds the ratios.
     """
     # quadratic forms can round to tiny negatives; clamp into the domain
-    values = np.maximum(values, EPS_POWER if s < 0 else 0.0)
+    ratios = np.maximum(values, EPS_POWER if s < 0 else 0.0)
     if s < 0:
-        c = values.min(axis=0, keepdims=True)
+        c = ratios.min(axis=0, keepdims=True)
     else:
-        c = values.max(axis=0, keepdims=True)
+        c = ratios.max(axis=0, keepdims=True)
         c[c <= 0.0] = 1.0  # all-zero values
-    ratios = values / c
+    np.divide(ratios, c, out=ratios)
     ratios **= s
-    mean = np.add.reduce(ratios, axis=0) / values.shape[0]
+    mean = np.add.reduce(ratios, axis=0) / ratios.shape[0]
     return c[0] * mean ** (1.0 / s)
 
 
@@ -150,40 +158,57 @@ def band_powers(spec, geometry, points):
     """Quadratic forms a_k(q)^H V_k a_k(q), shape (K, G), for a (G, 3) batch
     of directions: the one grid pass of locate, Monte Carlo and the tests.
 
-    One band at a time, so memory stays O(G M) beside the output. The band's
-    (G, M) steering phasors a = exp(j omega_k tau) live in one reused buffer.
-    On evenly spaced bands (:func:`common_step`, the rule the pair form of
-    ``refine`` reads too) band 0 and the rotation exp(j step tau) are each
-    filled once with cos and sin (cheaper than the complex exp of a purely
-    imaginary argument), and every later band is a *= rot. On other bands
-    every band is its own cos and sin fill. Then one BLAS product
-    b = a V_k^T and the row sums Re sum_m conj(a_m) b_m. The 1/M of the
-    unit-norm steering vectors is applied once at the end.
+    The points are split into balanced row blocks, as few as keep each
+    block within r rows (r = 2048 at M = 12, so a block's buffers stay in
+    cache), with sizes that differ by at most one. Each block runs the band
+    loop into its columns of the output, so working memory is O(r M) beside
+    the output, whatever G. A block's (r, M) steering phasors
+    a = exp(j omega_k tau) live in one buffer reused by every block and
+    band. On evenly spaced bands (:func:`common_step`, the rule the pair
+    form of ``refine`` reads too) band 0 and the rotation exp(j step tau)
+    are each filled once per block with cos and sin (cheaper than the
+    complex exp of a purely imaginary argument), and every later band is
+    a *= rot. On other bands every band is its own cos and sin fill. Then
+    one BLAS product b = a V_k^T and the row sums Re sum_m conj(a_m) b_m.
+    The 1/M of the unit-norm steering vectors is applied once at the end.
+    Every point's powers are those of one unblocked pass, bit for bit.
     """
     omega = geometry.wavenumbers(spec.band_frequencies)
-    tau = points @ geometry.sensors.T  # (G, M)
-    powers = np.empty((len(omega), tau.shape[0]))
-    phase = np.empty_like(tau)
-
-    def fill(out, w):  # out = exp(j w tau), written as its cos and sin
-        np.multiply(tau, w, out=phase)
-        np.cos(phase, out=out.real)
-        np.sin(phase, out=out.imag)
-
-    a = np.empty(tau.shape, dtype=complex)
+    sensors = geometry.sensors.T
+    num_points, m = len(points), geometry.num_sensors
+    powers = np.empty((len(omega), num_points))
+    # balanced blocks of at most r >= 4 rows, so on G >= 2 points every
+    # block has at least 2: a one-row product takes BLAS's GEMV path, which
+    # rounds differently from the GEMM of a larger block
+    num_blocks = max(-(-num_points // max(_BLOCK_BYTES // (16 * m), 4)), 1)
+    edges = [num_points * i // num_blocks for i in range(num_blocks + 1)]
+    rows = -(-num_points // num_blocks)
+    tau, phase = np.empty((rows, m)), np.empty((rows, m))
+    a, conj_a, b = (np.empty((rows, m), dtype=complex) for _ in range(3))
     step = common_step(omega)
-    rot = None
-    if step is not None and len(omega) > 1:
-        rot = np.empty_like(a)
-        fill(rot, step)
-    for k, w in enumerate(omega):
-        if k and rot is not None:
-            a *= rot
-        else:
-            fill(a, w)
-        b = a @ spec.matrices[k].T
-        powers[k] = np.einsum("gm,gm->g", a.conj(), b).real
-    powers /= geometry.num_sensors
+    rot = np.empty_like(a) if step is not None and len(omega) > 1 else None
+
+    def fill(out, t, w):  # out = exp(j w t), written as its cos and sin
+        p = phase[: len(t)]
+        np.multiply(t, w, out=p)
+        np.cos(p, out=out.real)
+        np.sin(p, out=out.imag)
+
+    for lo, hi in zip(edges, edges[1:]):
+        t, x, conj_x, y = (buf[: hi - lo] for buf in (tau, a, conj_a, b))
+        np.matmul(points[lo:hi], sensors, out=t)
+        turn = None if rot is None else rot[: hi - lo]
+        if turn is not None:
+            fill(turn, t, step)
+        for k, w in enumerate(omega):
+            if k and turn is not None:
+                x *= turn
+            else:
+                fill(x, t, w)
+            np.matmul(x, spec.matrices[k].T, out=y)
+            np.conjugate(x, out=conj_x)
+            powers[k, lo:hi] = np.einsum("gm,gm->g", conj_x, y).real
+    powers /= m
     return powers
 
 
@@ -213,18 +238,23 @@ def grid_search(values, grid, num_sources, min_separation):
     is_local_min[grid.neighbors[~(nearest <= values[:, None])]] = False
     candidates = np.flatnonzero(is_local_min)
     candidates = candidates[np.argsort(values[candidates], kind="stable")]
-    fallback = np.argsort(values, kind="stable")
 
     selected = []
-    for pool in (candidates, fallback):
+
+    def pick(pool):
         for i in pool:
             if len(selected) >= num_sources:
-                break
+                return
             if not selected or np.all(
                 great_circle_distance(grid.points[i], grid.points[selected])
                 >= min_separation
             ):
                 selected.append(int(i))
+
+    pick(candidates)
+    if len(selected) < num_sources:
+        # sort all G values only when the local minima leave a slot unfilled
+        pick(np.argsort(values, kind="stable"))
     if len(selected) < num_sources:
         raise ValueError(
             f"only {len(selected)} of {num_sources} directions on the {grid.size}-point "

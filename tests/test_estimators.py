@@ -1,9 +1,12 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from doakit.estimators import (
+    _BLOCK_BYTES,
+    EPS_POWER,
     CostSpec,
     band_powers,
     common_step,
@@ -197,6 +200,33 @@ def test_power_mean_large_negative_s_does_not_underflow(tiny):
     expected = 2.0 ** (1.0 / 30.0) * tiny
     got = power_mean(np.array([tiny, 1.0]), -30.0)
     assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def _power_mean_two_temporaries(values, s):
+    # reference: the power mean with a fresh array for the ratios beside the
+    # clamped copy
+    values = np.maximum(values, EPS_POWER if s < 0 else 0.0)
+    if s < 0:
+        c = values.min(axis=0, keepdims=True)
+    else:
+        c = values.max(axis=0, keepdims=True)
+        c[c <= 0.0] = 1.0
+    ratios = values / c
+    ratios **= s
+    mean = np.add.reduce(ratios, axis=0) / values.shape[0]
+    return c[0] * mean ** (1.0 / s)
+
+
+@pytest.mark.parametrize("s", [-30.0, -3.0, -1.0, 0.5, 1.0])
+def test_power_mean_leaves_its_input_and_keeps_its_bits(rng, s):
+    values = rng.uniform(0.0, 5.0, (52, 1000)) * rng.uniform(1e-12, 1.0, 1000)
+    values[:, :3] = 0.0  # all-zero columns
+    values[rng.integers(52, size=200), rng.integers(1000, size=200)] = 0.0
+    values[rng.integers(52, size=200), rng.integers(1000, size=200)] = -1e-17
+    kept = values.copy()
+    got = power_mean(values, s)
+    np.testing.assert_array_equal(values, kept)
+    np.testing.assert_array_equal(got, _power_mean_two_temporaries(kept, s))
 
 
 def test_power_mean_monotone_in_s(rng):
@@ -446,6 +476,100 @@ def test_band_powers_equal_band_by_band_reference(spacing, num_points):
         else:
             scale = np.trace(spec.matrices, axis1=1, axis2=2).real / geom.num_sensors
             assert np.max(np.abs(got - expected) / scale[:, None]) <= 1e-12
+
+
+def _band_powers_unblocked(spec, geometry, points):
+    # reference: the grid pass as one block of all G points, band recurrence
+    # on evenly spaced bands, fresh (G, M) arrays for tau, b and conj(a)
+    omega = geometry.wavenumbers(spec.band_frequencies)
+    tau = points @ geometry.sensors.T
+    powers = np.empty((len(omega), tau.shape[0]))
+    phase = np.empty_like(tau)
+
+    def fill(out, w):
+        np.multiply(tau, w, out=phase)
+        np.cos(phase, out=out.real)
+        np.sin(phase, out=out.imag)
+
+    a = np.empty(tau.shape, dtype=complex)
+    step = common_step(omega)
+    rot = None
+    if step is not None and len(omega) > 1:
+        rot = np.empty_like(a)
+        fill(rot, step)
+    for k, w in enumerate(omega):
+        if k and rot is not None:
+            a *= rot
+        else:
+            fill(a, w)
+        b = a @ spec.matrices[k].T
+        powers[k] = np.einsum("gm,gm->g", a.conj(), b).real
+    powers /= geometry.num_sensors
+    return powers
+
+
+@functools.cache
+def _block_scene_specs(num_sensors, spacing):
+    # srp, srp-phat, music and mvdr specs of one 2-source scene on an
+    # M-sensor array, on its 12 STFT bands in 300-1000 Hz or on uneven ones
+    geom = random_geometry(num_sensors=num_sensors, seed=0)
+    scene = Scene(geom, random_sources(np.random.default_rng(3), 2, np.radians(30.0)),
+                  snr_db=10.0, seed=3)
+    frames = synth_stft_scene(scene, frame_size=256, num_frames=40, f_min=300.0, f_max=1000.0)
+    specs = {}
+    for estimator in ("srp", "srp-phat", "music", "mvdr"):
+        cov = estimator_covariance(frames, estimator)
+        if spacing == "uneven":
+            cov = CovarianceSet(cov.matrices, FREQUENCY_KINDS["uneven"][: cov.num_bands])
+        specs[estimator] = build_cost_spec(cov, estimator, -3.0, num_sources=2)
+    return geom, specs
+
+
+@pytest.mark.parametrize("spacing", ["even", "uneven"])
+@pytest.mark.parametrize("num_sensors", [12, 64])
+def test_band_powers_blocks_keep_the_unblocked_bits(num_sensors, spacing):
+    # r rows per block at most; around r, 2r and one-row remainders the
+    # balanced blocks give every point the bits of one unblocked pass
+    geom, specs = _block_scene_specs(num_sensors, spacing)
+    r = _BLOCK_BYTES // (16 * num_sensors)
+    for num_points in (0, 1, 2, r - 1, r, r + 1, 2 * r + 1, 10_000):
+        points = fibonacci_grid(max(num_points, 4)).points[:num_points]
+        for estimator, spec in specs.items():
+            got = band_powers(spec, geom, points)
+            assert got.shape == (spec.num_bands, num_points)
+            assert np.array_equal(got, _band_powers_unblocked(spec, geom, points)), (
+                estimator, num_points)
+
+
+def _traced_peak(call):
+    # (peak traced bytes during call, its result), numpy buffers included
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_pass_memory_does_not_scale_with_the_grid():
+    # band_powers holds O(r M) beside its output, and power_mean one copy of
+    # its input
+    geom = random_geometry(num_sensors=12, seed=0)
+    local = np.random.default_rng(6)
+    mats = local.standard_normal((8, 12, 4)) + 1j * local.standard_normal((8, 12, 4))
+    spec = CostSpec(mats @ np.swapaxes(mats.conj(), 1, 2), FREQUENCY_KINDS["stft-52"][:8],
+                    s=-3.0)
+    above = {}
+    for num_points in (10_000, 40_000):
+        points = fibonacci_grid(num_points).points
+        peak, powers = _traced_peak(lambda: band_powers(spec, geom, points))
+        above[num_points] = peak - powers.nbytes
+    assert above[10_000] < 3e6
+    assert abs(above[40_000] - above[10_000]) < 64 * 1024, above
+    values = local.uniform(0.0, 1.0, (52, 10_000))
+    peak, _ = _traced_peak(lambda: power_mean(values, -3.0))
+    assert peak < 1.25 * values.nbytes, peak / values.nbytes
 
 
 @functools.cache
