@@ -136,24 +136,6 @@ def common_step(omega):
     return float(step) if drift <= _SPACING_ULPS * np.finfo(float).eps * omega[-1] else None
 
 
-def phasor_table(omega, x, step):
-    """exp(j omega_k x) for every band, shape (K, x.size); meant for a small
-    x, such as the sensor delays of one direction.
-
-    With evenly spaced omega (``step`` from :func:`common_step`) each band
-    is the previous one times exp(j step x): two exp calls and one
-    cumulative product over the bands. Otherwise one exp per entry.
-    """
-    omega = np.asarray(omega, dtype=float)
-    if step is None:
-        return np.exp(np.multiply.outer(1j * omega, x))
-    first, rotate = np.exp(np.multiply.outer((1j * omega[0], 1j * step), x))
-    table = np.empty((omega.size, x.size), dtype=complex)
-    table[0] = first
-    table[1:] = rotate
-    return np.multiply.accumulate(table, axis=0, out=table)
-
-
 def band_powers(spec, geometry, points):
     """Quadratic forms a_k(q)^H V_k a_k(q), shape (K, G), for a (G, 3) batch
     of directions: the one grid pass of locate, Monte Carlo and the tests.

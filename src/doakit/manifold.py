@@ -66,10 +66,15 @@ def great_circle_distance(q1, q2):
     """Angular distance in radians between unit vectors (broadcasts).
 
     The arctan2 form stays accurate near 0 and pi, where arccos of the dot
-    product loses about half the digits."""
+    product loses about half the digits. The cross product's norm is
+    written out with the products and sums, in their order, of
+    ``np.linalg.norm(np.cross(q1, q2), axis=-1)``, without the cost of
+    those two calls."""
     q1, q2 = np.asarray(q1, float), np.asarray(q2, float)
-    cross = np.linalg.norm(np.cross(q1, q2), axis=-1)
-    return np.arctan2(cross, np.sum(q1 * q2, axis=-1))
+    a0, a1, a2 = q1[..., 0], q1[..., 1], q1[..., 2]
+    b0, b1, b2 = q2[..., 0], q2[..., 1], q2[..., 2]
+    c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    return np.arctan2(np.sqrt(c0 * c0 + c1 * c1 + c2 * c2), np.sum(q1 * q2, axis=-1))
 
 
 def normalized(q):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import EPS_POWER, common_step, phasor_table, power_mean
+from .estimators import EPS_POWER, common_step, power_mean
 from .manifold import check_number, is_integer, normalized
 
 GTRS_NORM_TOL = 1e-12
@@ -36,7 +36,8 @@ _NULL_RTOL = 1e-5
 class PairCoefficients:
     """The pair form of the objective: off-diagonal cost matrix entries per
     band and sensor pair, the sensor positions and pair coordinate
-    differences they are steered by, the wavenumbers and the exponent."""
+    differences they are steered by, the wavenumbers and the exponent, and
+    what every evaluation would otherwise rebuild from them."""
 
     sensors: np.ndarray  # (M, 3) sensor coordinates
     pairs: np.ndarray  # (2, P) sensor indices (m, r), m < r
@@ -45,8 +46,11 @@ class PairCoefficients:
     neg_entries: np.ndarray  # (K, P) -V_k[m, r]
     magnitudes: np.ndarray  # (K, P) |V_k[m, r]|
     diagonal: np.ndarray  # (K,) tr(V_k) / M, the diagonal part of each band power
+    null_floor: np.ndarray  # (K,) _NULL_RTOL * diagonal, the near-null threshold
     omega: np.ndarray  # (K,) wavenumbers of the cost spec's band frequencies
-    band_step: float | None  # their common spacing when evenly spaced, else None
+    # (2,) j omega_0 and j step, the band recurrence's rates when the
+    # wavenumbers are evenly spaced (common_step), else None
+    rates: np.ndarray | None
     s: float  # power-mean exponent
 
     @property
@@ -62,7 +66,8 @@ class PairCoefficients:
         # pair phasors of pair_band_powers; in that one layout the per-step
         # products with the entries run on contiguous memory
         entries = spec.matrices[:, pairs[0], pairs[1]]
-        traces = np.trace(spec.matrices, axis1=1, axis2=2).real
+        diagonal = np.trace(spec.matrices, axis1=1, axis2=2).real / geometry.num_sensors
+        step = common_step(omega)
         return cls(
             sensors=geometry.sensors,
             pairs=pairs,
@@ -70,9 +75,10 @@ class PairCoefficients:
             delta_outer=(deltas[:, :, None] * deltas[:, None, :]).reshape(-1, 9),
             neg_entries=-entries,
             magnitudes=np.abs(entries),
-            diagonal=traces / geometry.num_sensors,
+            diagonal=diagonal,
+            null_floor=_NULL_RTOL * diagonal,
             omega=omega,
-            band_step=common_step(omega),
+            rates=None if step is None else np.array((1j * omega[0], 1j * step)),
             s=spec.s,
         )
 
@@ -95,12 +101,23 @@ def pair_band_powers(coeffs, q):
     Each cosine term is read off the pair phasor
     f_kp = -V_k[m, r] exp(-j b_kp . q) = u exp(j phi0), phi0 = psi + pi - b.q,
     as -Re f. The phasors are formed as -V_k[m, r] conj(s_km) s_kr from the
-    K x M steering phasors s_km = exp(j omega_k d_m . q), built by the band
-    recurrence of :func:`phasor_table`. Returns (powers, phasors, objective)
-    with objective the power mean of the powers, so the surrogate built at
-    the same q reuses the phasors and the mean.
+    K x M steering phasors s_km = exp(j omega_k d_m . q). On evenly spaced
+    bands these are the band recurrence: band 0 and the rotation
+    exp(j step d_m . q) are two exp calls on ``coeffs.rates``, and one
+    cumulative product over the bands gives the rest; otherwise one exp per
+    entry. Returns (powers, phasors, objective) with objective the power
+    mean of the powers, so the surrogate built at the same q reuses the
+    phasors and the mean.
     """
-    steer = phasor_table(coeffs.omega, coeffs.sensors @ q, coeffs.band_step)
+    x = coeffs.sensors @ q
+    if coeffs.rates is None:
+        steer = np.exp(np.multiply.outer(1j * coeffs.omega, x))
+    else:
+        first, rotate = np.exp(np.multiply.outer(coeffs.rates, x))
+        steer = np.empty((coeffs.omega.size, x.size), dtype=complex)
+        steer[0] = first
+        steer[1:] = rotate
+        np.multiply.accumulate(steer, axis=0, out=steer)
     m, r = coeffs.pairs
     phasors = steer.conj()[:, m]
     phasors *= steer[:, r]
@@ -111,8 +128,9 @@ def pair_band_powers(coeffs, q):
     # would move a band power by a few ulps of its terms at every step; there
     # each cosine is re-read as |u cos| = u - (u sin)^2 / (u + |u cos|),
     # which is flat in phi0 where the cosine is near +-1, as the cosine is
-    near = np.flatnonzero(powers <= _NULL_RTOL * coeffs.diagonal)
-    if near.size:
+    below = powers <= coeffs.null_floor
+    if below.any():
+        near = np.flatnonzero(below)
         re, im = phasors.real[near], phasors.imag[near]
         u = coeffs.magnitudes[near]
         flat = np.copysign(u - im * im / np.maximum(u + np.abs(re), _TINY), re)
@@ -166,17 +184,36 @@ def surrogate_system(coeffs, q_hat, evaluated):
     return (xi @ coeffs.delta_outer).reshape(3, 3), gamma @ coeffs.deltas
 
 
+def _secular_newton(gaps, w, idx, t):
+    # ||c|| for c = w / (gap + t) over components idx, and the Newton step on
+    # 1/||c|| = 1 from there (0 once ||c|| <= 1), using
+    # d||c||^2/dt = -2 sum c^2 / (gap + t)
+    n2 = slope = 0.0
+    for i in idx:
+        den = gaps[i] + t
+        c2 = (w[i] / den) ** 2
+        n2 += c2
+        slope += c2 / den
+    norm = math.sqrt(n2)
+    return norm, ((norm - 1.0) * n2 / slope if norm > 1.0 else 0.0)
+
+
 def solve_gtrs(D, v):
-    """Global minimizer of q^T D q - 2 v^T q over the unit sphere, returned
-    as (q, mu, hard) with mu the multiplier of the unit-norm constraint and
-    hard True in the hard case.
+    """Global minimizer of q^T D q - 2 v^T q over the unit sphere, for a
+    symmetric PSD 3 x 3 matrix D, returned as (q, mu, hard) with mu the
+    multiplier of the unit-norm constraint and hard True in the hard case.
 
     Works in the eigenbasis of D: q(mu) = (D + mu*I)^-1 v with mu the unique
     root of 1/||q(mu)|| = 1 on (-lambda_min, inf), found by Newton's method
-    (More & Sorensen 1983) from a start left of the root. In the hard case
-    (v orthogonal to the bottom eigenspace with leftover norm) mu =
-    -lambda_min and the missing norm is added along a bottom eigenvector
-    oriented to have a positive first nonzero component.
+    (More & Sorensen 1983) from a start left of the root. With a simple
+    bottom eigenvalue that v reaches (the case of every refinement step
+    seen on real scenes) the start is |w_0|, w = v in the eigenbasis, and
+    everything past the eigendecomposition is float arithmetic on the three
+    components. A (nearly) repeated bottom eigenvalue, or v (nearly)
+    orthogonal to it, takes the start from the bottom eigenspace, or, in
+    the hard case (v orthogonal to the bottom eigenspace with leftover
+    norm), returns mu = -lambda_min and adds the missing norm along a
+    bottom eigenvector oriented to have a positive first nonzero component.
     """
     D = np.asarray(D, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -188,58 +225,63 @@ def solve_gtrs(D, v):
 
     # past eigh everything runs on plain floats: numpy calls on 3-vectors
     # cost more than their arithmetic
-    lam_list, w_list = lam.tolist(), w.tolist()
-    scale = max(abs(lam_list[0]), abs(lam_list[-1]), math.hypot(*v.tolist()), 1.0)
+    lam0, lam1, lam2 = lam.tolist()
+    w0, w1, w2 = w.tolist()
+    scale = max(abs(lam0), abs(lam2), math.hypot(*v.tolist()), 1.0)
     tiny = _HARD_CASE_RTOL * scale
     # work in t = mu + lambda_min >= 0: gap + t keeps its digits near the pole
-    gap_list = [x - lam_list[0] for x in lam_list]
-    bottom = [i for i, g in enumerate(gap_list) if g <= tiny]
-
-    def newton_step(idx, t):
-        # ||c|| for c = w / (gap + t) over components idx, and the Newton step
-        # on 1/||c|| = 1 from there (0 once ||c|| <= 1), using
-        # d||c||^2/dt = -2 sum c^2 / (gap + t)
-        n2 = slope = 0.0
-        for i in idx:
-            den = gap_list[i] + t
-            c2 = (w_list[i] / den) ** 2
-            n2 += c2
-            slope += c2 / den
-        norm = math.sqrt(n2)
-        return norm, ((norm - 1.0) * n2 / slope if norm > 1.0 else 0.0)
-
-    if max(abs(w_list[i]) for i in bottom) <= tiny:
-        # v (nearly) misses the bottom eigenspace: look at the rest at t = 0
-        rest = range(len(bottom), len(w_list))
-        norm, step = newton_step(rest, 0.0)
-        if norm <= 1.0:
-            # hard case: fill the missing norm along a bottom eigenvector
-            coeff = np.zeros_like(w)
-            coeff[rest] = w[rest] / (lam - lam[0])[rest]
-            q = basis @ coeff
-            e = basis[:, 0]
-            nz = np.flatnonzero(np.abs(e) > 1e-14)
-            if nz.size and e[nz[0]] < 0:
-                e = -e
-            q = normalized(q + np.sqrt(max(1.0 - float(q @ q), 0.0)) * e)
-            return q, -lam[0], True
-        # one Newton step on the rest from t = 0 is positive and stays left of
-        # its root, and the bottom terms only raise ||q(t)||, so ||q(t)|| >= 1
-        t = step
+    g0, g1, g2 = lam0 - lam0, lam1 - lam0, lam2 - lam0
+    if g1 > tiny and abs(w0) > tiny:
+        # the bottom term alone has norm >= 1 at t = |w_0|
+        t = math.sqrt(w0 ** 2) - g0
     else:
-        # every bottom term has gap + t <= ||w_B||, so ||q(t)|| >= 1 here
-        t = math.sqrt(sum(w_list[i] ** 2 for i in bottom)) - gap_list[bottom[-1]]
+        gaps, ws = (g0, g1, g2), (w0, w1, w2)
+        bottom = [i for i, g in enumerate(gaps) if g <= tiny]
+        if max(abs(ws[i]) for i in bottom) <= tiny:
+            # v (nearly) misses the bottom eigenspace: look at the rest at t = 0
+            rest = range(len(bottom), 3)
+            norm, step = _secular_newton(gaps, ws, rest, 0.0)
+            if norm <= 1.0:
+                # hard case: fill the missing norm along a bottom eigenvector
+                coeff = np.zeros_like(w)
+                coeff[rest] = w[rest] / (lam - lam[0])[rest]
+                q = basis @ coeff
+                e = basis[:, 0]
+                nz = np.flatnonzero(np.abs(e) > 1e-14)
+                if nz.size and e[nz[0]] < 0:
+                    e = -e
+                q = normalized(q + np.sqrt(max(1.0 - float(q @ q), 0.0)) * e)
+                return q, -lam[0], True
+            # one Newton step on the rest from t = 0 is positive and stays left
+            # of its root, and the bottom terms only raise ||q(t)||, so
+            # ||q(t)|| >= 1
+            t = step
+        else:
+            # every bottom term has gap + t <= ||w_B||, so ||q(t)|| >= 1 here
+            t = math.sqrt(sum(ws[i] ** 2 for i in bottom)) - gaps[bottom[-1]]
 
     # 1/||q(t)|| is concave and increasing on (0, inf), so each Newton step
-    # from the left of the root raises t and never passes the root
-    every = range(len(w_list))
-    norm, step = newton_step(every, t)
-    while abs(norm - 1.0) > GTRS_NORM_TOL and t + step > t:
+    # from the left of the root raises t and never passes the root. The
+    # step is _secular_newton's over all three components, unrolled, its
+    # sums taken in the same order from the same 0.0
+    while True:
+        d0, d1, d2 = g0 + t, g1 + t, g2 + t
+        c0, c1, c2 = w0 / d0, w1 / d1, w2 / d2
+        s0, s1, s2 = c0 ** 2, c1 ** 2, c2 ** 2
+        n2 = 0.0 + s0 + s1 + s2
+        norm = math.sqrt(n2)
+        if not abs(norm - 1.0) > GTRS_NORM_TOL:
+            break
+        if norm > 1.0:
+            step = (norm - 1.0) * n2 / (0.0 + s0 / d0 + s1 / d1 + s2 / d2)
+        else:
+            step = 0.0
+        if not t + step > t:
+            break
         t += step
-        norm, step = newton_step(every, t)
-    q = basis @ np.array([wi / (g + t) for wi, g in zip(w_list, gap_list)])
+    q = basis @ np.array([c0, c1, c2])
     q /= math.sqrt(q @ q)
-    return q, t - lam_list[0], False
+    return q, t - lam0, False
 
 
 def linear_update(D, v, q_hat):
@@ -248,8 +290,8 @@ def linear_update(D, v, q_hat):
     C = lambda_max(D), the smallest C for which C*I - D is PSD, so that the
     linear surrogate majorizes the quadratic one."""
     g = v - D @ q_hat + np.linalg.eigvalsh(D)[-1] * q_hat
-    n = np.linalg.norm(g)
-    if n <= np.finfo(float).tiny:
+    n = math.sqrt(g @ g)
+    if n <= _TINY:
         return np.asarray(q_hat, dtype=float).copy()
     return g / n
 
@@ -290,8 +332,12 @@ def refine(spec, geometry, q0, variant="quadratic", max_iters=30, rel_tol=1e-10)
     every step, so its objectives never rise, and holds at most
     ``max_iters`` of them. Stops there or once the relative objective
     decrease is at most ``rel_tol`` on two consecutive steps; ``rel_tol``
-    = 0 stops once the objective no longer decreases. ``evaluations``
-    counts every objective evaluation, rejected extrapolations included.
+    = 0 stops once the objective no longer decreases. An iterate whose
+    objective is exactly 0 (at s > 0, every band power rounded to 0 or
+    below) is the global minimum of the nonnegative objective: the
+    refinement stops there as converged, with no surrogate, whose tangent
+    plane of the power mean would divide by that 0. ``evaluations`` counts
+    every objective evaluation, rejected extrapolations included.
 
     ``spec`` is a cost spec or its :class:`PairCoefficients` on this
     geometry, which a caller refining several starts of one spec builds
@@ -312,6 +358,9 @@ def refine(spec, geometry, q0, variant="quadratic", max_iters=30, rel_tol=1e-10)
     cycle = [q]  # the iterates of the current SQUAREM cycle
     slow = 0
     while len(trace.iterates) <= max_iters:
+        if evaluated[2] == 0.0:
+            trace.converged_at = len(trace.objectives) - 1
+            break
         point = None
         if len(cycle) == 3:
             if slow == 0:

@@ -2,15 +2,23 @@
 
 The refinement builds its cosine bounds from pair phasors; the wrapped
 phase and sinc weight below are the textbook form of the same bound, kept
-here as an independent oracle.
+here as an independent oracle. The ``reference_*`` functions are the MM
+step as it was written before its per-step setup moved into
+``PairCoefficients`` and its GTRS Newton step was unrolled: the library's
+must keep their bits.
 """
+
+import math
 
 import numpy as np
 from scipy.signal import get_window
 
-from doakit.estimators import band_powers, power_mean
+from doakit.estimators import EPS_POWER, band_powers, common_step, power_mean
 from doakit.manifold import great_circle_distance, normalized
 from doakit.refine import (
+    _HARD_CASE_RTOL,
+    _NULL_RTOL,
+    GTRS_NORM_TOL,
     PairCoefficients,
     RefinementTrace,
     linear_update,
@@ -187,3 +195,122 @@ def plain_mm(spec, geometry, q0, variant="quadratic", max_iters=30, rel_tol=1e-1
             trace.converged_at = step
             break
     return trace
+
+
+def _reference_phasor_table(omega, x, step):
+    # exp(j omega_k x) per band: the band recurrence on evenly spaced omega
+    omega = np.asarray(omega, dtype=float)
+    if step is None:
+        return np.exp(np.multiply.outer(1j * omega, x))
+    first, rotate = np.exp(np.multiply.outer((1j * omega[0], 1j * step), x))
+    table = np.empty((omega.size, x.size), dtype=complex)
+    table[0] = first
+    table[1:] = rotate
+    return np.multiply.accumulate(table, axis=0, out=table)
+
+
+def reference_pair_band_powers(coeffs, q):
+    """``pair_band_powers`` with its recurrence step and near-null floor
+    rebuilt on every call."""
+    steer = _reference_phasor_table(coeffs.omega, coeffs.sensors @ q,
+                                    common_step(coeffs.omega))
+    m, r = coeffs.pairs
+    phasors = steer.conj()[:, m]
+    phasors *= steer[:, r]
+    phasors *= coeffs.neg_entries
+    scale = 2.0 / coeffs.num_sensors
+    powers = coeffs.diagonal - scale * np.add.reduce(phasors.real, axis=1)
+    near = np.flatnonzero(powers <= _NULL_RTOL * coeffs.diagonal)
+    if near.size:
+        re, im = phasors.real[near], phasors.imag[near]
+        u = coeffs.magnitudes[near]
+        tiny = np.finfo(float).tiny
+        flat = np.copysign(u - im * im / np.maximum(u + np.abs(re), tiny), re)
+        powers[near] = coeffs.diagonal[near] - scale * np.add.reduce(flat, axis=1)
+    return powers, phasors, power_mean(powers, coeffs.s)
+
+
+def reference_surrogate_system(coeffs, q_hat, evaluated):
+    """``surrogate_system``: (D, v) from an evaluation at q_hat."""
+    powers, phasors, mean = evaluated
+    y = np.maximum(powers, EPS_POWER)
+    beta = (y / mean) ** (coeffs.s - 1.0) / y.shape[0]
+    sin_part = phasors.imag
+    sin_copy = sin_part.copy(order="K")
+    phi0 = np.arctan2(sin_copy, phasors.real.copy(order="K"))
+    with np.errstate(invalid="ignore"):
+        u_hat = sin_copy / phi0
+    np.copyto(u_hat, coeffs.magnitudes, where=phi0 == 0.0)
+    omega = coeffs.omega
+    scale = omega * beta / coeffs.num_sensors
+    xi = (omega * scale) @ u_hat
+    gamma = xi * (coeffs.deltas @ q_hat) + scale @ sin_part
+    return (xi @ coeffs.delta_outer).reshape(3, 3), gamma @ coeffs.deltas
+
+
+def reference_solve_gtrs(D, v):
+    """``solve_gtrs`` with one Newton-step helper over index lists for
+    every case."""
+    D = np.asarray(D, dtype=float)
+    v = np.asarray(v, dtype=float)
+    lam, basis = np.linalg.eigh(D)
+    basis = np.asfortranarray(basis)
+    w = v @ basis
+    lam_list, w_list = lam.tolist(), w.tolist()
+    scale = max(abs(lam_list[0]), abs(lam_list[-1]), math.hypot(*v.tolist()), 1.0)
+    tiny = _HARD_CASE_RTOL * scale
+    gap_list = [x - lam_list[0] for x in lam_list]
+    bottom = [i for i, g in enumerate(gap_list) if g <= tiny]
+
+    def newton_step(idx, t):
+        n2 = slope = 0.0
+        for i in idx:
+            den = gap_list[i] + t
+            c2 = (w_list[i] / den) ** 2
+            n2 += c2
+            slope += c2 / den
+        norm = math.sqrt(n2)
+        return norm, ((norm - 1.0) * n2 / slope if norm > 1.0 else 0.0)
+
+    if max(abs(w_list[i]) for i in bottom) <= tiny:
+        rest = range(len(bottom), len(w_list))
+        norm, step = newton_step(rest, 0.0)
+        if norm <= 1.0:
+            coeff = np.zeros_like(w)
+            coeff[rest] = w[rest] / (lam - lam[0])[rest]
+            q = basis @ coeff
+            e = basis[:, 0]
+            nz = np.flatnonzero(np.abs(e) > 1e-14)
+            if nz.size and e[nz[0]] < 0:
+                e = -e
+            q = normalized(q + np.sqrt(max(1.0 - float(q @ q), 0.0)) * e)
+            return q, -lam[0], True
+        t = step
+    else:
+        t = math.sqrt(sum(w_list[i] ** 2 for i in bottom)) - gap_list[bottom[-1]]
+    every = range(len(w_list))
+    norm, step = newton_step(every, t)
+    while abs(norm - 1.0) > GTRS_NORM_TOL and t + step > t:
+        t += step
+        norm, step = newton_step(every, t)
+    q = basis @ np.array([wi / (g + t) for wi, g in zip(w_list, gap_list)])
+    q /= math.sqrt(q @ q)
+    return q, t - lam_list[0], False
+
+
+def reference_linear_update(D, v, q_hat):
+    """``linear_update`` with its norm from ``np.linalg.norm``."""
+    g = v - D @ q_hat + np.linalg.eigvalsh(D)[-1] * q_hat
+    n = np.linalg.norm(g)
+    if n <= np.finfo(float).tiny:
+        return np.asarray(q_hat, dtype=float).copy()
+    return g / n
+
+
+# the refinement's step functions by name, as ``refine`` looks them up
+REFERENCE_STEP = {
+    "pair_band_powers": reference_pair_band_powers,
+    "surrogate_system": reference_surrogate_system,
+    "solve_gtrs": reference_solve_gtrs,
+    "linear_update": reference_linear_update,
+}

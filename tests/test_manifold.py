@@ -147,6 +147,39 @@ def test_great_circle_distance_near_zero():
     assert great_circle_distance(q[:50, None, :], q[None, :50, :]).shape == (50, 50)
 
 
+def _cross_norm_distance(q1, q2):
+    # the distance as first written, through np.cross and np.linalg.norm
+    q1, q2 = np.asarray(q1, float), np.asarray(q2, float)
+    cross = np.linalg.norm(np.cross(q1, q2), axis=-1)
+    return np.arctan2(cross, np.sum(q1 * q2, axis=-1))
+
+
+def test_great_circle_distance_keeps_the_cross_norm_bits():
+    # the written-out cross product and norm read every distance of the
+    # np.cross / np.linalg.norm form bit for bit, with its shape and type,
+    # over broadcast shapes and at identical and antipodal points
+    local = np.random.default_rng(8)
+
+    def unit(*shape):
+        q = local.standard_normal(shape + (3,))
+        return q / np.linalg.norm(q, axis=-1, keepdims=True)
+
+    q = unit(400)
+    near = q + 1e-9 * unit(400)
+    near /= np.linalg.norm(near, axis=-1, keepdims=True)
+    pairs = [
+        (unit(), unit()), (unit(2, 1), unit(1, 2)), (unit(50, 1), unit(1, 50)),
+        (unit(7), unit()), (unit(), unit(300)), (unit(3, 4, 5), unit(5)),
+        (unit(60, 1)[::2], unit(1, 40)), (q, q), (q, -q), (q, near), (q[0], q[0]),
+        (q[0], -q[0]), (q[:50, None, :], q[None, :50, :]), ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
+    ]
+    pairs += [(a, b) for a, b in zip(q, near)]
+    for a, b in pairs:
+        got, want = great_circle_distance(a, b), _cross_norm_distance(a, b)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+
+
 def test_great_circle_triangle_inequality():
     for _ in range(500):
         q = rng.standard_normal((3, 3))

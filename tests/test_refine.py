@@ -1,3 +1,5 @@
+import functools
+import itertools
 import sys
 import zlib
 
@@ -29,18 +31,21 @@ from doakit.simulate import (
     Scene,
     build_cost_spec,
     estimator_covariance,
+    locate_sources,
     monte_carlo,
     random_sources,
     synth_stft_scene,
 )
 from doakit.spectral import CovarianceSet
 from oracles import (
+    REFERENCE_STEP,
     cosine_surrogate_coeffs,
     gtrs_coefficients,
     hertz,
     objective,
     plain_mm,
     quadratic_monomials,
+    reference_solve_gtrs,
     steering_vector,
     unnormalized_sinc,
     wrap_phase,
@@ -707,7 +712,7 @@ def test_pair_band_powers_matches_steering_on_band_grids(kind, rng):
     spec = _psd_spec(STFT_FREQUENCIES[kind], 8, -1.0, seed=3)
     geom = random_geometry(num_sensors=8, seed=9)
     coeffs = PairCoefficients.from_cost_spec(spec, geom)
-    assert (coeffs.band_step is None) == (kind == "uneven")
+    assert (coeffs.rates is None) == (kind == "uneven")
     omega = geom.wavenumbers(spec.band_frequencies)
     scale = np.trace(spec.matrices, axis1=1, axis2=2).real / 8
     for _ in range(5):
@@ -826,3 +831,132 @@ def test_band_powers_do_not_move_with_the_array(many_sensor_specs, estimator):
     at, there = (np.stack([pair_band_powers(c, q)[0] for q in points[::20]], axis=1)
                  for c in (coeffs, moved_coeffs))
     assert np.max(np.abs(there - at) / scale) <= 1e-12
+
+
+@functools.cache
+def _bit_guard_scene(num_sensors, snr_db, spacing):
+    # a two-source scene on an M-mic array, its 12 STFT bands in 300-1000 Hz
+    # or uneven ones, and each estimator's covariance
+    geom = random_geometry(num_sensors=num_sensors, radius=0.1, seed=2)
+    sources = random_sources(np.random.default_rng(2), 2, np.radians(30.0))
+    frames = synth_stft_scene(Scene(geom, sources, snr_db=snr_db, seed=2), frame_size=256,
+                              num_frames=40, f_min=300.0, f_max=1000.0)
+    covs = {}
+    for estimator in ("srp", "srp-phat", "music", "mvdr"):
+        cov = estimator_covariance(frames, estimator)
+        if spacing == "uneven":
+            cov = CovarianceSet(cov.matrices, STFT_FREQUENCIES["uneven"][: cov.num_bands])
+        covs[estimator] = cov
+    return geom, covs
+
+
+def _same_trace(a, b):
+    return (np.array_equal(a.iterates, b.iterates) and a.objectives == b.objectives
+            and a.evaluations == b.evaluations and a.converged_at == b.converged_at)
+
+
+@pytest.mark.parametrize("num_sensors, snr_db, spacing", [
+    *itertools.product([12], [20.0, 0.0, np.inf], ["even", "uneven"]),
+    (64, 20.0, "even"), (64, 0.0, "uneven"), (64, np.inf, "even"),
+])
+@pytest.mark.parametrize("estimator", ["srp", "srp-phat", "music", "mvdr"])
+def test_refine_keeps_the_reference_step_bits(monkeypatch, estimator, num_sensors, snr_db,
+                                              spacing):
+    # the MM step without per-step setup (rates and near-null floor built
+    # once per spec, the GTRS Newton step unrolled) gives every trace of the
+    # step as first written, bit for bit: iterates, objectives, evaluations
+    # and converged_at, from a coarse grid's two peaks
+    geom, covs = _bit_guard_scene(num_sensors, snr_db, spacing)
+    grid = fibonacci_grid(100)
+    module = sys.modules[refine.__module__]
+    for s in (-10.0, -3.0, -1.0, 0.5, 1.0):
+        spec = build_cost_spec(covs[estimator], estimator, s, 2)
+        coeffs = PairCoefficients.from_cost_spec(spec, geom)
+        peaks = grid_search(power_mean(band_powers(spec, geom, grid.points), s), grid, 2,
+                            np.radians(10.0))
+        for (q0, _), variant, rel_tol in itertools.product(
+                peaks, ("quadratic", "linear"), (1e-10, 0.0)):
+            got = refine(coeffs, geom, q0, variant=variant, rel_tol=rel_tol)
+            with monkeypatch.context() as patch:
+                for name, reference in REFERENCE_STEP.items():
+                    patch.setattr(module, name, reference)
+                want = refine(coeffs, geom, q0, variant=variant, rel_tol=rel_tol)
+            assert _same_trace(got, want), (s, variant, rel_tol, q0)
+
+
+def _gtrs_edge_problems():
+    # diagonal D, so eigh returns its entries exactly: gap_1 = lambda_1 and
+    # |w_0| = |v_0| sit one ulp below, at and one ulp above the threshold
+    # 1e-12 * scale (scale 5 from lambda_max), then repeated eigenvalues,
+    # D = 0, v = 0 and the hard cases of the optimality certificate
+    tiny = 1e-12 * 5.0
+    near = (np.nextafter(tiny, 0.0), tiny, np.nextafter(tiny, 1.0))
+    for gap, w0, sign in itertools.product(near + (0.0, 1.0), near + (0.0, 0.5), (1.0, -1.0)):
+        for rest in ([0.5, 0.5], [0.0, 8.0], [0.0, 0.1], [1e-13, 2.0]):
+            yield np.diag([0.0, gap, 5.0]), np.array([sign * w0, *rest])
+    yield np.diag([1.0, 1.0, 5.0]), np.array([0.3, -0.2, 0.5])
+    yield np.diag([2.0, 2.0, 2.0]), np.array([0.3, -1.0, 0.2])
+    yield 2.5 * np.eye(3), np.zeros(3)
+    yield np.zeros((3, 3)), np.array([0.0, 3.0, 4.0])
+    yield np.zeros((3, 3)), np.zeros(3)
+    yield np.diag([1.0, 2.0, 3.0]), np.zeros(3)
+    yield np.diag([0.0, 0.0, 4.0]), np.array([0.0, 0.0, 1.0])
+    yield np.diag([0.0, 17.0, 17.0]), np.array([0.0, 17.0, 17.0 * 1.1e-8])
+    yield np.diag([1.0, 1.0 + 2.5e-12, 5.0]), np.array([6e-12, 6e-12, 0.5])
+    yield np.diag([1.0, 1.0 + 2.5e-12, 5.0]), np.array([-6e-12, 0.0, 2.0])
+
+
+def _gtrs_random_problems(count, seed=11):
+    # PSD matrices over many scales, half of them Q diag(lam) Q^T with a
+    # repeated bottom eigenvalue or v (nearly) orthogonal to its eigenvector
+    local = np.random.default_rng(seed)
+    for i in range(count):
+        if i % 2:
+            a = local.standard_normal((3, 3))
+            d = a @ a.T * 10.0 ** local.uniform(-6, 6)
+            v = local.standard_normal(3) * 10.0 ** local.uniform(-6, 6)
+        else:
+            lam = np.sort(local.uniform(0.0, 100.0, 3))
+            if local.random() < 0.5:
+                lam[1] = lam[0]
+            basis, _ = np.linalg.qr(local.uniform(-1.0, 1.0, (3, 3)))
+            w = local.uniform(-100.0, 100.0, 3)
+            w[0] *= local.choice([0.0, 1e-14, 1e-12, 1e-10, 1.0])
+            d, v = basis @ np.diag(lam) @ basis.T, basis @ w
+        yield d, v
+
+
+def test_solve_gtrs_keeps_the_reference_bits():
+    # the unrolled Newton step of the simple-bottom case and the untouched
+    # degenerate and hard-case branches give the reference's q, mu and
+    # hard-case flag, bit for bit
+    problems = itertools.chain(_gtrs_edge_problems(), _gtrs_random_problems(20_000))
+    for d, v in problems:
+        q, mu, hard = solve_gtrs(d, v)
+        q_ref, mu_ref, hard_ref = reference_solve_gtrs(d, v)
+        assert np.array_equal(q, q_ref) and mu == mu_ref and hard == hard_ref, (d, v)
+
+
+def test_refine_stops_at_an_objective_of_zero(monkeypatch):
+    # noise-free two-source MUSIC at s = 1 on 32 mics: an iterate of the
+    # second peak rounds every band power to 0 or below, so the power mean
+    # is exactly 0, the global minimum; refine stops there as converged
+    # instead of building a surrogate whose band weights divide by that 0
+    geom = random_geometry(32, 0.1, seed=5)
+    sources = random_sources(np.random.default_rng(5), 2, np.radians(30.0))
+    frames = synth_stft_scene(Scene(geom, sources, snr_db=np.inf, seed=5), frame_size=256,
+                              num_frames=60)
+    built = []
+
+    def checked_surrogate(coeffs, q_hat, evaluated):
+        built.append(evaluated[2])
+        return surrogate_system(coeffs, q_hat, evaluated)
+
+    monkeypatch.setattr(sys.modules[refine.__module__], "surrogate_system", checked_surrogate)
+    traces = locate_sources(estimator_covariance(frames, "music"), geom, fibonacci_grid(100),
+                            estimator="music", s=1.0, num_sources=2, variant="quadratic",
+                            max_iters=30, min_separation_rad=np.radians(10.0))
+    last = traces[1]
+    assert last.objectives[-1] == 0.0 and 0.0 not in last.objectives[:-1]
+    assert last.converged_at == len(last.objectives) - 1 < 30
+    assert built and 0.0 not in built
