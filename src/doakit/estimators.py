@@ -3,12 +3,12 @@
 Every estimator is expressed as the minimization over the sphere of the
 power mean, across frequency bands, of the quadratic forms a_k(q)^H V_k a_k(q)
 with Hermitian PSD matrices V_k. Estimators that are natively maximizations
-(the SRP family) are converted with a Gershgorin diagonal shift.
+(the SRP family) are converted with a Gershgorin diagonal shift. A cost
+spec is the ``CovarianceSet`` of the V_k; the exponent s is chosen apart
+from it and enters only the power mean.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,18 +37,6 @@ def check_exponent(s, name="exponent s"):
     check_number(s, name, "lie in (-inf, 1], s != 0", lambda v: -np.inf < v <= 1.0 and v != 0.0)
 
 
-@dataclass
-class CostSpec(CovarianceSet):
-    """Matrices, band frequencies and exponent of the band-power objective;
-    the array geometry turns the frequencies into wavenumbers."""
-
-    s: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        check_exponent(self.s)
-
-
 def gershgorin_shift(c):
     """V = P*I - c with P the largest absolute row sum of the Hermitian matrix
     c, so V is PSD by the Gershgorin circle theorem. A (K, M, M) stack is
@@ -58,31 +46,23 @@ def gershgorin_shift(c):
     return p[..., None, None] * np.eye(c.shape[-1]) - c
 
 
-def srp_cost_spec(cov, s=-3.0):
+def srp_cost_spec(cov):
     """Steered-response-power cost. Apply PHAT weighting to the frames before
     computing the covariance to obtain SRP-PHAT."""
-    return CostSpec(
-        matrices=gershgorin_shift(cov.matrices),
-        band_frequencies=cov.band_frequencies,
-        s=s,
-    )
+    return CovarianceSet(gershgorin_shift(cov.matrices), cov.band_frequencies)
 
 
-def music_cost_spec(cov, num_sources, s=-1.0):
+def music_cost_spec(cov, num_sources):
     """Noise-subspace projector cost (MUSIC)."""
     m = cov.num_sensors
     check_number(num_sources, "num_sources", f"be an integer with 1 <= L < M = {m}",
                  lambda v: 1 <= v < m and is_integer(v))
     _, vecs = np.linalg.eigh(cov.matrices)  # ascending eigenvalues, per band
     noise = vecs[..., : m - int(num_sources)]
-    return CostSpec(
-        matrices=noise @ np.swapaxes(noise.conj(), 1, 2),
-        band_frequencies=cov.band_frequencies,
-        s=s,
-    )
+    return CovarianceSet(noise @ np.swapaxes(noise.conj(), 1, 2), cov.band_frequencies)
 
 
-def mvdr_cost_spec(cov, loading=DEFAULT_MVDR_LOADING, s=-1.0):
+def mvdr_cost_spec(cov, loading=DEFAULT_MVDR_LOADING):
     """Inverse-covariance (Capon) cost with relative diagonal loading."""
     check_number(loading, "loading", "be a finite non-negative number",
                  lambda v: 0.0 <= v < np.inf)
@@ -96,11 +76,7 @@ def mvdr_cost_spec(cov, loading=DEFAULT_MVDR_LOADING, s=-1.0):
             f"band {singular[0]}: covariance singular after loading; increase loading"
         )
     inv = np.linalg.inv(loaded)
-    return CostSpec(
-        matrices=0.5 * (inv + np.swapaxes(inv.conj(), 1, 2)),
-        band_frequencies=cov.band_frequencies,
-        s=s,
-    )
+    return CovarianceSet(0.5 * (inv + np.swapaxes(inv.conj(), 1, 2)), cov.band_frequencies)
 
 
 def power_mean(values, s):

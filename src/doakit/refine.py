@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import EPS_POWER, common_step, power_mean
+from .estimators import EPS_POWER, check_exponent, common_step, power_mean
 from .manifold import check_number, is_integer, normalized
 
 GTRS_NORM_TOL = 1e-12
@@ -58,7 +58,8 @@ class PairCoefficients:
         return self.sensors.shape[0]
 
     @classmethod
-    def from_cost_spec(cls, spec, geometry):
+    def from_cost_spec(cls, spec, geometry, s):
+        check_exponent(s)
         pairs = np.array(np.triu_indices(geometry.num_sensors, k=1))
         deltas = geometry.sensors[pairs[0]] - geometry.sensors[pairs[1]]
         omega = geometry.wavenumbers(spec.band_frequencies)
@@ -79,7 +80,7 @@ class PairCoefficients:
             null_floor=_NULL_RTOL * diagonal,
             omega=omega,
             rates=None if step is None else np.array((1j * omega[0], 1j * step)),
-            s=spec.s,
+            s=s,
         )
 
 
@@ -316,8 +317,9 @@ def _squarem_point(q0, q1, q2):
     return x / n if n > 0.0 else None
 
 
-def refine(spec, geometry, q0, variant="quadratic", max_iters=30, rel_tol=1e-10):
-    """Iteratively refine a DOA estimate from q0.
+def refine(coeffs, q0, variant="quadratic", max_iters=30, rel_tol=1e-10):
+    """Iteratively refine a DOA estimate from q0 on the objective whose pair
+    form is ``coeffs``, which several starts share.
 
     Each MM map builds the surrogate at the current iterate; variant
     "quadratic" solves its trust-region subproblem, "linear" takes the
@@ -338,10 +340,6 @@ def refine(spec, geometry, q0, variant="quadratic", max_iters=30, rel_tol=1e-10)
     refinement stops there as converged, with no surrogate, whose tangent
     plane of the power mean would divide by that 0. ``evaluations`` counts
     every objective evaluation, rejected extrapolations included.
-
-    ``spec`` is a cost spec or its :class:`PairCoefficients` on this
-    geometry, which a caller refining several starts of one spec builds
-    once.
     """
     if variant not in ("quadratic", "linear"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -349,8 +347,6 @@ def refine(spec, geometry, q0, variant="quadratic", max_iters=30, rel_tol=1e-10)
     check_number(max_iters, "max_iters", "be an integer", is_integer)
     check_number(rel_tol, "rel_tol", "be a finite non-negative number",
                  lambda v: 0.0 <= v < np.inf)
-    coeffs = (spec if isinstance(spec, PairCoefficients)
-              else PairCoefficients.from_cost_spec(spec, geometry))
     q = normalized(q0)
     # each objective evaluation's phasors and mean build the next surrogate
     evaluated = pair_band_powers(coeffs, q)

@@ -6,7 +6,7 @@ import csv
 import json
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -324,9 +324,9 @@ class MonteCarloConfig:
                      "lie in [0, 180]", lambda v: 0.0 <= v <= 180.0)
         # every cell's settings up front, so a bad one late in an axis does
         # not wait for the cells before it to run
-        for estimator, variant, iters in product(
-                self.estimators, self.variants, self.iteration_counts):
-            _check_settings(estimator, variant, self.num_sources, iters, self.rel_tol,
+        for estimator, s, variant, iters in product(
+                self.estimators, self.s_values, self.variants, self.iteration_counts):
+            _check_settings(estimator, s, variant, self.num_sources, iters, self.rel_tol,
                             self.mvdr_loading, self.min_separation_deg)
         # cells are keyed by their values, so a value may appear once per axis
         for name in SWEEP_AXES:
@@ -397,13 +397,14 @@ def estimator_covariance(frames, estimator):
     return sample_covariance(frames)
 
 
-def _check_settings(estimator, variant, num_sources, max_iters, rel_tol, mvdr_loading,
+def _check_settings(estimator, s, variant, num_sources, max_iters, rel_tol, mvdr_loading,
                     min_separation):
     """The settings check of ``locate_sources``, which MonteCarloConfig also
     runs on every cell before a sweep starts: ValueError naming the setting.
-    The source count and the peak separation (in degrees or radians alike)
-    are checked here as well, so a bad one fails before any grid pass rather
-    than in ``grid_search`` after it."""
+    The exponent, the source count and the peak separation (in degrees or
+    radians alike) are checked here as well, so a bad one fails before the
+    covariance is read or any grid pass runs."""
+    check_exponent(s)
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
     if variant not in VARIANTS:
@@ -418,34 +419,35 @@ def _check_settings(estimator, variant, num_sources, max_iters, rel_tol, mvdr_lo
                      lambda v: 0.0 <= v < np.inf)
 
 
-def build_cost_spec(cov, estimator, s, num_sources, mvdr_loading=DEFAULT_MVDR_LOADING):
-    """The estimator's cost spec of a covariance from ``estimator_covariance``.
-    Raises LinAlgError ("no usable signal") when the covariance is non-finite
-    or zero in every band, ValueError for an unknown estimator."""
+def build_cost_spec(cov, estimator, num_sources, mvdr_loading=DEFAULT_MVDR_LOADING):
+    """The estimator's cost spec, its band matrices V_k with no exponent, of a
+    covariance from ``estimator_covariance``. Raises LinAlgError ("no usable
+    signal") when the covariance is non-finite or zero in every band,
+    ValueError for an unknown estimator."""
     band_power = np.trace(cov.matrices, axis1=1, axis2=2).real
     if not (np.all(np.isfinite(cov.matrices)) and np.any(band_power)):
         raise np.linalg.LinAlgError(
             "no usable signal: the covariance is non-finite or zero in every band"
         )
     if estimator in ("srp", "srp-phat"):
-        return srp_cost_spec(cov, s=s)
+        return srp_cost_spec(cov)
     if estimator == "music":
-        return music_cost_spec(cov, num_sources, s=s)
+        return music_cost_spec(cov, num_sources)
     if estimator == "mvdr":
-        return mvdr_cost_spec(cov, loading=mvdr_loading, s=s)
+        return mvdr_cost_spec(cov, loading=mvdr_loading)
     raise ValueError(f"unknown estimator {estimator!r}")
 
 
-def refine_peaks(spec, geometry, peaks, *, variant, max_iters, rel_tol=1e-10):
+def refine_peaks(spec, geometry, peaks, *, s, variant, max_iters, rel_tol=1e-10):
     """The last stage of ``locate_sources``: one RefinementTrace per peak of
-    ``grid_search``, in peak order, whose last iterate is the direction; an
-    unrefined peak (variant "none" or max_iters 0) gets the one-point trace
-    of its grid point. The caller checks the settings: ``locate_sources``
-    and ``MonteCarloConfig`` run ``_check_settings``."""
+    ``grid_search``, in peak order, refined through one pair form of the
+    spec at exponent ``s``, whose last iterate is the direction; an unrefined
+    peak (variant "none" or max_iters 0) gets the one-point trace of its grid
+    point. The caller checks the settings (``_check_settings``)."""
     if variant == "none" or max_iters == 0:
         return [RefinementTrace(iterates=[q0], objectives=[value]) for q0, value in peaks]
-    coeffs = PairCoefficients.from_cost_spec(spec, geometry)
-    return [refine(coeffs, geometry, q0, variant=variant, max_iters=max_iters, rel_tol=rel_tol)
+    coeffs = PairCoefficients.from_cost_spec(spec, geometry, s)
+    return [refine(coeffs, q0, variant=variant, max_iters=max_iters, rel_tol=rel_tol)
             for q0, _ in peaks]
 
 
@@ -455,18 +457,18 @@ def locate_sources(cov, geometry, grid, *, estimator, s, num_sources, variant,
     """Localize sources in a covariance from ``estimator_covariance``: build
     the cost spec, search the grid, then ``refine_peaks``. Returns one
     RefinementTrace per source in peak order, whose last iterate is the
-    direction. Raises ValueError naming the setting for an unknown estimator
-    or variant, a num_sources below 1, a negative max_iters, a count that is
-    not an integer (2 and 2.0 are, 2.5 is not), or a rel_tol,
-    mvdr_loading or min_separation_rad outside [0, inf), whatever the
-    estimator and variant, and LinAlgError when the covariance is non-finite
-    or zero in every band."""
-    _check_settings(estimator, variant, num_sources, max_iters, rel_tol, mvdr_loading,
+    direction. Raises ValueError naming the setting for an s outside
+    (-inf, 1] or 0, an unknown estimator or variant, a num_sources below 1, a
+    negative max_iters, a count that is not an integer (2 and 2.0 are, 2.5
+    is not), or a rel_tol, mvdr_loading or min_separation_rad outside
+    [0, inf), whatever the estimator and variant, and LinAlgError when the
+    covariance is non-finite or zero in every band."""
+    _check_settings(estimator, s, variant, num_sources, max_iters, rel_tol, mvdr_loading,
                     min_separation_rad)
-    spec = build_cost_spec(cov, estimator, s, num_sources, mvdr_loading)
+    spec = build_cost_spec(cov, estimator, num_sources, mvdr_loading)
     values = power_mean(band_powers(spec, geometry, grid.points), s)
     peaks = grid_search(values, grid, num_sources, min_separation_rad)
-    return refine_peaks(spec, geometry, peaks, variant=variant, max_iters=max_iters,
+    return refine_peaks(spec, geometry, peaks, s=s, variant=variant, max_iters=max_iters,
                         rel_tol=rel_tol)
 
 
@@ -484,12 +486,13 @@ def trial_searches(config, snr_index, trial, grids):
     trial]) alone, so a cell's scenes do not depend on which other
     estimators, exponents, grid sizes, variants or iteration counts the
     sweep holds. The frames give one covariance per front end. Each
-    estimator's cost spec is built once, for every grid (a spec depends on
-    neither the grid nor s, which enters only the power mean); each grid
-    takes one ``band_powers`` call per spec, and each s the power mean of
-    those band powers and its ``grid_search``. A search's seconds are what
-    it would cost on its own: its spec build and ``band_powers`` call, each
-    timed as one call, and its own power mean and pick."""
+    estimator's cost spec is built once and shared by all its searches (a
+    spec depends on neither the grid nor s, which enters only the power mean
+    and the pair form of a refine); each grid takes one ``band_powers`` call
+    per spec, and each s the power mean of those band powers and its
+    ``grid_search``. A search's seconds are what it would cost on its own:
+    its spec build and ``band_powers`` call, each timed as one call, and its
+    own power mean and pick."""
     seed_seq = np.random.SeedSequence([config.master_seed, snr_index, trial])
     rng = np.random.default_rng(seed_seq)
     sources = random_sources(
@@ -518,10 +521,8 @@ def trial_searches(config, snr_index, trial, grids):
     searches = {}
     for estimator in config.estimators:
         start = time.perf_counter()
-        spec = build_cost_spec(
-            covariances[_front_end(estimator)], estimator, config.s_values[0],
-            config.num_sources, config.mvdr_loading,
-        )
+        spec = build_cost_spec(covariances[_front_end(estimator)], estimator,
+                               config.num_sources, config.mvdr_loading)
         built = time.perf_counter() - start
         for grid in grids:
             start = time.perf_counter()
@@ -530,9 +531,8 @@ def trial_searches(config, snr_index, trial, grids):
             for s in config.s_values:
                 start = time.perf_counter()
                 peaks = grid_search(power_mean(powers, s), grid, config.num_sources, separation)
-                searches[(estimator, s, grid.size)] = (
-                    replace(spec, s=s), peaks, shared + time.perf_counter() - start,
-                )
+                seconds = shared + time.perf_counter() - start
+                searches[(estimator, s, grid.size)] = (spec, peaks, seconds)
     return sources, searches
 
 
@@ -542,12 +542,11 @@ def run_trial(config, cell_key, search, sources):
     Returns (per-source errors, localization time), the time being the
     search's seconds plus this cell's refinement, what one cell costs on
     its own."""
-    variant, iters = cell_key[3:5]
+    s, _, variant, iters = cell_key[1:5]
     spec, peaks, search_seconds = search
     start = time.perf_counter()
-    traces = refine_peaks(
-        spec, config.geometry, peaks, variant=variant, max_iters=iters, rel_tol=config.rel_tol
-    )
+    traces = refine_peaks(spec, config.geometry, peaks, s=s, variant=variant, max_iters=iters,
+                          rel_tol=config.rel_tol)
     elapsed = search_seconds + time.perf_counter() - start
     return evaluate([t.iterates[-1] for t in traces], sources), elapsed
 

@@ -19,6 +19,17 @@ PHAT_FLOOR = 1e-12
 WINDOWS = {"hann": (0.5, 1.0 - 0.5), "boxcar": (1.0,)}
 
 
+def _band_frequencies(frequencies, num_bands):
+    """The frequencies as a float array; ValueError unless they are
+    ``num_bands`` non-negative, strictly increasing band frequencies."""
+    f = np.asarray(frequencies, dtype=float)
+    if f.shape != (num_bands,):
+        raise ValueError("band count mismatch")
+    if not (np.all(f >= 0.0) and np.all(np.diff(f) > 0.0)):
+        raise ValueError("band frequencies must be non-negative and strictly increasing")
+    return f
+
+
 @dataclass
 class SpectralFrames:
     """Complex time-frequency tensor indexed (band, frame, sensor)."""
@@ -28,13 +39,9 @@ class SpectralFrames:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=complex)
-        self.band_frequencies = np.asarray(self.band_frequencies, dtype=float)
         if self.data.ndim != 3:
             raise ValueError("data must have shape (bands, frames, sensors)")
-        if self.band_frequencies.shape[0] != self.data.shape[0]:
-            raise ValueError("band count mismatch")
-        if np.any(np.diff(self.band_frequencies) <= 0):
-            raise ValueError("band frequencies must be strictly increasing")
+        self.band_frequencies = _band_frequencies(self.band_frequencies, self.data.shape[0])
 
     @property
     def num_bands(self):
@@ -59,14 +66,9 @@ class CovarianceSet:
 
     def __post_init__(self):
         self.matrices = np.asarray(self.matrices, dtype=complex)
-        self.band_frequencies = np.asarray(self.band_frequencies, dtype=float)
         if self.matrices.ndim != 3 or self.matrices.shape[1] != self.matrices.shape[2]:
             raise ValueError("matrices must have shape (bands, M, M)")
-        if self.band_frequencies.shape != (self.matrices.shape[0],):
-            raise ValueError("band count mismatch")
-        f = self.band_frequencies
-        if not (np.all(f >= 0.0) and np.all(np.diff(f) > 0.0)):
-            raise ValueError("band frequencies must be non-negative and strictly increasing")
+        self.band_frequencies = _band_frequencies(self.band_frequencies, self.matrices.shape[0])
 
     @property
     def num_bands(self):

@@ -160,21 +160,21 @@ def symmetric_neighbors(grid):
     return [sorted(row) for row in closure]
 
 
-def objective(spec, geometry, q):
-    """The power-mean objective at one direction in its steering form, the
-    band powers a_k(q)^H V_k a_k(q); the refinement evaluates it from pair
-    phasors instead."""
-    return power_mean(band_powers(spec, geometry, np.reshape(q, (1, 3)))[:, 0], spec.s)
+def objective(spec, geometry, q, s):
+    """The power-mean objective with exponent s at one direction in its
+    steering form, the band powers a_k(q)^H V_k a_k(q); the refinement
+    evaluates it from pair phasors instead."""
+    return power_mean(band_powers(spec, geometry, np.reshape(q, (1, 3)))[:, 0], s)
 
 
-def plain_mm(spec, geometry, q0, variant="quadratic", max_iters=30, rel_tol=1e-10):
+def plain_mm(spec, geometry, q0, s, variant="quadratic", max_iters=30, rel_tol=1e-10):
     """Reference for ``refine``: the MM maps alone, no extrapolation, with
     the same stopping rule (relative decrease at most ``rel_tol`` on two
     consecutive steps). At ``rel_tol`` = 0 it is the limit the refinement
     is checked against, so a step counts only if its map has also stopped
     moving (by less than ``STILL_RAD``): near a flat minimum the objective
     stops decreasing in floating point while the maps still crawl."""
-    coeffs = PairCoefficients.from_cost_spec(spec, geometry)
+    coeffs = PairCoefficients.from_cost_spec(spec, geometry, s)
     q = normalized(q0)
     evaluated = pair_band_powers(coeffs, q)
     trace = RefinementTrace(iterates=[q], objectives=[evaluated[2]], evaluations=1)

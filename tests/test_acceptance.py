@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from doakit.estimators import CostSpec, gershgorin_shift, power_mean
+from doakit.estimators import gershgorin_shift, power_mean
 from doakit.manifold import (
     fibonacci_points,
     great_circle_distance,
@@ -42,7 +42,7 @@ def _report(num, name, ok, detail=""):
     return ok
 
 
-def _random_cost_spec(rng, num_sensors, num_bands, s):
+def _random_cost_spec(rng, num_sensors, num_bands):
     geom = random_geometry(num_sensors=num_sensors, seed=int(rng.integers(1 << 30)))
     mats = []
     for _ in range(num_bands):
@@ -51,10 +51,10 @@ def _random_cost_spec(rng, num_sensors, num_bands, s):
         )
         mats.append(a @ a.conj().T / num_sensors)
     omega = np.sort(rng.uniform(5.0, 70.0, num_bands))
-    return CostSpec(np.stack(mats), hertz(omega, geom.speed_of_sound), s=s), geom
+    return CovarianceSet(np.stack(mats), hertz(omega, geom.speed_of_sound)), geom
 
 
-def _rank_one_spec(geom, qstar, freqs, s=0.5):
+def _rank_one_spec(geom, qstar, freqs):
     mats = []
     for f in freqs:
         w = 2 * np.pi * f / geom.speed_of_sound
@@ -63,7 +63,7 @@ def _rank_one_spec(geom, qstar, freqs, s=0.5):
     from doakit.estimators import srp_cost_spec
 
     cov = CovarianceSet(np.stack(mats), np.asarray(freqs, float))
-    return srp_cost_spec(cov, s=s)
+    return srp_cost_spec(cov)
 
 
 def test_criterion_1_cosine_bound():
@@ -100,19 +100,20 @@ def test_criterion_2_majorization_gap():
     for i in range(100):
         m = int(rng.integers(3, 9))
         k = int(rng.integers(1, 17))
-        spec, geom = _random_cost_spec(rng, m, k, s_cycle[i % 3])
-        coeffs = PairCoefficients.from_cost_spec(spec, geom)
+        s = s_cycle[i % 3]
+        spec, geom = _random_cost_spec(rng, m, k)
+        coeffs = PairCoefficients.from_cost_spec(spec, geom, s)
         q_hat = rng.standard_normal(3)
         q_hat /= np.linalg.norm(q_hat)
         evaluated = pair_band_powers(coeffs, q_hat)
         D, v = surrogate_system(coeffs, q_hat, evaluated)
-        g_hat = power_mean(evaluated[0], spec.s)
+        g_hat = power_mean(evaluated[0], s)
 
         q = rng.standard_normal((100, 3))
         q /= np.linalg.norm(q, axis=1, keepdims=True)
         g = power_mean(
             np.stack([pair_band_powers(coeffs, qi)[0] for qi in q], axis=1),
-            spec.s,
+            s,
         )
 
         def quad(x):
@@ -143,11 +144,12 @@ def test_criterion_3_monotone_descent():
     worst_norm = 0.0
     for i in range(500):
         s = (-3.0, -1.0, 0.5, 1.0)[i % 4]
-        spec, geom = _random_cost_spec(rng, int(rng.integers(3, 9)), int(rng.integers(1, 9)), s)
+        spec, geom = _random_cost_spec(rng, int(rng.integers(3, 9)), int(rng.integers(1, 9)))
+        coeffs = PairCoefficients.from_cost_spec(spec, geom, s)
         q0 = rng.standard_normal(3)
         q0 /= np.linalg.norm(q0)
         for variant in ("quadratic", "linear"):
-            trace = refine(spec, geom, q0, variant=variant, max_iters=30, rel_tol=0.0)
+            trace = refine(coeffs, q0, variant=variant, max_iters=30, rel_tol=0.0)
             objs = np.array(trace.objectives)
             rel = np.diff(objs) / np.maximum(np.abs(objs[:-1]), np.finfo(float).tiny)
             worst_increase = max(worst_increase, rel.max())
@@ -238,7 +240,7 @@ def test_criterion_6_convergence_speed():
         geom = random_geometry(num_sensors=12, radius=0.1, seed=1000 + i)
         qstar = rng.standard_normal(3)
         qstar /= np.linalg.norm(qstar)
-        spec = _rank_one_spec(geom, qstar, freqs)
+        coeffs = PairCoefficients.from_cost_spec(_rank_one_spec(geom, qstar, freqs), geom, 0.5)
         # start exactly 15 degrees away along a random tangent
         t = rng.standard_normal(3)
         axis = np.cross(qstar, t)
@@ -246,7 +248,7 @@ def test_criterion_6_convergence_speed():
         ang = np.radians(15.0)
         q0 = qstar * np.cos(ang) + np.cross(axis, qstar) * np.sin(ang)
         for variant in ("quadratic", "linear"):
-            trace = refine(spec, geom, q0, variant=variant, max_iters=60, rel_tol=0.0)
+            trace = refine(coeffs, q0, variant=variant, max_iters=60, rel_tol=0.0)
             errs = [np.degrees(great_circle_distance(q, qstar)) for q in trace.iterates]
             hit = next((t for t, e in enumerate(errs) if e <= 0.1), None)
             assert hit is not None

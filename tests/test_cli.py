@@ -17,7 +17,7 @@ from doakit.manifold import (
     random_geometry,
 )
 from doakit.estimators import band_powers, grid_search, power_mean
-from doakit.refine import refine
+from doakit.refine import PairCoefficients, refine
 from doakit.simulate import build_cost_spec, estimator_covariance, locate_sources
 from doakit.spectral import stft
 from oracles import plain_mm
@@ -179,6 +179,28 @@ def test_locate_without_usable_signal_exits_3(tmp_path, geometry_file, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("variant", ["quadratic", "linear", "none"])
+@pytest.mark.parametrize("estimator", ["srp", "srp-phat", "music", "mvdr"])
+@pytest.mark.parametrize("flags, message", [(["--s", "0"], "exponent s"),
+                                            (["--sources", "0"], "num_sources")],
+                         ids=["s-0", "sources-0"])
+def test_locate_checks_every_setting_before_the_signal(tmp_path, geometry_file, capsys,
+                                                       flags, message, estimator, variant):
+    # on a silent recording, which alone exits 3, a bad setting exits 2 and
+    # names itself: the exponent is checked with the other settings, before
+    # the covariance is read
+    from scipy.io import wavfile
+
+    wav = str(tmp_path / "silent.wav")
+    wavfile.write(wav, 16000, np.zeros((8000, 8), dtype=np.float32))
+    out = tmp_path / "report.json"
+    rc = main(["locate", "--geometry", geometry_file, "--input", wav, "--estimator", estimator,
+               "--variant", variant, *flags, "--output", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("estimator", ["srp-phat", "music"])
 def test_locate_matches_library_pipeline(tmp_path, geometry_file, estimator):
     from scipy.io import wavfile
@@ -232,10 +254,12 @@ def test_locate_ends_at_the_limit_within_the_step_cap(tmp_path, geometry_file):
     frames = stft(signal, frame_size=DEFAULTS["frame_size"], hop=DEFAULTS["hop"],
                   sample_rate=float(rate), f_min=DEFAULTS["f_min"], f_max=DEFAULTS["f_max"])
     geometry = ArrayGeometry.from_json(geometry_file)
-    spec = build_cost_spec(estimator_covariance(frames, "music"), "music", DEFAULTS["s"], 2)
+    s = DEFAULTS["s"]
+    spec = build_cost_spec(estimator_covariance(frames, "music"), "music", 2)
     grid = fibonacci_grid(DEFAULTS["grid"])
-    peaks = grid_search(power_mean(band_powers(spec, geometry, grid.points), spec.s), grid, 2,
+    peaks = grid_search(power_mean(band_powers(spec, geometry, grid.points), s), grid, 2,
                         np.radians(DEFAULTS["min_separation_deg"]))
+    coeffs = PairCoefficients.from_cost_spec(spec, geometry, s)
 
     def degrees(a, b):
         return float(np.degrees(great_circle_distance(np.asarray(a), b)))
@@ -243,11 +267,11 @@ def test_locate_ends_at_the_limit_within_the_step_cap(tmp_path, geometry_file):
     shortfalls = []
     for source, (q0, _) in zip(sources, peaks):
         assert source["steps"] <= 30
-        limit = refine(spec, geometry, q0, max_iters=10_000, rel_tol=0.0).iterates[-1]
-        reference = plain_mm(spec, geometry, q0, max_iters=10_000, rel_tol=0.0).iterates[-1]
+        limit = refine(coeffs, q0, max_iters=10_000, rel_tol=0.0).iterates[-1]
+        reference = plain_mm(spec, geometry, q0, s, max_iters=10_000, rel_tol=0.0).iterates[-1]
         assert degrees(source["doa"], limit) < 1e-4
         assert degrees(source["doa"], reference) < 2e-4
-        shortfalls.append(degrees(plain_mm(spec, geometry, q0).iterates[-1], limit))
+        shortfalls.append(degrees(plain_mm(spec, geometry, q0, s).iterates[-1], limit))
     assert max(shortfalls) > 0.05
 
 

@@ -7,7 +7,6 @@ import pytest
 from doakit.estimators import (
     _BLOCK_BYTES,
     EPS_POWER,
-    CostSpec,
     band_powers,
     common_step,
     gershgorin_shift,
@@ -41,9 +40,9 @@ def rng():
     return np.random.default_rng(2024)
 
 
-def search(spec, geometry, grid, num_sources=1, min_separation=np.radians(10.0)):
+def search(spec, geometry, grid, s, num_sources=1, min_separation=np.radians(10.0)):
     # the grid stage of locate_sources: band powers, their power mean, the pick
-    values = power_mean(band_powers(spec, geometry, grid.points), spec.s)
+    values = power_mean(band_powers(spec, geometry, grid.points), s)
     return grid_search(values, grid, num_sources, min_separation)
 
 
@@ -84,25 +83,29 @@ def test_gershgorin_random_psd(rng):
 
 
 def test_cost_spec_validation():
+    # the band rule of a cost spec is CovarianceSet's; its exponent is checked
+    # where the pair form of the power mean is built
     mats = np.stack([np.eye(2, dtype=complex)] * 2)
-    CostSpec(mats, np.array([1.0, 2.0]), s=1.0)
+    geom = random_geometry(num_sensors=2, seed=1)
+    spec = CovarianceSet(mats, np.array([1.0, 2.0]))
+    PairCoefficients.from_cost_spec(spec, geom, 1.0)
     with pytest.raises(ValueError):
-        CostSpec(mats, np.array([1.0, 2.0]), s=0.0)
+        PairCoefficients.from_cost_spec(spec, geom, 0.0)
     with pytest.raises(ValueError):
-        CostSpec(mats, np.array([1.0, 2.0]), s=1.5)
+        PairCoefficients.from_cost_spec(spec, geom, 1.5)
     for s in (np.nan, -np.inf, "-1", None, True):
         with pytest.raises(ValueError, match="exponent s"):
-            CostSpec(mats, np.array([1.0, 2.0]), s=s)
+            PairCoefficients.from_cost_spec(spec, geom, s)
     for freqs in ([2.0, 1.0], [1.0, 1.0], [-1.0, 2.0], [np.nan, 2.0]):
         with pytest.raises(ValueError, match="non-negative and strictly increasing"):
-            CostSpec(mats, np.array(freqs), s=-1.0)
+            CovarianceSet(mats, np.array(freqs))
     with pytest.raises(ValueError, match="band count"):
-        CostSpec(mats, np.array([1.0, 2.0, 3.0]), s=-1.0)
+        CovarianceSet(mats, np.array([1.0, 2.0, 3.0]))
 
 
 def test_srp_spec_isotropic_degenerate():
     cov = CovarianceSet(np.stack([np.eye(4, dtype=complex)]), np.array([500.0]))
-    spec = srp_cost_spec(cov, s=0.5)
+    spec = srp_cost_spec(cov)
     np.testing.assert_allclose(spec.matrices[0], np.zeros((4, 4)), atol=1e-15)
 
 
@@ -110,9 +113,9 @@ def test_srp_rank_one_grid_argmin(rng):
     geom = random_geometry(num_sensors=8, seed=11)
     qstar = random_unit(rng)
     cov = rank_one_cov(geom, [800.0, 1200.0, 1600.0], qstar)
-    spec = srp_cost_spec(cov, s=0.5)
+    spec = srp_cost_spec(cov)
     grid = fibonacci_grid(10_000)
-    values = power_mean(band_powers(spec, geom, grid.points), spec.s)
+    values = power_mean(band_powers(spec, geom, grid.points), 0.5)
     best = grid.points[np.argmin(values)]
     covering = 2.0 * np.sqrt(4.0 * np.pi / grid.size)
     assert great_circle_distance(best, qstar) < covering
@@ -124,7 +127,7 @@ def test_srp_single_band_argmin_independent_of_s(rng):
     grid = fibonacci_grid(500)
     argmins = []
     for s in (0.5, -3.0):
-        spec = srp_cost_spec(cov, s=s)
+        spec = srp_cost_spec(cov)
         values = power_mean(band_powers(spec, geom, grid.points), s)
         argmins.append(np.argmin(values))
     assert argmins[0] == argmins[1]
@@ -138,7 +141,6 @@ def test_music_spec_projector(rng):
     cov = CovarianceSet(s[None], np.array([1000.0]))
     spec = music_cost_spec(cov, num_sources=1)
     v = spec.matrices[0]
-    assert spec.s == -1.0
     assert abs((a.conj() @ v @ a).real) <= 1e-8
     np.testing.assert_allclose(v @ v, v, atol=1e-10)
     assert abs(np.trace(v).real - 5.0) < 1e-10
@@ -253,17 +255,17 @@ def test_power_mean_concave_tangent(rng):
 def test_objective_identity_matrices(rng):
     geom = random_geometry(num_sensors=5, seed=8)
     mats = np.stack([np.eye(5, dtype=complex)] * 3)
-    spec = CostSpec(mats, hertz([10.0, 20.0, 30.0]), s=-1.0)
+    spec = CovarianceSet(mats, hertz([10.0, 20.0, 30.0]))
     for _ in range(5):
-        assert abs(objective(spec, geom, random_unit(rng)) - 1.0) < 1e-12
+        assert abs(objective(spec, geom, random_unit(rng), -1.0) - 1.0) < 1e-12
 
 
 def test_objective_rank_one_at_source(rng):
     geom = random_geometry(num_sensors=5, seed=8)
     qstar = random_unit(rng)
     a = steering_vector(geom, 2 * np.pi * 900.0 / geom.speed_of_sound, qstar)
-    spec = CostSpec(np.outer(a, a.conj())[None], np.array([900.0]), s=0.5)
-    assert abs(objective(spec, geom, qstar) - 1.0) < 1e-12
+    spec = CovarianceSet(np.outer(a, a.conj())[None], np.array([900.0]))
+    assert abs(objective(spec, geom, qstar, 0.5) - 1.0) < 1e-12
 
 
 def test_objective_matches_cosine_expansion(rng):
@@ -271,25 +273,25 @@ def test_objective_matches_cosine_expansion(rng):
     # trace + pair-cosine expansion
     geom = random_geometry(num_sensors=4, seed=2)
     mats = np.stack([random_psd(rng, 4) for _ in range(6)])
-    spec = CostSpec(mats, hertz(np.sort(rng.uniform(5, 60, 6))), s=-1.0)
-    coeffs = PairCoefficients.from_cost_spec(spec, geom)
+    spec, s = CovarianceSet(mats, hertz(np.sort(rng.uniform(5, 60, 6)))), -1.0
+    coeffs = PairCoefficients.from_cost_spec(spec, geom, s)
     for _ in range(20):
         q = random_unit(rng)
-        direct = objective(spec, geom, q)
-        expansion = power_mean(pair_band_powers(coeffs, q)[0], spec.s)
+        direct = objective(spec, geom, q, s)
+        expansion = power_mean(pair_band_powers(coeffs, q)[0], s)
         assert abs(direct - expansion) < 1e-10
 
 
 def test_objective_rotation_invariant(rng):
     geom = random_geometry(num_sensors=4, seed=2)
     mats = np.stack([random_psd(rng, 4) for _ in range(4)])
-    spec = CostSpec(mats, hertz(np.sort(rng.uniform(5, 60, 4))), s=0.5)
+    spec = CovarianceSet(mats, hertz(np.sort(rng.uniform(5, 60, 4))))
     rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     rotated = ArrayGeometry(geom.sensors @ rot.T, geom.speed_of_sound)
     for _ in range(10):
         q = random_unit(rng)
-        a = objective(spec, geom, q)
-        b = objective(spec, rotated, rot @ q)
+        a = objective(spec, geom, q, 0.5)
+        b = objective(spec, rotated, rot @ q, 0.5)
         assert abs(a - b) < 1e-10
 
 
@@ -297,13 +299,13 @@ def test_objective_scale_covariance(rng):
     geom = random_geometry(num_sensors=4, seed=2)
     mats = np.stack([random_psd(rng, 4) for _ in range(4)])
     freqs = hertz(np.sort(rng.uniform(5, 60, 4)))
-    spec = CostSpec(mats, freqs, s=-3.0)
-    scaled = CostSpec(7.5 * mats, freqs, s=-3.0)
+    spec = CovarianceSet(mats, freqs)
+    scaled = CovarianceSet(7.5 * mats, freqs)
     grid = fibonacci_grid(300)
     q = random_unit(rng)
-    assert abs(objective(scaled, geom, q) - 7.5 * objective(spec, geom, q)) < 1e-9
-    a = search(spec, geom, grid, num_sources=2)
-    b = search(scaled, geom, grid, num_sources=2)
+    assert abs(objective(scaled, geom, q, -3.0) - 7.5 * objective(spec, geom, q, -3.0)) < 1e-9
+    a = search(spec, geom, grid, -3.0, num_sources=2)
+    b = search(scaled, geom, grid, -3.0, num_sources=2)
     for (qa, _), (qb, _) in zip(a, b):
         np.testing.assert_array_equal(qa, qb)
 
@@ -312,9 +314,9 @@ def test_grid_search_single_source(rng):
     geom = random_geometry(num_sensors=8, seed=11)
     qstar = random_unit(rng)
     cov = rank_one_cov(geom, [1000.0], qstar)
-    spec = srp_cost_spec(cov, s=0.5)
+    spec = srp_cost_spec(cov)
     grid = fibonacci_grid(10_000)
-    peaks = search(spec, geom, grid, num_sources=1)
+    peaks = search(spec, geom, grid, 0.5, num_sources=1)
     assert len(peaks) == 1
     covering = 2.0 * np.sqrt(4.0 * np.pi / grid.size)
     assert great_circle_distance(peaks[0][0], qstar) < covering
@@ -323,9 +325,9 @@ def test_grid_search_single_source(rng):
 def test_grid_search_flat_landscape():
     geom = random_geometry(num_sensors=4, seed=6)
     mats = np.stack([np.eye(4, dtype=complex)] * 2)
-    spec = CostSpec(mats, hertz([10.0, 20.0]), s=-1.0)
+    spec = CovarianceSet(mats, hertz([10.0, 20.0]))
     grid = fibonacci_grid(500)
-    peaks = search(spec, geom, grid, num_sources=3, min_separation=np.radians(20))
+    peaks = search(spec, geom, grid, -1.0, num_sources=3, min_separation=np.radians(20))
     assert len(peaks) == 3
     values = [v for _, v in peaks]
     assert np.ptp(values) < 1e-12
@@ -346,9 +348,9 @@ def test_grid_search_local_minima_match_loop(rng):
     # exactly them, by value
     geom = random_geometry(num_sensors=6, seed=8)
     mats = np.stack([random_psd(rng, 6) for _ in range(3)])
-    spec = CostSpec(mats, hertz([20.0, 35.0, 50.0]), s=-1.0)
+    spec = CovarianceSet(mats, hertz([20.0, 35.0, 50.0]))
     grid = fibonacci_grid(2000)
-    values = power_mean(band_powers(spec, geom, grid.points), spec.s)
+    values = power_mean(band_powers(spec, geom, grid.points), -1.0)
     minima = _local_minima_by_loop(values, grid)
     assert len(minima) > 1
     peaks = grid_search(values, grid, len(minima), 0.0)
@@ -391,9 +393,9 @@ def test_grid_search_two_sources():
         a2 = steering_vector(geom, w, q2)
         mats.append(np.outer(a1, a1.conj()) + np.outer(a2, a2.conj()))
     cov = CovarianceSet(np.stack(mats), np.asarray(freqs))
-    spec = srp_cost_spec(cov, s=0.5)
+    spec = srp_cost_spec(cov)
     grid = fibonacci_grid(10_000)
-    peaks = search(spec, geom, grid, num_sources=2, min_separation=np.radians(20))
+    peaks = search(spec, geom, grid, 0.5, num_sources=2, min_separation=np.radians(20))
     assert len(peaks) == 2
     covering = 2.0 * np.sqrt(4.0 * np.pi / grid.size)
     found = [p[0] for p in peaks]
@@ -421,7 +423,7 @@ def test_band_powers_matches_steering_loop(kind, num_points):
     mats = local.standard_normal((freqs.size, 12, 4)) + 1j * local.standard_normal(
         (freqs.size, 12, 4)
     )
-    spec = CostSpec(mats @ np.swapaxes(mats.conj(), 1, 2), freqs, s=-1.0)
+    spec = CovarianceSet(mats @ np.swapaxes(mats.conj(), 1, 2), freqs)
     omega = geom.wavenumbers(freqs)
     points = fibonacci_grid(max(num_points, 4)).points[:num_points]
     got = band_powers(spec, geom, points)
@@ -468,7 +470,7 @@ def test_band_powers_equal_band_by_band_reference(spacing, num_points):
         cov = estimator_covariance(frames, estimator)
         if spacing == "uneven":
             cov = CovarianceSet(cov.matrices, FREQUENCY_KINDS["uneven"])
-        spec = build_cost_spec(cov, estimator, -3.0, num_sources=2)
+        spec = build_cost_spec(cov, estimator, num_sources=2)
         got = band_powers(spec, geom, points)
         expected = _band_powers_band_by_band(spec, geom, points)
         if spacing == "uneven":
@@ -521,7 +523,7 @@ def _block_scene_specs(num_sensors, spacing):
         cov = estimator_covariance(frames, estimator)
         if spacing == "uneven":
             cov = CovarianceSet(cov.matrices, FREQUENCY_KINDS["uneven"][: cov.num_bands])
-        specs[estimator] = build_cost_spec(cov, estimator, -3.0, num_sources=2)
+        specs[estimator] = build_cost_spec(cov, estimator, num_sources=2)
     return geom, specs
 
 
@@ -558,8 +560,7 @@ def test_grid_pass_memory_does_not_scale_with_the_grid():
     geom = random_geometry(num_sensors=12, seed=0)
     local = np.random.default_rng(6)
     mats = local.standard_normal((8, 12, 4)) + 1j * local.standard_normal((8, 12, 4))
-    spec = CostSpec(mats @ np.swapaxes(mats.conj(), 1, 2), FREQUENCY_KINDS["stft-52"][:8],
-                    s=-3.0)
+    spec = CovarianceSet(mats @ np.swapaxes(mats.conj(), 1, 2), FREQUENCY_KINDS["stft-52"][:8])
     above = {}
     for num_points in (10_000, 40_000):
         points = fibonacci_grid(num_points).points
@@ -595,13 +596,13 @@ def test_grid_search_picks_what_per_band_cos_and_sin_picks(estimator, num_source
         spacings["uneven"] = FREQUENCY_KINDS["uneven"]
     for spacing, freqs in spacings.items():
         assert (common_step(geom.wavenumbers(freqs)) is None) == (spacing == "uneven")
-        spec = build_cost_spec(CovarianceSet(cov.matrices, freqs), estimator, -3.0,
+        spec = build_cost_spec(CovarianceSet(cov.matrices, freqs), estimator,
                                num_sources=num_sources)
         for size in (100, 1000, 10_000):
             grid = fibonacci_grid(size)
-            reference = power_mean(_band_powers_band_by_band(spec, geom, grid.points), spec.s)
+            reference = power_mean(_band_powers_band_by_band(spec, geom, grid.points), -3.0)
             expected = grid_search(reference, grid, num_sources, np.radians(10.0))
-            peaks = search(spec, geom, grid, num_sources=num_sources)
+            peaks = search(spec, geom, grid, -3.0, num_sources=num_sources)
             np.testing.assert_array_equal([p[0] for p in peaks], [p[0] for p in expected])
 
 
@@ -626,7 +627,7 @@ def _three_band_spec():
     # a random 3-band, 6-sensor spec for the selection tests
     local = np.random.default_rng(5)
     a = local.standard_normal((3, 6, 6)) + 1j * local.standard_normal((3, 6, 6))
-    return CostSpec(a @ np.swapaxes(a.conj(), 1, 2) / 6, hertz([20.0, 35.0, 50.0]), s=-1.0)
+    return CovarianceSet(a @ np.swapaxes(a.conj(), 1, 2) / 6, hertz([20.0, 35.0, 50.0]))
 
 
 @pytest.mark.parametrize("num_sources", [1, 3, 8])
@@ -635,7 +636,7 @@ def test_grid_search_selection_matches_pair_loop(num_sources, separation):
     geom = random_geometry(num_sensors=6, seed=8)
     spec = _three_band_spec()
     grid = fibonacci_grid(500)
-    values = power_mean(band_powers(spec, geom, grid.points), spec.s)
+    values = power_mean(band_powers(spec, geom, grid.points), -1.0)
     if separation == "tie":
         # exactly the distance between the two best local minima
         best = _select_by_pair_loop(values, grid, 2, 0.0)
@@ -652,8 +653,8 @@ def test_grid_search_selection_matches_pair_loop(num_sources, separation):
 def test_grid_search_rejects_a_non_integer_source_count(num_sources):
     geom = random_geometry(num_sensors=6, seed=8)
     with pytest.raises(ValueError, match="num_sources must be an integer"):
-        search(_three_band_spec(), geom, fibonacci_grid(100), num_sources=num_sources)
-    assert len(search(_three_band_spec(), geom, fibonacci_grid(100), num_sources=2.0)) == 2
+        search(_three_band_spec(), geom, fibonacci_grid(100), -1.0, num_sources=num_sources)
+    assert len(search(_three_band_spec(), geom, fibonacci_grid(100), -1.0, num_sources=2.0)) == 2
 
 
 def test_grid_search_refuses_an_infinite_source_count_without_a_warning():
@@ -666,7 +667,7 @@ def test_grid_search_refuses_an_infinite_source_count_without_a_warning():
 def test_grid_search_rejects_bad_separation(separation):
     geom = random_geometry(num_sensors=6, seed=8)
     with pytest.raises(ValueError, match="min_separation"):
-        search(_three_band_spec(), geom, fibonacci_grid(100), num_sources=2,
+        search(_three_band_spec(), geom, fibonacci_grid(100), -1.0, num_sources=2,
                min_separation=separation)
 
 
@@ -679,5 +680,5 @@ def test_grid_search_raises_when_it_cannot_fill(num_sources, separation_deg, fou
     # tetrahedron's vertices) are pairwise 100 deg apart
     geom = random_geometry(num_sensors=6, seed=8)
     with pytest.raises(ValueError, match=f"only {found} of {num_sources} "):
-        search(_three_band_spec(), geom, fibonacci_grid(100),
+        search(_three_band_spec(), geom, fibonacci_grid(100), -1.0,
                num_sources=num_sources, min_separation=np.radians(separation_deg))

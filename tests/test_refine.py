@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from doakit.estimators import CostSpec, band_powers, grid_search, power_mean, srp_cost_spec
+from doakit.estimators import band_powers, grid_search, power_mean, srp_cost_spec
 from doakit.manifold import (
     ArrayGeometry,
     fibonacci_grid,
@@ -63,7 +63,7 @@ def random_unit(rng):
     return q / np.linalg.norm(q)
 
 
-def random_spec(num_sensors=5, num_bands=4, s=-1.0, *, seed):
+def random_spec(num_sensors=5, num_bands=4, *, seed):
     local = np.random.default_rng(seed)
     geom = random_geometry(num_sensors=num_sensors, seed=int(local.integers(1 << 30)))
     mats = []
@@ -73,7 +73,7 @@ def random_spec(num_sensors=5, num_bands=4, s=-1.0, *, seed):
         )
         mats.append(a @ a.conj().T / num_sensors)
     omega = np.sort(local.uniform(5.0, 70.0, num_bands))
-    return CostSpec(np.stack(mats), hertz(omega, geom.speed_of_sound), s=s), geom
+    return CovarianceSet(np.stack(mats), hertz(omega, geom.speed_of_sound)), geom
 
 
 @pytest.mark.parametrize(
@@ -148,7 +148,7 @@ def test_cosine_surrogate_upper_bound(rng):
 
 def test_pair_band_powers_matches_quadratic_form(rng):
     spec, geom = random_spec(seed=10)
-    coeffs = PairCoefficients.from_cost_spec(spec, geom)
+    coeffs = PairCoefficients.from_cost_spec(spec, geom, -1.0)
     omega = geom.wavenumbers(spec.band_frequencies)
     for _ in range(10):
         q = random_unit(rng)
@@ -192,13 +192,13 @@ def test_refine_noise_free_music_large_negative_s(offset_deg):
     frames = synth_stft_scene(Scene(geom, truth[None], snr_db=np.inf, seed=2),
                               frame_size=256, num_frames=40)
     cov = sample_covariance(frames)
-    spec = music_cost_spec(cov, 1, s=-10.0)
+    coeffs = PairCoefficients.from_cost_spec(music_cost_spec(cov, 1), geom, -10.0)
     axis = np.cross(truth, [0.0, 0.0, 1.0])
     axis /= np.linalg.norm(axis)
     t = np.radians(offset_deg)
     q0 = np.cos(t) * truth + np.sin(t) * axis
     for variant in ("quadratic", "linear"):
-        trace = refine(spec, geom, q0, variant=variant, max_iters=30)
+        trace = refine(coeffs, q0, variant=variant, max_iters=30)
         assert np.all(np.isfinite(trace.objectives))
         assert np.all(np.diff(trace.objectives) <= 1e-9 * np.abs(trace.objectives[:-1]))
         assert np.degrees(great_circle_distance(trace.iterates[-1], truth)) < 0.01
@@ -212,8 +212,8 @@ def test_surrogate_zero_phase_single_pair():
     u = 0.7
     mat = np.array([[1.0, u], [u, 1.0]], dtype=complex)
     omega = 40.0
-    spec = CostSpec(mat[None], hertz([omega]), s=1.0)
-    coeffs = PairCoefficients.from_cost_spec(spec, geom)
+    spec = CovarianceSet(mat[None], hertz([omega]))
+    coeffs = PairCoefficients.from_cost_spec(spec, geom, 1.0)
     delta = coeffs.deltas[0]  # (0.1, 0, 0)
     # pick q_hat with omega * delta . q_hat = pi exactly
     qx = np.pi / (omega * delta[0])
@@ -231,8 +231,8 @@ def test_surrogate_majorizes_objective(rng):
     # G(q) - G(q_hat) for any q; this pins down every constant in D and v
     for trial in range(30):
         s = [-3.0, -1.0, 0.5, 1.0][trial % 4]
-        spec, geom = random_spec(num_sensors=4, num_bands=3, s=s, seed=100 + trial)
-        coeffs = PairCoefficients.from_cost_spec(spec, geom)
+        spec, geom = random_spec(num_sensors=4, num_bands=3, seed=100 + trial)
+        coeffs = PairCoefficients.from_cost_spec(spec, geom, s)
         q_hat = random_unit(rng)
         evaluated = pair_band_powers(coeffs, q_hat)
         D, v = surrogate_system(coeffs, q_hat, evaluated)
@@ -272,8 +272,8 @@ def test_majorization_constant_single_pair():
     q_hat = np.array([qx, 0.0, np.sqrt(1.0 - qx**2)])
     for u, xi_expected in [(0.25, 2.0), (0.0, 0.0)]:
         mat = np.array([[1.0, u], [u, 1.0]], dtype=complex)
-        spec = CostSpec(mat[None], hertz([omega]), s=1.0)
-        coeffs = PairCoefficients.from_cost_spec(spec, geom)
+        spec = CovarianceSet(mat[None], hertz([omega]))
+        coeffs = PairCoefficients.from_cost_spec(spec, geom, 1.0)
         D, v = surrogate_system(coeffs, q_hat, pair_band_powers(coeffs, q_hat))
         np.testing.assert_allclose(D, np.diag([xi_expected, 0.0, 0.0]), atol=1e-12)
         assert abs(np.linalg.eigvalsh(D)[-1] - xi_expected) < 1e-12
@@ -291,8 +291,8 @@ def test_majorization_constant_dominates_d(rng):
     # C = lambda_max(D) is the smallest C with C*I - D PSD: the gap's smallest
     # eigenvalue is 0 up to rounding, and the linear step is normalize(v + (C*I - D) q_hat)
     for trial in range(20):
-        spec, geom = random_spec(s=[-3.0, 0.5][trial % 2], seed=200 + trial)
-        coeffs = PairCoefficients.from_cost_spec(spec, geom)
+        spec, geom = random_spec(seed=200 + trial)
+        coeffs = PairCoefficients.from_cost_spec(spec, geom, [-3.0, 0.5][trial % 2])
         q_hat = random_unit(rng)
         D, v = surrogate_system(coeffs, q_hat, pair_band_powers(coeffs, q_hat))
         c = np.linalg.eigvalsh(D)[-1]
@@ -440,40 +440,40 @@ def test_linear_two_source_music_accuracy():
 def test_refine_zero_iterations(rng):
     spec, geom = random_spec(seed=7)
     q0 = random_unit(rng)
-    trace = refine(spec, geom, q0, max_iters=0)
+    trace = refine(PairCoefficients.from_cost_spec(spec, geom, -1.0), q0, max_iters=0)
     assert len(trace.iterates) == 1
     np.testing.assert_allclose(trace.iterates[0], q0, atol=1e-12)
-    assert abs(trace.objectives[0] - objective(spec, geom, q0)) < 1e-10
+    assert abs(trace.objectives[0] - objective(spec, geom, q0, -1.0)) < 1e-10
 
 
 def test_refine_rejects_bad_args():
-    spec, geom = random_spec(seed=7)
+    coeffs = PairCoefficients.from_cost_spec(*random_spec(seed=7), -1.0)
     with pytest.raises(ValueError):
-        refine(spec, geom, np.array([1.0, 0, 0]), variant="cubic")
+        refine(coeffs, np.array([1.0, 0, 0]), variant="cubic")
     with pytest.raises(ValueError):
-        refine(spec, geom, np.array([1.0, 0, 0]), max_iters=-1)
+        refine(coeffs, np.array([1.0, 0, 0]), max_iters=-1)
     with pytest.raises(ValueError, match="max_iters must be non-negative, got True"):
-        refine(spec, geom, np.array([1.0, 0, 0]), max_iters=True)
+        refine(coeffs, np.array([1.0, 0, 0]), max_iters=True)
 
 
 def test_refine_takes_integer_valued_max_iters_only():
     # the step cap is a count: 2.5 is refused (it would cap at 2), 3.0 is 3
-    spec, geom = random_spec(seed=7)
+    coeffs = PairCoefficients.from_cost_spec(*random_spec(seed=7), -1.0)
     q0 = np.array([1.0, 0, 0])
     with pytest.raises(ValueError, match="max_iters must be an integer, got 2.5"):
-        refine(spec, geom, q0, max_iters=2.5)
+        refine(coeffs, q0, max_iters=2.5)
     with pytest.raises(ValueError, match="max_iters must be an integer"):
-        refine(spec, geom, q0, max_iters=np.float64(np.inf))
-    assert refine(spec, geom, q0, max_iters=3.0).objectives == refine(
-        spec, geom, q0, max_iters=3).objectives
+        refine(coeffs, q0, max_iters=np.float64(np.inf))
+    assert refine(coeffs, q0, max_iters=3.0).objectives == refine(
+        coeffs, q0, max_iters=3).objectives
 
 
 @pytest.mark.parametrize("rel_tol", [float("nan"), -1.0, float("inf"), True, "1e-10", None],
                          ids=["nan", "negative", "inf", "bool", "string", "null"])
 def test_refine_rejects_bad_rel_tol(rel_tol):
-    spec, geom = random_spec(seed=7)
+    coeffs = PairCoefficients.from_cost_spec(*random_spec(seed=7), -1.0)
     with pytest.raises(ValueError, match="rel_tol"):
-        refine(spec, geom, np.array([1.0, 0, 0]), rel_tol=rel_tol)
+        refine(coeffs, np.array([1.0, 0, 0]), rel_tol=rel_tol)
 
 
 @pytest.mark.parametrize("variant", ["quadratic", "linear"])
@@ -482,9 +482,10 @@ def test_refine_monotone_descent(variant, s, rng):
     # a seed per parameter pair that, unlike hash() of a str, is the same in
     # every process
     seed = zlib.crc32(repr((variant, s)).encode()) % 1000
-    spec, geom = random_spec(num_sensors=6, num_bands=5, s=s, seed=seed)
+    spec, geom = random_spec(num_sensors=6, num_bands=5, seed=seed)
     q0 = random_unit(rng)
-    trace = refine(spec, geom, q0, variant=variant, max_iters=25)
+    trace = refine(PairCoefficients.from_cost_spec(spec, geom, s), q0, variant=variant,
+                   max_iters=25)
     objs = np.array(trace.objectives)
     assert np.all(np.diff(objs) <= 1e-10 * np.maximum(np.abs(objs[:-1]), 1.0))
     for q in trace.iterates:
@@ -502,13 +503,13 @@ def test_refine_recovers_rank_one_source(variant, rng):
         a = steering_vector(geom, w, qstar)
         mats.append(np.outer(a, a.conj()))
     cov = CovarianceSet(np.stack(mats), freqs)
-    spec = srp_cost_spec(cov, s=0.5)
+    coeffs = PairCoefficients.from_cost_spec(srp_cost_spec(cov), geom, 0.5)
     # start 10 degrees off the source
     axis = np.cross(qstar, random_unit(rng))
     axis /= np.linalg.norm(axis)
     angle = np.radians(10.0)
     q0 = qstar * np.cos(angle) + np.cross(axis, qstar) * np.sin(angle)
-    trace = refine(spec, geom, q0, variant=variant, max_iters=60)
+    trace = refine(coeffs, q0, variant=variant, max_iters=60)
     err = np.degrees(great_circle_distance(trace.iterates[-1], qstar))
     assert err < 0.01
 
@@ -516,22 +517,23 @@ def test_refine_recovers_rank_one_source(variant, rng):
 def test_refine_fixed_point_at_stationary(rng):
     # the converged point is numerically stationary: re-refining from it
     # barely moves (some starts take over 200 steps to converge here)
-    spec, geom = random_spec(num_sensors=6, num_bands=4, s=-1.0, seed=55)
-    trace = refine(spec, geom, random_unit(rng), max_iters=500)
+    spec, geom = random_spec(num_sensors=6, num_bands=4, seed=55)
+    coeffs = PairCoefficients.from_cost_spec(spec, geom, -1.0)
+    trace = refine(coeffs, random_unit(rng), max_iters=500)
     assert trace.converged_at is not None
     q = trace.iterates[-1]
-    again = refine(spec, geom, q, max_iters=5)
+    again = refine(coeffs, q, max_iters=5)
     assert great_circle_distance(again.iterates[-1], q) < 1e-5
 
 
 def test_refine_scale_invariant(rng):
     # scaling every cost matrix rescales the objective but leaves the
     # iterate sequence unchanged
-    spec, geom = random_spec(num_sensors=5, num_bands=3, s=-3.0, seed=91)
-    scaled = CostSpec(4.0 * spec.matrices, spec.band_frequencies, s=spec.s)
+    spec, geom = random_spec(num_sensors=5, num_bands=3, seed=91)
+    scaled = CovarianceSet(4.0 * spec.matrices, spec.band_frequencies)
     q0 = random_unit(rng)
-    a = refine(spec, geom, q0, max_iters=10)
-    b = refine(scaled, geom, q0, max_iters=10)
+    a = refine(PairCoefficients.from_cost_spec(spec, geom, -3.0), q0, max_iters=10)
+    b = refine(PairCoefficients.from_cost_spec(scaled, geom, -3.0), q0, max_iters=10)
     for qa, qb in zip(a.iterates, b.iterates):
         np.testing.assert_allclose(qa, qb, atol=1e-9)
     np.testing.assert_allclose(
@@ -540,8 +542,9 @@ def test_refine_scale_invariant(rng):
 
 
 def test_refine_convergence_flag(rng):
-    spec, geom = random_spec(num_sensors=6, num_bands=4, s=-1.0, seed=13)
-    trace = refine(spec, geom, random_unit(rng), max_iters=200, rel_tol=1e-10)
+    spec, geom = random_spec(num_sensors=6, num_bands=4, seed=13)
+    coeffs = PairCoefficients.from_cost_spec(spec, geom, -1.0)
+    trace = refine(coeffs, random_unit(rng), max_iters=200, rel_tol=1e-10)
     assert trace.converged_at is not None
     assert trace.converged_at < 200
     assert len(trace.iterates) == trace.converged_at + 1
@@ -558,8 +561,9 @@ def test_refine_evaluates_one_power_mean_per_evaluation(monkeypatch, rng, varian
         return power_mean(values, s)
 
     monkeypatch.setattr(sys.modules[refine.__module__], "power_mean", counting_power_mean)
-    spec, geom = random_spec(num_sensors=6, num_bands=4, s=-1.0, seed=13)
-    trace = refine(spec, geom, random_unit(rng), variant=variant, max_iters=20)
+    spec, geom = random_spec(num_sensors=6, num_bands=4, seed=13)
+    coeffs = PairCoefficients.from_cost_spec(spec, geom, -1.0)
+    trace = refine(coeffs, random_unit(rng), variant=variant, max_iters=20)
     assert len(trace.objectives) > 2
     assert len(calls) == trace.evaluations >= len(trace.objectives)
 
@@ -593,9 +597,9 @@ def _scene_starts(estimator, seed=0):
     sources = random_sources(np.random.default_rng(seed), 2, np.radians(15.0))
     scene = Scene(geom, sources, snr_db=10.0, seed=seed, band_gain_spread_db=12.0)
     frames = synth_stft_scene(scene, frame_size=256, num_frames=100)
-    spec = build_cost_spec(estimator_covariance(frames, estimator), estimator, -3.0, 2)
+    spec = build_cost_spec(estimator_covariance(frames, estimator), estimator, 2)
     grid = fibonacci_grid(100)
-    peaks = grid_search(power_mean(band_powers(spec, geom, grid.points), spec.s), grid, 2,
+    peaks = grid_search(power_mean(band_powers(spec, geom, grid.points), -3.0), grid, 2,
                         np.radians(10.0))
     return spec, geom, [q0 for q0, _ in peaks]
 
@@ -608,9 +612,10 @@ def test_refine_limit_matches_plain_mm(estimator, variant):
     # same point, and the accelerated one never needs more MM steps to get
     # within 1e-3 deg of it
     spec, geom, starts = _scene_starts(estimator)
+    coeffs = PairCoefficients.from_cost_spec(spec, geom, -3.0)
     for q0 in starts:
-        fast = refine(spec, geom, q0, variant=variant, max_iters=10_000, rel_tol=0.0)
-        slow = plain_mm(spec, geom, q0, variant=variant, max_iters=10_000, rel_tol=0.0)
+        fast = refine(coeffs, q0, variant=variant, max_iters=10_000, rel_tol=0.0)
+        slow = plain_mm(spec, geom, q0, -3.0, variant=variant, max_iters=10_000, rel_tol=0.0)
         assert fast.converged_at is not None and slow.converged_at is not None
         limit = slow.iterates[-1]
         assert np.degrees(great_circle_distance(fast.iterates[-1], limit)) < 1e-5
@@ -631,8 +636,9 @@ def test_refine_at_zero_tolerance_stops_once_the_objective_stops_decreasing(
     # then holds it exactly; rel_tol = 0 stops after two steps that do not
     # decrease the objective, not at the step cap
     spec, geom, starts = _scene_starts(estimator, seed=seed)
+    coeffs = PairCoefficients.from_cost_spec(spec, geom, -3.0)
     for q0 in starts:
-        trace = refine(spec, geom, q0, variant=variant, max_iters=2000, rel_tol=0.0)
+        trace = refine(coeffs, q0, variant=variant, max_iters=2000, rel_tol=0.0)
         objs = trace.objectives
         assert trace.converged_at is not None and trace.converged_at < 100
         assert not objs[-1] < objs[-2] and not objs[-2] < objs[-3]
@@ -643,9 +649,10 @@ def test_refine_steps_are_maps_and_accepted_extrapolations(rng):
     # counts steps, not evaluations, and a refine that hits the cap reports
     # no convergence
     spec, geom, starts = _scene_starts("music")
+    coeffs = PairCoefficients.from_cost_spec(spec, geom, -3.0)
     for max_iters in (1, 2, 3, 7, 30):
         for q0 in starts:
-            trace = refine(spec, geom, q0, max_iters=max_iters)
+            trace = refine(coeffs, q0, max_iters=max_iters)
             steps = len(trace.objectives) - 1
             assert len(trace.iterates) == steps + 1
             assert steps <= max_iters and trace.evaluations >= steps + 1
@@ -661,7 +668,7 @@ def test_iteration_cost_scales_with_pairs_and_bands(rng):
 
     def build_time(num_sensors, num_bands, reps=20):
         spec, geom = random_spec(num_sensors=num_sensors, num_bands=num_bands, seed=3)
-        coeffs = PairCoefficients.from_cost_spec(spec, geom)
+        coeffs = PairCoefficients.from_cost_spec(spec, geom, -1.0)
         q = random_unit(rng)
         evaluated = pair_band_powers(coeffs, q)
         surrogate_system(coeffs, q, evaluated)  # warm up
@@ -686,18 +693,18 @@ STFT_FREQUENCIES = {
 }
 
 
-def _psd_spec(freqs, num_sensors, s, seed):
+def _psd_spec(freqs, num_sensors, seed):
     local = np.random.default_rng(seed)
     a = local.standard_normal((freqs.size, num_sensors, 3)) + 1j * local.standard_normal(
         (freqs.size, num_sensors, 3)
     )
-    return CostSpec(a @ np.swapaxes(a.conj(), 1, 2) / num_sensors, freqs, s=s)
+    return CovarianceSet(a @ np.swapaxes(a.conj(), 1, 2) / num_sensors, freqs)
 
 
 def test_pair_coefficients_pairs():
     geom = random_geometry(num_sensors=5, seed=3)
-    spec = _psd_spec(STFT_FREQUENCIES["stft-52"], 5, -1.0, seed=3)
-    coeffs = PairCoefficients.from_cost_spec(spec, geom)
+    spec = _psd_spec(STFT_FREQUENCIES["stft-52"], 5, seed=3)
+    coeffs = PairCoefficients.from_cost_spec(spec, geom, -1.0)
     assert coeffs.pairs.shape == (2, 10)
     assert len({(m, r) for m, r in coeffs.pairs.T}) == 10
     for (m, r), delta in zip(coeffs.pairs.T, coeffs.deltas):
@@ -709,9 +716,9 @@ def test_pair_coefficients_pairs():
 @pytest.mark.parametrize("kind", STFT_FREQUENCIES)
 def test_pair_band_powers_matches_steering_on_band_grids(kind, rng):
     # the pair phasors come from the band recurrence on evenly spaced bands
-    spec = _psd_spec(STFT_FREQUENCIES[kind], 8, -1.0, seed=3)
+    spec = _psd_spec(STFT_FREQUENCIES[kind], 8, seed=3)
     geom = random_geometry(num_sensors=8, seed=9)
-    coeffs = PairCoefficients.from_cost_spec(spec, geom)
+    coeffs = PairCoefficients.from_cost_spec(spec, geom, -1.0)
     assert (coeffs.rates is None) == (kind == "uneven")
     omega = geom.wavenumbers(spec.band_frequencies)
     scale = np.trace(spec.matrices, axis1=1, axis2=2).real / 8
@@ -725,7 +732,7 @@ def test_pair_band_powers_matches_steering_on_band_grids(kind, rng):
         assert np.max(np.abs(via_pairs - direct) / scale) <= 1e-12
 
 
-def _surrogate_oracle(spec, geom, q_hat):
+def _surrogate_oracle(spec, geom, q_hat, s):
     # the surrogate as wrap_phase and unnormalized_sinc define it: one cosine
     # pass for the band powers, then the wrapped expansion phases and weights
     n = geom.num_sensors
@@ -738,7 +745,7 @@ def _surrogate_oracle(spec, geom, q_hat):
     traces = np.trace(spec.matrices, axis1=1, axis2=2).real
     powers = traces / n + 2.0 / n * np.sum(mags * np.cos(phases - b_dot), axis=1)
     y = np.maximum(powers, 1e-30)
-    beta = (y / power_mean(y, spec.s)) ** (spec.s - 1.0) / y.size
+    beta = (y / power_mean(y, s)) ** (s - 1.0) / y.size
     psi_hat, weight = cosine_surrogate_coeffs(phases, b_dot)
     scale = beta[:, None] / n
     u_hat = mags * weight
@@ -751,12 +758,12 @@ def _surrogate_oracle(spec, geom, q_hat):
 @pytest.mark.parametrize("kind", ["stft-52", "uneven"])
 @pytest.mark.parametrize("s", [-3.0, 0.5])
 def test_surrogate_matches_wrap_sinc_oracle(kind, s, rng):
-    spec = _psd_spec(STFT_FREQUENCIES[kind], 6, s, seed=11)
+    spec = _psd_spec(STFT_FREQUENCIES[kind], 6, seed=11)
     geom = random_geometry(num_sensors=6, seed=12)
-    coeffs = PairCoefficients.from_cost_spec(spec, geom)
+    coeffs = PairCoefficients.from_cost_spec(spec, geom, s)
     for _ in range(10):
         q_hat = random_unit(rng)
-        d_ref, v_ref = _surrogate_oracle(spec, geom, q_hat)
+        d_ref, v_ref = _surrogate_oracle(spec, geom, q_hat, s)
         D, v = surrogate_system(coeffs, q_hat, pair_band_powers(coeffs, q_hat))
         np.testing.assert_allclose(D, d_ref, rtol=0, atol=1e-12 * np.abs(d_ref).max())
         np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-12 * np.abs(v_ref).max())
@@ -773,8 +780,7 @@ def test_pair_band_powers_flat_at_exact_null():
     freqs = STFT_FREQUENCIES["stft-52"]
     steer = np.stack([steering_vector(geom, w, qstar) for w in geom.wavenumbers(freqs)])
     projectors = np.eye(8) - steer[:, :, None] * steer[:, None, :].conj()
-    spec = CostSpec(projectors, freqs, s=-10.0)
-    coeffs = PairCoefficients.from_cost_spec(spec, geom)
+    coeffs = PairCoefficients.from_cost_spec(CovarianceSet(projectors, freqs), geom, -10.0)
     at_null = pair_band_powers(coeffs, qstar)[0]
     assert np.max(np.abs(at_null)) < 1e-14
     local = np.random.default_rng(0)
@@ -787,7 +793,7 @@ def test_pair_band_powers_flat_at_exact_null():
 
 @pytest.fixture(scope="module")
 def many_sensor_specs():
-    """The srp, music and mvdr cost specs at s = -1 of a two-source 64-mic
+    """The srp, music and mvdr cost specs, refined at s = -1, of a two-source 64-mic
     scene over all 257 bands of 512-point frames: the many-sensor,
     many-band edge of the input domain."""
     geom = random_geometry(num_sensors=64, radius=0.1, seed=5)
@@ -795,7 +801,7 @@ def many_sensor_specs():
     frames = synth_stft_scene(Scene(geom, sources, snr_db=10.0, seed=5), frame_size=512,
                               num_frames=80, f_min=0.0, f_max=8000.0)
     return geom, {estimator: build_cost_spec(estimator_covariance(frames, estimator),
-                                             estimator, -1.0, 2)
+                                             estimator, 2)
                   for estimator in ("srp", "music", "mvdr")}
 
 
@@ -808,7 +814,8 @@ def test_refine_descends_on_the_sphere_with_many_sensors_and_bands(many_sensor_s
     spec = specs[estimator]
     assert geom.num_sensors == 64 and spec.band_frequencies.size == 257
     q0 = random_unit(np.random.default_rng(64))
-    trace = refine(spec, geom, q0, variant=variant, max_iters=30, rel_tol=0.0)
+    trace = refine(PairCoefficients.from_cost_spec(spec, geom, -1.0), q0, variant=variant,
+                   max_iters=30, rel_tol=0.0)
     objs = np.array(trace.objectives)
     assert objs.size > 2
     assert np.all(np.diff(objs) <= 1e-9 * np.abs(objs[:-1]))
@@ -827,7 +834,7 @@ def test_band_powers_do_not_move_with_the_array(many_sensor_specs, estimator):
     points = fibonacci_points(200)
     at, there = band_powers(spec, geom, points), band_powers(spec, moved, points)
     assert np.max(np.abs(there - at) / scale) <= 1e-12
-    coeffs, moved_coeffs = (PairCoefficients.from_cost_spec(spec, g) for g in (geom, moved))
+    coeffs, moved_coeffs = (PairCoefficients.from_cost_spec(spec, g, -1.0) for g in (geom, moved))
     at, there = (np.stack([pair_band_powers(c, q)[0] for q in points[::20]], axis=1)
                  for c in (coeffs, moved_coeffs))
     assert np.max(np.abs(there - at) / scale) <= 1e-12
@@ -869,18 +876,18 @@ def test_refine_keeps_the_reference_step_bits(monkeypatch, estimator, num_sensor
     geom, covs = _bit_guard_scene(num_sensors, snr_db, spacing)
     grid = fibonacci_grid(100)
     module = sys.modules[refine.__module__]
+    spec = build_cost_spec(covs[estimator], estimator, 2)
     for s in (-10.0, -3.0, -1.0, 0.5, 1.0):
-        spec = build_cost_spec(covs[estimator], estimator, s, 2)
-        coeffs = PairCoefficients.from_cost_spec(spec, geom)
+        coeffs = PairCoefficients.from_cost_spec(spec, geom, s)
         peaks = grid_search(power_mean(band_powers(spec, geom, grid.points), s), grid, 2,
                             np.radians(10.0))
         for (q0, _), variant, rel_tol in itertools.product(
                 peaks, ("quadratic", "linear"), (1e-10, 0.0)):
-            got = refine(coeffs, geom, q0, variant=variant, rel_tol=rel_tol)
+            got = refine(coeffs, q0, variant=variant, rel_tol=rel_tol)
             with monkeypatch.context() as patch:
                 for name, reference in REFERENCE_STEP.items():
                     patch.setattr(module, name, reference)
-                want = refine(coeffs, geom, q0, variant=variant, rel_tol=rel_tol)
+                want = refine(coeffs, q0, variant=variant, rel_tol=rel_tol)
             assert _same_trace(got, want), (s, variant, rel_tol, q0)
 
 

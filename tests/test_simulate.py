@@ -1,6 +1,6 @@
 import re
 import time
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ import doakit.simulate
 from doakit.estimators import band_powers, grid_search, power_mean
 from doakit.manifold import (
     ArrayGeometry,
+    SphericalGrid,
     fibonacci_grid,
     great_circle_distance,
     random_geometry,
@@ -239,7 +240,7 @@ def test_build_cost_spec_rejects_a_covariance_without_signal(estimator, value):
         matrices[1, 2, 3] = value
     cov = CovarianceSet(matrices, [300.0, 400.0, 500.0])
     with pytest.raises(np.linalg.LinAlgError, match="no usable signal"):
-        build_cost_spec(cov, estimator, -3.0, 1)
+        build_cost_spec(cov, estimator, 1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -253,7 +254,7 @@ def test_srp_phat_covariance_of_a_non_finite_entry_is_rejected(bad):
         cov = estimator_covariance(frames, "srp-phat")
     assert not np.all(np.isfinite(cov.matrices[7]))
     with pytest.raises(np.linalg.LinAlgError, match="no usable signal"):
-        build_cost_spec(cov, "srp-phat", -3.0, 2)
+        build_cost_spec(cov, "srp-phat", 2)
 
 
 def test_time_scene_shape_and_determinism():
@@ -334,16 +335,17 @@ def test_locate_sources_returns_refine_traces_of_grid_peaks():
     cov = estimator_covariance(frames, "music")
     grid = fibonacci_grid(100)
     separation = np.radians(10.0)
-    spec = build_cost_spec(cov, "music", -3.0, 2)
-    peaks = grid_search(power_mean(band_powers(spec, GEOM, grid.points), spec.s), grid, 2,
+    spec = build_cost_spec(cov, "music", 2)
+    peaks = grid_search(power_mean(band_powers(spec, GEOM, grid.points), -3.0), grid, 2,
                         separation)
+    coeffs = PairCoefficients.from_cost_spec(spec, GEOM, -3.0)
     settings = dict(estimator="music", s=-3.0, num_sources=2, max_iters=15,
                     min_separation_rad=separation)
     for variant in ("quadratic", "linear"):
         traces = locate_sources(cov, GEOM, grid, variant=variant, **settings)
         assert len(traces) == 2
         for trace, (q0, _) in zip(traces, peaks):
-            expected = refine(spec, GEOM, q0, variant=variant, max_iters=15)
+            expected = refine(coeffs, q0, variant=variant, max_iters=15)
             np.testing.assert_array_equal(trace.iterates, expected.iterates)
             np.testing.assert_array_equal(trace.objectives, expected.objectives)
             assert trace.converged_at == expected.converged_at
@@ -359,9 +361,9 @@ def test_refine_peaks_builds_one_pair_form_for_all_peaks(monkeypatch):
     builds = []
     build = PairCoefficients.from_cost_spec.__func__
 
-    def counted(cls, spec, geometry):
+    def counted(cls, spec, geometry, s):
         builds.append(spec)
-        return build(cls, spec, geometry)
+        return build(cls, spec, geometry, s)
 
     monkeypatch.setattr(PairCoefficients, "from_cost_spec", classmethod(counted))
     sources = np.array([unit([1.0, 0.2, 0.3]), unit([-0.3, 1.0, -0.2]), unit([0.1, -0.4, 1.0])])
@@ -420,7 +422,7 @@ def test_array_and_speed_of_sound_scaled_together_change_nothing(factor):
     points = fibonacci_grid(500).points
     for estimator in ("srp-phat", "music", "mvdr"):
         cov = estimator_covariance(frames, estimator)
-        spec = build_cost_spec(cov, estimator, -3.0, 2)
+        spec = build_cost_spec(cov, estimator, 2)
         scale = np.trace(spec.matrices, axis1=1, axis2=2).real[:, None] / 8
         difference = band_powers(spec, scaled, points) - band_powers(spec, geom, points)
         assert np.max(np.abs(difference) / scale) <= 1e-12
@@ -447,6 +449,38 @@ def test_sensor_permutation_changes_nothing(estimator, variant, seed):
     expected = _located(estimator_covariance(frames, estimator), geom,
                         estimator, variant)
     assert np.degrees(great_circle_distance(got, expected)).max() < 1e-9
+
+
+@pytest.mark.parametrize("estimator", ["srp-phat", "music", "mvdr"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rotating_array_sources_and_grid_rotates_the_answers(estimator, seed):
+    # one rotation R of the array, the sources and the grid leaves every
+    # delay d_m . q, and so the recording, the band powers and the MM steps,
+    # as they were up to rounding: the answers are R times the unrotated
+    # ones, matched by assignment (1 to 3 sources at s = -3 and 1)
+    rng = np.random.default_rng(seed)
+    rotation = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    rotation *= np.sign(np.linalg.det(rotation))
+    geom = random_geometry(num_sensors=12, seed=seed)
+    rotated = ArrayGeometry(geom.sensors @ rotation.T, geom.speed_of_sound)
+    num_sources = seed + 1
+    sources = random_sources(rng, num_sources, np.radians(30.0))
+    grid = fibonacci_grid(100)
+    turned = SphericalGrid(grid.points @ rotation.T, grid.neighbors)
+
+    def located(array, truth, points, s, variant):
+        frames = synth_stft_scene(Scene(array, truth, snr_db=10.0, seed=seed),
+                                  frame_size=256, num_frames=50)
+        traces = locate_sources(estimator_covariance(frames, estimator), array, points,
+                                estimator=estimator, s=s, num_sources=num_sources,
+                                variant=variant, max_iters=30,
+                                min_separation_rad=np.radians(10.0))
+        return np.array([t.iterates[-1] for t in traces])
+
+    for s, variant in product((-3.0, 1.0), ("quadratic", "linear")):
+        got = located(rotated, sources @ rotation.T, turned, s, variant)
+        expected = located(geom, sources, grid, s, variant) @ rotation.T
+        assert evaluate(got, expected).max() < 1e-6, (s, variant)
 
 
 def test_evaluate_identity_and_permutation():
@@ -790,7 +824,7 @@ def test_monte_carlo_config_rejects_bad_axes_and_trials(overrides, message):
          "s-null", "s-bool", "s-zero", "s-above-one", "s-minus-inf", "s-nan"],
 )
 def test_monte_carlo_config_rejects_bad_axis_entries(overrides, message):
-    # the rules Scene and CostSpec apply, on every entry before any trial
+    # the rules Scene and the exponent check apply, on every entry before any trial
     with pytest.raises(ValueError, match=message):
         _small_config(**overrides)
 

@@ -3,6 +3,7 @@ import pytest
 from scipy.signal import get_window
 
 from doakit.spectral import (
+    CovarianceSet,
     SpectralFrames,
     apply_weighting,
     band_select,
@@ -316,3 +317,23 @@ def test_band_select_speech_range():
     assert sel.num_bands == 103
     assert sel.band_frequencies[0] == freqs[10]
     assert sel.band_frequencies[-1] == freqs[112]
+
+
+@pytest.mark.parametrize(
+    "freqs, message",
+    [
+        ([-10.0, 5.0], "non-negative and strictly increasing"),
+        ([np.nan, 5.0], "non-negative and strictly increasing"),
+        ([5.0, 5.0], "non-negative and strictly increasing"),
+        ([[1.0], [2.0]], "band count mismatch"),
+        ([1.0, 2.0, 3.0], "band count mismatch"),
+    ],
+    ids=["negative", "nan", "repeated", "column", "too-many"],
+)
+def test_frames_and_covariances_apply_one_band_rule(freqs, message):
+    # a band's frequency is read the same way by the frames and by the
+    # covariance built from them
+    with pytest.raises(ValueError, match=message):
+        SpectralFrames(np.ones((2, 3, 4)), freqs)
+    with pytest.raises(ValueError, match=message):
+        CovarianceSet(np.ones((2, 4, 4)), freqs)
